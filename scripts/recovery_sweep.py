@@ -15,7 +15,6 @@ import sys
 import numpy as np
 
 from attninv.analysis import choose_gamma, effective_bound_constant
-from attninv.cli import ExperimentConfig
 from attninv.generate import make_instance, perturbed_start
 from attninv.hessian import hessian_L
 from attninv.iojson import write_run_log
@@ -25,17 +24,16 @@ from attninv.solver import NewtonConfig, gd_solve, newton_solve
 EPS_GRID = (1e-2, 1e-4, 1e-6, 1e-8)
 
 
-def run_one(cfg: ExperimentConfig, out_dir=None):
-    spec, x_true = make_instance(cfg.seed, cfg.n, cfg.d, cfg.r_target)
-    X0 = perturbed_start(x_true, cfg.init_radius, 1000 + cfg.seed)
+def run_one(seed: int, n: int, d: int, radius: float, out_dir=None):
+    spec, x_true = make_instance(seed, n, d)
+    X0 = perturbed_start(x_true, radius, 1000 + seed)
 
-    X, recs, status = newton_solve(
-        spec, X0, NewtonConfig(eps=cfg.eps, max_iter=cfg.max_iter))
+    X, recs, status = newton_solve(spec, X0, NewtonConfig(eps=1e-12, max_iter=50))
     newton_iters = len(recs)
     dist = float(np.linalg.norm(X - x_true))
     if out_dir is not None:
-        write_run_log(os.path.join(out_dir, f"newton_seed{cfg.seed}.jsonl"),
-                      recs, meta={"solver": "newton", "seed": cfg.seed,
+        write_run_log(os.path.join(out_dir, f"newton_seed{seed}.jsonl"),
+                      recs, meta={"solver": "newton", "seed": seed,
                                   "status": status})
 
     cache0 = forward_cache(spec, X0)
@@ -45,18 +43,18 @@ def run_one(cfg: ExperimentConfig, out_dir=None):
     reached = [r.iter for r in gd_recs if r.loss <= 1e-8]
     gd_iters = reached[0] if reached else None
     if out_dir is not None:
-        write_run_log(os.path.join(out_dir, f"gd_seed{cfg.seed}.jsonl"),
-                      gd_recs, meta={"solver": "gd", "seed": cfg.seed,
+        write_run_log(os.path.join(out_dir, f"gd_seed{seed}.jsonl"),
+                      gd_recs, meta={"solver": "gd", "seed": seed,
                                      "status": gd_status, "eta": eta})
 
-    gamma = choose_gamma(cfg.n, cfg.d, effective_bound_constant(spec, X0))
+    gamma = choose_gamma(n, d, effective_bound_constant(spec, X0))
     reg = spec.with_gamma(gamma)
     sweep = []
     for eps in EPS_GRID:
         _, r, s = newton_solve(reg, X0, NewtonConfig(eps=eps, max_iter=100))
         sweep.append(len(r) if s == "Converged" else -1)
 
-    return {"seed": cfg.seed, "n": cfg.n, "d": cfg.d, "status": status,
+    return {"seed": seed, "n": n, "d": d, "status": status,
             "newton_iters": newton_iters, "final_loss": loss(spec, X),
             "distance": dist, "gd_iters_to_1e-8": gd_iters, "eta": eta,
             "eps_sweep_iters": sweep}
@@ -80,10 +78,7 @@ def main(argv=None) -> int:
     print(header)
     print("-" * len(header))
     for seed in args.seeds:
-        cfg = ExperimentConfig(seed=seed, n=args.n, d=args.d,
-                               init_radius=args.radius, eps=1e-12,
-                               max_iter=50, output_dir=args.out or ".")
-        row = run_one(cfg, out_dir=args.out)
+        row = run_one(seed, args.n, args.d, args.radius, out_dir=args.out)
         sweep = " ".join(f"{k:>8}" for k in row["eps_sweep_iters"])
         print(f"{row['seed']:>6} {row['n']}x{row['d']:<5} "
               f"{row['newton_iters']:>7} {row['final_loss']:>10.2e} "

@@ -12,7 +12,8 @@ from .analysis import (
     psd_floor,
 )
 from .generate import SplitMix64, make_instance, perturbed_start
-from .gradient import GradEntryTerms, dc_entry, grad_L, grad_c, grad_f_direction
+from .gradient import (GradEntryTerms, dc_entry, grad_L, grad_c, grad_f_direction,
+                       jacobian_c)
 from .hessian import (
     HessCase,
     HessianBlocks,

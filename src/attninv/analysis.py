@@ -98,11 +98,9 @@ def bound_suite(cache: ForwardCache, spec: ProblemSpec, X) -> BoundReport:
 
     worst_entry = 0.0
     worst_vec = 0.0
-    for i0 in range(n):
-        for j0 in range(d):
-            g = gradient.grad_c(cache, spec, i0, j0)
-            worst_entry = max(worst_entry, float(np.abs(g).max()))
-            worst_vec = max(worst_vec, float(np.linalg.norm(g)))
+    for g in gradient.jacobian_c(cache, spec):
+        worst_entry = max(worst_entry, float(np.abs(g).max()))
+        worst_vec = max(worst_vec, float(np.linalg.norm(g)))
     checks.append(_mk("residual_grad_entry_abs", worst_entry, 5.0 * R**4))
     checks.append(_mk("residual_grad_norm", worst_vec, 5.0 * sqrt_nd * R**4))
 
@@ -235,11 +233,12 @@ def lipschitz_probe(spec: ProblemSpec, pairs) -> BoundReport:
                           5.0 * sqrt_nd * R**4))
         worst_gc = 0.0
         worst_hc = 0.0
+        jx = gradient.jacobian_c(cx, base)
+        jy = gradient.jacobian_c(cy, base)
         for i0 in range(n):
             for j0 in range(d):
                 worst_gc = max(worst_gc, float(np.abs(
-                    gradient.grad_c(cx, base, i0, j0)
-                    - gradient.grad_c(cy, base, i0, j0)).max()))
+                    jx[i0 * d + j0] - jy[i0 * d + j0]).max()))
                 worst_hc = max(worst_hc, float(np.abs(
                     hessian.hessian_c(cx, base, i0, j0)
                     - hessian.hessian_c(cy, base, i0, j0)).max()))

@@ -8,7 +8,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,6 +15,7 @@ from . import analysis, gradient, hessian, iojson, oracle, solver
 from .generate import SplitMix64, make_instance, perturbed_start, random_matrix, rescale_spectral
 from .model import (
     ProblemSpec,
+    check_input,
     dense_cap,
     forward_cache,
     loss,
@@ -24,42 +24,36 @@ from .model import (
 CHECK_LEVELS = ("grad", "hessian", "bounds", "psd", "lipschitz", "all")
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """One harness run: instance seed and shape, solver selection, output."""
-
-    seed: int = 0
-    n: int = 3
-    d: int = 2
-    r_target: float = 1.2
-    gamma_mode: str = "explicit"
-    gamma: float = 0.0
-    init_radius: float = 0.01
-    solver: str = "newton"
-    eps: float = 1e-10
-    max_iter: int = 100
-    eta: float = 0.05
-    output_dir: str = "."
-
-    def __post_init__(self):
-        if self.n * self.d > dense_cap():
-            raise ValueError(
-                f"n*d = {self.n * self.d} exceeds the dense cap {dense_cap()}")
-        if self.init_radius < 0:
-            raise ValueError("init_radius must be nonnegative")
-
-
 class UsageError(Exception):
     pass
+
+
+def _read(reader, path, what: str):
+    try:
+        return reader(path)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise UsageError(f"cannot read {what}: {exc}") from exc
+
+
+def _read_input(spec: ProblemSpec, path, what: str) -> np.ndarray:
+    """An input matrix file, checked for the problem's shape and finiteness."""
+    return _read(lambda p: check_input(spec, iojson.read_matrix(p)), path, what)
+
+
+def _nonneg_float(text: str, what: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not 0.0 <= value < float("inf"):
+        raise UsageError(f"{what} must be a finite nonnegative float, got {text!r}")
+    return value
 
 
 def _parse_gamma(text: str) -> tuple[str, float]:
     if text == "auto":
         return "auto", 0.0
-    try:
-        return "explicit", float(text)
-    except ValueError as exc:
-        raise UsageError(f"--gamma must be 'auto' or a float, got {text!r}") from exc
+    return "explicit", _nonneg_float(text, "--gamma (or 'auto')")
 
 
 def _fmt(x: float) -> str:
@@ -68,23 +62,20 @@ def _fmt(x: float) -> str:
 
 def cmd_generate(args) -> int:
     mode, gamma = _parse_gamma(args.gamma)
-    try:
-        cfg = ExperimentConfig(seed=args.seed, n=args.n, d=args.d,
-                               r_target=args.r_target, gamma_mode=mode,
-                               gamma=gamma, output_dir=args.out)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    spec, x_true = make_instance(cfg.seed, cfg.n, cfg.d, cfg.r_target, gamma=0.0)
+    if args.n < 1 or args.d < 1:
+        raise UsageError("--n and --d must be positive")
+    if args.n * args.d > dense_cap():
+        raise UsageError(f"n*d = {args.n * args.d} exceeds the dense cap {dense_cap()}")
+    spec, x_true = make_instance(args.seed, args.n, args.d, args.r_target, gamma=0.0)
     if mode == "auto":
         r_eff = analysis.effective_bound_constant(spec, x_true)
-        gamma = analysis.choose_gamma(cfg.n, cfg.d, r_eff)
+        gamma = analysis.choose_gamma(args.n, args.d, r_eff)
     spec = spec.with_gamma(gamma)
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    iojson.write_problem(spec, os.path.join(cfg.output_dir, "problem.json"))
-    iojson.write_matrix(x_true, os.path.join(cfg.output_dir, "x_true.json"))
-    print(f"wrote problem.json and x_true.json to {cfg.output_dir} "
-          f"(seed={cfg.seed}, n={cfg.n}, d={cfg.d}, gamma={_fmt(gamma)})")
+    os.makedirs(args.out, exist_ok=True)
+    iojson.write_problem(spec, os.path.join(args.out, "problem.json"))
+    iojson.write_matrix(x_true, os.path.join(args.out, "x_true.json"))
+    print(f"wrote problem.json and x_true.json to {args.out} "
+          f"(seed={args.seed}, n={args.n}, d={args.d}, gamma={_fmt(gamma)})")
     return 0
 
 
@@ -172,22 +163,10 @@ def _check_entries(spec: ProblemSpec, X, level: str, seed: int):
 
 
 def cmd_check(args) -> int:
-    try:
-        spec = iojson.read_problem(args.problem)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read problem: {exc}", file=sys.stderr)
-        return 2
+    spec = _read(iojson.read_problem, args.problem, "problem")
     meta = {"problem": args.problem, "level": args.level}
     if args.x is not None:
-        try:
-            X = iojson.read_matrix(args.x)
-        except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-            print(f"error: cannot read X: {exc}", file=sys.stderr)
-            return 2
-        if X.shape != (spec.d, spec.n):
-            print(f"error: X shape {X.shape} does not match problem "
-                  f"({spec.d}, {spec.n})", file=sys.stderr)
-            return 2
+        X = _read_input(spec, args.x, "X")
         meta["x_source"] = args.x
     else:
         X = _sample_x(spec, args.seed)
@@ -203,23 +182,23 @@ def _parse_init(text: str):
     if text.startswith("file:"):
         return ("file", text[5:])
     if text.startswith("perturb:"):
-        try:
-            return ("perturb", float(text[8:]))
-        except ValueError as exc:
-            raise UsageError(f"bad perturbation radius in {text!r}") from exc
+        return ("perturb", _nonneg_float(text[8:], "the --init perturbation radius"))
     raise UsageError("--init must be file:<path> or perturb:<radius>")
 
 
+def _check_solve_args(args) -> None:
+    if not args.eps > 0:
+        raise UsageError(f"--eps must be positive, got {args.eps!r}")
+    if args.max_iter < 1:
+        raise UsageError(f"--max-iter must be at least 1, got {args.max_iter}")
+    if args.solver == "gd" and not 0.0 < args.eta < float("inf"):
+        raise UsageError(f"--eta must be finite and positive, got {args.eta!r}")
+
+
 def cmd_solve(args) -> int:
-    try:
-        spec = iojson.read_problem(args.problem)
-        init = _parse_init(args.init)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read problem: {exc}", file=sys.stderr)
-        return 2
+    _check_solve_args(args)
+    spec = _read(iojson.read_problem, args.problem, "problem")
+    init = _parse_init(args.init)
     mode, gamma = _parse_gamma(args.gamma) if args.gamma is not None else (None, None)
     if mode == "explicit":
         spec = spec.with_gamma(gamma)
@@ -228,19 +207,13 @@ def cmd_solve(args) -> int:
     x_true = None
     true_path = os.path.join(problem_dir, "x_true.json")
     if os.path.exists(true_path):
-        x_true = iojson.read_matrix(true_path)
+        x_true = _read_input(spec, true_path, "x_true.json")
 
     if init[0] == "file":
-        try:
-            X0 = iojson.read_matrix(init[1])
-        except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-            print(f"error: cannot read init file: {exc}", file=sys.stderr)
-            return 2
+        X0 = _read_input(spec, init[1], "init file")
+    elif x_true is None:
+        raise UsageError("perturb init requires x_true.json next to the problem")
     else:
-        if x_true is None:
-            print("error: perturb init requires x_true.json next to the problem",
-                  file=sys.stderr)
-            return 2
         X0 = perturbed_start(x_true, init[1], args.seed)
 
     if mode == "auto":
@@ -257,20 +230,21 @@ def cmd_solve(args) -> int:
     else:
         X_out, records, status = solver.gd_solve(spec, X0, args.eta,
                                                  args.max_iter, eps=args.eps)
-    final_loss = loss(spec, X_out)
-    cache = forward_cache(spec, X_out)
-    gn = float(np.linalg.norm(gradient.grad_L(cache, spec, X_out)))
+    final = solver.evaluate(spec, X_out)
+    if final is None:  # the end point overflows: it has no final loss or gradient
+        status = solver.NUMERICAL_FAILURE
+    else:
+        meta["final_loss"], meta["final_grad_norm"] = final[1], final[3]
     meta["status"] = status
     meta["iterations"] = len(records)
-    meta["final_loss"] = final_loss
-    meta["final_grad_norm"] = gn
     if x_true is not None:
         meta["distance_to_truth"] = solver.distance_to(X_out, x_true)
     iojson.write_matrix(X_out, os.path.join(out_dir, "x_out.json"))
     iojson.write_run_log(os.path.join(out_dir, "run.jsonl"), records, meta=meta)
-    print(f"status={status} iterations={len(records)} "
-          f"final_loss={_fmt(final_loss)} grad_norm={_fmt(gn)}"
-          + (f" distance={_fmt(meta['distance_to_truth'])}" if x_true is not None else ""))
+    print(f"status={status} iterations={len(records)}" + "".join(
+        f" {label}={_fmt(meta[key])}" for key, label in (
+            ("final_loss", "final_loss"), ("final_grad_norm", "grad_norm"),
+            ("distance_to_truth", "distance")) if key in meta))
     if status == solver.NUMERICAL_FAILURE and records:
         last = records[-1]
         print(f"last record: iter={last.iter} loss={_fmt(last.loss)} "

@@ -2,9 +2,13 @@
 
 Each residual entry c[i0, j0] = <F[:, i0], H[:, j0]> - B[i0, j0] is
 differentiated with respect to a single input coordinate x[i1, j1]
-(token i1, feature j1).  The derivative splits into five named scalar
-contributions when i1 hits the probe token (i0 == i1) and three otherwise;
-dc_entry exposes the individual terms, grad_c and grad_L assemble them.
+(token i1, feature j1).  The production path is closed form: jacobian_c
+broadcasts that derivative over every residual (grad_c is one row), and
+grad_L is the reverse-mode loss gradient, which never forms the Jacobian.
+dc_entry keeps the derivative as a named term table (five scalar terms
+when i1 is the probe token i0, three otherwise); together with the
+finite-difference oracle it is the certification realization the closed
+forms are pinned against.
 """
 from __future__ import annotations
 
@@ -37,18 +41,17 @@ class GradEntryTerms:
         return acc
 
 
-def _check_index(name: str, value: int, limit: int) -> None:
-    if not 0 <= value < limit:
-        raise IndexError(f"{name}={value} out of range [0, {limit})")
+def _check_index(limit: int, **indices: int) -> None:
+    for name, value in indices.items():
+        if not 0 <= value < limit:
+            raise IndexError(f"{name}={value} out of range [0, {limit})")
 
 
 def dc_entry(cache: ForwardCache, spec: ProblemSpec,
              i0: int, j0: int, i1: int, j1: int) -> GradEntryTerms:
     """d c[i0, j0] / d x[i1, j1] as a named term table."""
-    _check_index("i0", i0, spec.n)
-    _check_index("i1", i1, spec.n)
-    _check_index("j0", j0, spec.d)
-    _check_index("j1", j1, spec.d)
+    _check_index(spec.n, i0=i0, i1=i1)
+    _check_index(spec.d, j0=j0, j1=j1)
     F, H, S = cache.F, cache.H, cache.S
     s = S[i0, j0]
     w1 = cache.Wsc[i0, j1]
@@ -71,30 +74,35 @@ def dc_entry(cache: ForwardCache, spec: ProblemSpec,
     return GradEntryTerms(case=OFF_DIAGONAL, terms=terms)
 
 
-def grad_c(cache: ForwardCache, spec: ProblemSpec, i0: int, j0: int) -> np.ndarray:
-    """All partials of c[i0, j0], flattened in the canonical order.
+def jacobian_c(cache: ForwardCache, spec: ProblemSpec) -> np.ndarray:
+    """nd x nd residual Jacobian: row i0*d + j0 is the gradient of
+    c[i0, j0], entry i1*d + j1 equals dc_entry(..., i1, j1).total."""
+    n, d = spec.n, spec.d
+    F, H, S = cache.F, cache.H, cache.S
+    # M[i0, j0, i1, j1]: the off-diagonal shape holds at every token; the
+    # probe token i1 == i0 adds the softmax-coupling terms C2 and C4.
+    M = F.T[:, None, :, None] * ((H.T[None, :, :, None] - S[:, :, None, None])
+                                 * cache.Wsc[:, None, None, :]
+                                 + spec.V.T[None, :, None, :])
+    probe = np.arange(n)
+    M[probe, :, probe, :] += (-S[:, :, None] * cache.Zsc[:, None, :]
+                              + np.einsum("ai,ak,aj->ikj", F, H, cache.XW))
+    return M.reshape(n * d, n * d)
 
-    Entry k = i1*d + j1 equals dc_entry(..., i1, j1).total.
-    """
-    _check_index("i0", i0, spec.n)
-    _check_index("j0", j0, spec.d)
-    F, H = cache.F, cache.H
-    s = cache.S[i0, j0]
-    f = F[:, i0]
-    # Off-diagonal shape holds at every token; the probe token i0 needs the
-    # two extra softmax-coupling terms (C2 and C4).
-    M = f[:, None] * ((H[:, j0] - s)[:, None] * cache.Wsc[i0, None, :]
-                      + spec.V[None, :, j0])
-    M[i0, :] += -s * cache.Zsc[i0, :] + cache.XW.T @ (f * H[:, j0])
-    return M.reshape(-1)
+
+def grad_c(cache: ForwardCache, spec: ProblemSpec, i0: int, j0: int) -> np.ndarray:
+    """All partials of c[i0, j0], flattened in the canonical order: row
+    i0*d + j0 of jacobian_c."""
+    _check_index(spec.n, i0=i0)
+    _check_index(spec.d, j0=j0)
+    return jacobian_c(cache, spec)[i0 * spec.d + j0]
 
 
 def grad_f_direction(cache: ForwardCache, spec: ProblemSpec,
                      i0: int, i1: int, j1: int) -> np.ndarray:
     """d F[:, i0] / d x[i1, j1]; entries sum to zero exactly in theory."""
-    _check_index("i0", i0, spec.n)
-    _check_index("i1", i1, spec.n)
-    _check_index("j1", j1, spec.d)
+    _check_index(spec.n, i0=i0, i1=i1)
+    _check_index(spec.d, j1=j1)
     f = cache.F[:, i0]
     p = np.zeros(spec.n)
     p[i1] = cache.Wsc[i0, j1]
@@ -104,10 +112,13 @@ def grad_f_direction(cache: ForwardCache, spec: ProblemSpec,
 
 
 def grad_L(cache: ForwardCache, spec: ProblemSpec, X) -> np.ndarray:
-    """Loss gradient 2 * sum_{i0,j0} c[i0,j0] * grad_c + 2*gamma*vec(X)."""
+    """Loss gradient 2 * J^T vec(C) + 2*gamma*vec(X) by reverse mode:
+    G_F = H C^T, G_A = F o (G_F - 1^T (F o G_F)), and
+    J^T vec(C) = vec(W X G_A^T + W^T X G_A + V (F C)^T)."""
     X = check_input(spec, X)
-    acc = np.zeros(spec.n * spec.d)
-    for i0 in range(spec.n):
-        for j0 in range(spec.d):
-            acc += cache.C[i0, j0] * grad_c(cache, spec, i0, j0)
-    return 2.0 * acc + 2.0 * spec.gamma * flatten_input(X)
+    F = cache.F
+    G_F = cache.H @ cache.C.T
+    G_A = F * (G_F - (F * G_F).sum(axis=0, keepdims=True))
+    # W X = Wsc^T and W^T X = XW^T
+    G_X = cache.Wsc.T @ G_A.T + cache.XW.T @ G_A + spec.V @ (F @ cache.C).T
+    return 2.0 * flatten_input(G_X) + 2.0 * spec.gamma * flatten_input(X)

@@ -1,7 +1,13 @@
 """Analytic second derivatives of the residual entries and the loss.
 
-The mixed partial d^2 c[i0, j0] / dx[i1, j1] dx[i2, j2] splits into five
-index cases.  Two independent realizations are kept deliberately:
+The production path is hessian_L, a closed form: the Gauss-Newton part
+J^T J comes from gradient.jacobian_c, and the residual-weighted part
+sum c * hess_c is the directional derivative of the reverse-mode
+half-gradient (gradient.grad_L) with the residuals held fixed.
+
+The per-residual mixed partial d^2 c[i0, j0] / dx[i1, j1] dx[i2, j2]
+splits into five index cases.  Two independent realizations are kept to
+certify the closed form:
 
   * d2c_entry sums the scalar term tables (D terms for case 1, E for
     case 2, F for case 4, G for case 5; case 3 is case 2 with the
@@ -9,12 +15,13 @@ index cases.  Two independent realizations are kept deliberately:
   * block_case1..block_case5 build the same d x d blocks from outer
     products of cached vectors.
 
-Tests pin the two realizations against each other at 1e-10 and both
-against finite differences.  A handful of terms carry factors that are
-easy to mistranscribe (softmax entries at the probe token versus the
-derivative token, paired coefficients, a symmetric weight combination);
-comments keyed to the term index record the algebraic constraint that
-fixes each one, and the finite-difference suite is the arbiter.
+Tests pin the two realizations against each other at 1e-10, both against
+finite differences, and hessian_L against their residual-weighted sum.  A
+handful of terms carry factors that are easy to mistranscribe (softmax
+entries at the probe token versus the derivative token, paired
+coefficients, a symmetric weight combination); comments keyed to the term
+index record the algebraic constraint that fixes each one, and the
+finite-difference suite is the arbiter.
 """
 from __future__ import annotations
 
@@ -23,7 +30,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .gradient import grad_c
+from .gradient import _check_index, jacobian_c
 from .model import ForwardCache, ProblemSpec, check_input, dense_cap
 
 
@@ -43,11 +50,6 @@ def classify_case(i0: int, i1: int, i2: int) -> HessCase:
     if i0 == i2:
         return HessCase.CASE3
     return HessCase.CASE4 if i1 == i2 else HessCase.CASE5
-
-
-def _check_index(name: str, value: int, limit: int) -> None:
-    if not 0 <= value < limit:
-        raise IndexError(f"{name}={value} out of range [0, {limit})")
 
 
 def _d2c_case1(cache: ForwardCache, spec: ProblemSpec,
@@ -181,12 +183,8 @@ def _d2c_case5(cache: ForwardCache, spec: ProblemSpec,
 def d2c_entry(cache: ForwardCache, spec: ProblemSpec, i0: int, j0: int,
               i1: int, j1: int, i2: int, j2: int) -> float:
     """d^2 c[i0, j0] / dx[i1, j1] dx[i2, j2] via the per-case term tables."""
-    _check_index("i0", i0, spec.n)
-    _check_index("i1", i1, spec.n)
-    _check_index("i2", i2, spec.n)
-    _check_index("j0", j0, spec.d)
-    _check_index("j1", j1, spec.d)
-    _check_index("j2", j2, spec.d)
+    _check_index(spec.n, i0=i0, i1=i1, i2=i2)
+    _check_index(spec.d, j0=j0, j1=j1, j2=j2)
     case = classify_case(i0, i1, i2)
     if case is HessCase.CASE1:
         return _d2c_case1(cache, spec, i0, j0, j1, j2)
@@ -212,8 +210,8 @@ def _case1_vectors(cache: ForwardCache, spec: ProblemSpec, i0: int, j0: int):
 
 def block_case1(cache: ForwardCache, spec: ProblemSpec, i0: int, j0: int) -> np.ndarray:
     """Diagonal probe block: all three indices on token i0."""
-    _check_index("i0", i0, spec.n)
-    _check_index("j0", j0, spec.d)
+    _check_index(spec.n, i0=i0)
+    _check_index(spec.d, j0=j0)
     f, h, wv, zv, tv, vc = _case1_vectors(cache, spec, i0, j0)
     s = cache.S[i0, j0]
     f00 = cache.F[i0, i0]
@@ -256,9 +254,8 @@ def block_case1(cache: ForwardCache, spec: ProblemSpec, i0: int, j0: int) -> np.
 def block_case2(cache: ForwardCache, spec: ProblemSpec,
                 i0: int, j0: int, i2: int) -> np.ndarray:
     """Probe-row block: first derivative on token i0, second on i2 != i0."""
-    _check_index("i0", i0, spec.n)
-    _check_index("i2", i2, spec.n)
-    _check_index("j0", j0, spec.d)
+    _check_index(spec.n, i0=i0, i2=i2)
+    _check_index(spec.d, j0=j0)
     if i2 == i0:
         raise ValueError("block_case2 requires i2 != i0")
     f, h, wv, zv, _, vc = _case1_vectors(cache, spec, i0, j0)
@@ -305,9 +302,8 @@ def block_case3(cache: ForwardCache, spec: ProblemSpec,
 def block_case4(cache: ForwardCache, spec: ProblemSpec,
                 i0: int, j0: int, i1: int) -> np.ndarray:
     """Off-probe diagonal block: both derivatives on token i1 != i0."""
-    _check_index("i0", i0, spec.n)
-    _check_index("i1", i1, spec.n)
-    _check_index("j0", j0, spec.d)
+    _check_index(spec.n, i0=i0, i1=i1)
+    _check_index(spec.d, j0=j0)
     if i1 == i0:
         raise ValueError("block_case4 requires i1 != i0")
     s = cache.S[i0, j0]
@@ -329,10 +325,8 @@ def block_case4(cache: ForwardCache, spec: ProblemSpec,
 def block_case5(cache: ForwardCache, spec: ProblemSpec,
                 i0: int, j0: int, i1: int, i2: int) -> np.ndarray:
     """Fully off-probe block: tokens i0, i1, i2 pairwise distinct."""
-    _check_index("i0", i0, spec.n)
-    _check_index("i1", i1, spec.n)
-    _check_index("i2", i2, spec.n)
-    _check_index("j0", j0, spec.d)
+    _check_index(spec.n, i0=i0, i1=i1, i2=i2)
+    _check_index(spec.d, j0=j0)
     if i1 == i0 or i2 == i0 or i1 == i2:
         raise ValueError("block_case5 requires pairwise distinct tokens")
     s = cache.S[i0, j0]
@@ -369,8 +363,8 @@ def assemble_hessian_c(cache: ForwardCache, spec: ProblemSpec,
     (i0, i0); column i0 holds case-3 blocks; the remaining diagonal is
     case 4 and everything else case 5.
     """
-    _check_index("i0", i0, spec.n)
-    _check_index("j0", j0, spec.d)
+    _check_index(spec.n, i0=i0)
+    _check_index(spec.d, j0=j0)
     n = spec.n
     grid = []
     for i1 in range(n):
@@ -397,25 +391,42 @@ def hessian_c(cache: ForwardCache, spec: ProblemSpec, i0: int, j0: int) -> np.nd
 
 
 def hessian_L(cache: ForwardCache, spec: ProblemSpec, X) -> np.ndarray:
-    """Loss Hessian 2 * sum (grad_c grad_c^T + c * hess_c) + 2*gamma*I."""
+    """Loss Hessian 2 * (J^T J + K) + 2*gamma*I with K = sum c * hess_c.
+
+    K is the derivative of the half-gradient J^T vec(C) of grad_L with C
+    held fixed (so K == 0 exactly when C == 0).  It is taken along the d
+    unit directions x[t, :] of one token t at a time, which keeps the
+    temporaries at O(d n^2).
+    """
     X = check_input(spec, X)
-    nd = spec.n * spec.d
+    n, d, nd = spec.n, spec.d, spec.n * spec.d
     if nd > dense_cap():
-        raise ValueError(
-            f"n*d = {nd} exceeds the dense Hessian cap {dense_cap()}; "
-            "raise ATTNINV_DENSE_CAP to override"
-        )
-    rows = np.empty((nd, nd))
-    k = 0
-    for i0 in range(spec.n):
-        for j0 in range(spec.d):
-            rows[k] = grad_c(cache, spec, i0, j0)
-            k += 1
-    acc = rows.T @ rows
-    for i0 in range(spec.n):
-        for j0 in range(spec.d):
-            acc += cache.C[i0, j0] * hessian_c(cache, spec, i0, j0)
-    H = 2.0 * acc
+        raise ValueError(f"n*d = {nd} exceeds the dense Hessian cap {dense_cap()}; "
+                         "raise ATTNINV_DENSE_CAP to override")
+    F, C, W = cache.F, cache.C, spec.W
+    WX, WtX = cache.Wsc.T, cache.XW.T
+    G_F = cache.H @ C.T
+    p = (F * G_F).sum(axis=0, keepdims=True)
+    G_A = F * (G_F - p)
+    VC = spec.V @ C.T
+    K = np.empty((nd, nd))
+    for t in range(n):
+        # leading axis k: direction x[t, k]; d(scores) has row t and
+        # column t, d(G_F) only row t
+        dA = np.zeros((d, n, n))
+        dA[:, t, :] = WX
+        dA[:, :, t] += WtX
+        FdA = F * dA
+        dF = FdA - F * FdA.sum(axis=1, keepdims=True)
+        Q = dF * G_F
+        Q[:, t, :] += F[t] * VC
+        dG_A = Q - dF * p - F * Q.sum(axis=1, keepdims=True)
+        dg = (W.T[:, :, None] * G_A[:, t] + W[:, :, None] * G_A[t]
+              + WX @ dG_A.transpose(0, 2, 1) + WtX @ dG_A
+              + VC @ dF.transpose(0, 2, 1))
+        K[t * d:(t + 1) * d] = dg.transpose(0, 2, 1).reshape(d, nd)
+    J = jacobian_c(cache, spec)
+    H = 2.0 * (J.T @ J + K)
     H[np.diag_indices(nd)] += 2.0 * spec.gamma
     return H
 

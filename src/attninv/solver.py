@@ -89,6 +89,19 @@ def _relax(lam: float) -> float:
     return 0.0 if lam < _MIN_DAMPING else lam
 
 
+def evaluate(spec: ProblemSpec, X):
+    """(cache, loss, gradient, gradient norm) at X from one forward pass;
+    None when X is outside the representable regime."""
+    try:
+        cache = forward_cache(spec, X)
+        cur = loss(spec, X, cache)
+        g = grad_L(cache, spec, X)
+    except NumericalRangeError:
+        return None
+    gn = float(np.linalg.norm(g))
+    return (cache, cur, g, gn) if np.isfinite(cur) and np.isfinite(gn) else None
+
+
 def _try_solve(H: np.ndarray, lam: float, g: np.ndarray):
     """Solve (H + lam I) step = -g through Cholesky; None when not PD."""
     A = H.copy()
@@ -119,17 +132,11 @@ def newton_solve(spec: ProblemSpec, X0, cfg: NewtonConfig = NewtonConfig()):
     status = MAX_ITER
     t0 = time.perf_counter()
     for it in range(cfg.max_iter):
-        try:
-            cache = forward_cache(work, X)
-            cur = loss(work, X, cache)
-            g = grad_L(cache, work, X)
-        except NumericalRangeError:
+        point = evaluate(work, X)
+        if point is None:
             status = NUMERICAL_FAILURE
             break
-        gn = float(np.linalg.norm(g))
-        if not np.isfinite(cur) or not np.isfinite(gn):
-            status = NUMERICAL_FAILURE
-            break
+        cache, cur, g, gn = point
         if gn <= cfg.eps * (1.0 + abs(cur)):
             records.append(RunRecord(it, cur, gn, 0.0, lam,
                                      (time.perf_counter() - t0) * 1e3))
@@ -194,17 +201,11 @@ def gd_solve(spec: ProblemSpec, X0, eta: float, max_iter: int,
     prev = np.inf
     t0 = time.perf_counter()
     for it in range(max_iter):
-        try:
-            cache = forward_cache(spec, X)
-            cur = loss(spec, X, cache)
-            g = grad_L(cache, spec, X)
-        except NumericalRangeError:
+        point = evaluate(spec, X)
+        if point is None:
             status = NUMERICAL_FAILURE
             break
-        gn = float(np.linalg.norm(g))
-        if not np.isfinite(cur) or not np.isfinite(gn):
-            status = NUMERICAL_FAILURE
-            break
+        _, cur, g, gn = point
         if gn <= eps * (1.0 + abs(cur)):
             records.append(RunRecord(it, cur, gn, 0.0, 0.0,
                                      (time.perf_counter() - t0) * 1e3))
@@ -234,6 +235,7 @@ __all__ = [
     "NewtonConfig",
     "RunRecord",
     "distance_to",
+    "evaluate",
     "gd_solve",
     "newton_solve",
 ]

@@ -2,6 +2,7 @@ import json
 import os
 
 import numpy as np
+import pytest
 
 from attninv import cli, gradient
 from attninv.iojson import read_matrix, read_problem
@@ -156,3 +157,73 @@ def test_report_skips_malformed(tmp_path, capsys):
     bad.write_text("oops\n")
     assert run_cli("report", str(bad)) == 0
     assert "skipped" in capsys.readouterr().err
+
+
+def test_solve_gd_divergence_writes_artifacts(tmp_path, capsys):
+    out = tmp_path / "inst"
+    run_cli("generate", "--seed", "0", "--n", "3", "--d", "2", "--out", str(out))
+    run_dir = tmp_path / "run"
+    code = run_cli("solve", "--problem", str(out / "problem.json"),
+                   "--init", "perturb:0.01", "--solver", "gd",
+                   "--eta", "1000", "--out", str(run_dir))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in captured.err
+    assert "status=NumericalFailure" in captured.out
+    assert read_matrix(run_dir / "x_out.json").shape == (2, 3)
+    lines = (run_dir / "run.jsonl").read_text().strip().splitlines()
+    meta = json.loads(lines[0])["meta"]
+    assert meta["status"] == "NumericalFailure"
+    assert "final_loss" not in meta and meta["iterations"] == len(lines) - 1
+
+
+@pytest.mark.parametrize("extra", [
+    ["--eps", "-1"],
+    ["--eps", "nan"],
+    ["--solver", "gd", "--eta", "0"],
+    ["--max-iter", "0"],
+    ["--gamma", "-1"],
+    ["--init", "perturb:nan"],
+    ["--init", "perturb:-0.5"],
+])
+def test_solve_invalid_arguments_are_usage_errors(tmp_path, capsys, extra):
+    out = tmp_path / "inst"
+    run_cli("generate", "--seed", "0", "--n", "2", "--d", "2", "--out", str(out))
+    capsys.readouterr()
+    argv = ["solve", "--problem", str(out / "problem.json"),
+            "--init", "perturb:0.01", "--out", str(tmp_path / "run")] + extra
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "run").exists()
+
+
+def test_generate_zero_tokens_is_usage_error(tmp_path, capsys):
+    assert run_cli("generate", "--n", "0", "--out", str(tmp_path)) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_solve_malformed_truth_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "inst"
+    run_cli("generate", "--seed", "0", "--n", "2", "--d", "2", "--out", str(out))
+    (out / "x_true.json").write_text("{not json")
+    capsys.readouterr()
+    assert run_cli("solve", "--problem", str(out / "problem.json"),
+                   "--init", "perturb:0.01", "--out", str(tmp_path / "run")) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read x_true.json")
+
+
+def test_input_matrix_files_are_validated(tmp_path, capsys):
+    out = tmp_path / "inst"
+    run_cli("generate", "--seed", "0", "--n", "3", "--d", "2", "--out", str(out))
+    nan_x = tmp_path / "nan.json"
+    nan_x.write_text('{"rows": 2, "cols": 3, "data": [NaN, 1, 2, 3, 4, 5]}')
+    wrong = tmp_path / "wrong.json"
+    wrong.write_text('{"rows": 3, "cols": 2, "data": [1, 1, 2, 3, 4, 5]}')
+    capsys.readouterr()
+    assert run_cli("check", "--problem", str(out / "problem.json"),
+                   "--x", str(nan_x), "--level", "grad") == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert run_cli("solve", "--problem", str(out / "problem.json"),
+                   "--init", f"file:{wrong}", "--out", str(tmp_path / "run")) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read init file")

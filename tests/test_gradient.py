@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from attninv.analysis import effective_bound_constant
-from attninv.gradient import dc_entry, grad_L, grad_c, grad_f_direction
+from attninv.gradient import dc_entry, grad_L, grad_c, grad_f_direction, jacobian_c
 from attninv.model import ProblemSpec, forward_cache, loss, synthesize_target
 from attninv.oracle import FdConfig, fd_grad, fd_jacobian
 from conftest import bounded_instance
@@ -166,3 +166,34 @@ def test_grad_L_matches_fd():
     g = grad_L(cache, spec, X)
     fd = fd_grad(lambda Y: loss(spec, Y), X, CFG)
     assert np.abs(g - fd).max() <= 1e-6 * (1 + np.abs(fd).max())
+
+
+@given(st.integers(0, 2**31 - 1), st.integers(1, 6), st.integers(1, 4),
+       st.sampled_from([0.0, 0.3]))
+@settings(max_examples=25, deadline=None)
+def test_grad_L_matches_residual_sum(seed, n, d, gamma):
+    spec, X = bounded_instance(seed, n, d)
+    spec = spec.with_gamma(gamma)
+    cache = forward_cache(spec, X)
+    ref = 2.0 * sum(cache.C[i0, j0] * grad_c(cache, spec, i0, j0)
+                    for i0 in range(n) for j0 in range(d))
+    ref = ref + 2.0 * gamma * X.T.reshape(-1)
+    g = grad_L(cache, spec, X)
+    assert np.abs(g - ref).max() <= 1e-12 * (1.0 + np.abs(ref).max())
+
+
+@given(st.integers(0, 2**31 - 1), st.integers(1, 5), st.integers(1, 3))
+@settings(max_examples=15, deadline=None)
+def test_jacobian_c_rows_are_dc_entry_totals(seed, n, d):
+    spec, X = bounded_instance(seed, n, d)
+    cache = forward_cache(spec, X)
+    J = jacobian_c(cache, spec)
+    assert J.shape == (n * d, n * d)
+    for i0 in range(n):
+        for j0 in range(d):
+            row = J[i0 * d + j0]
+            assert np.array_equal(row, grad_c(cache, spec, i0, j0))
+            for i1 in range(n):
+                for j1 in range(d):
+                    total = dc_entry(cache, spec, i0, j0, i1, j1).total
+                    assert abs(row[i1 * d + j1] - total) <= 1e-12 * (1.0 + abs(total))

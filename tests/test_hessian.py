@@ -207,3 +207,44 @@ def test_hessian_L_dense_cap(monkeypatch):
     cache = forward_cache(spec, X)
     with pytest.raises(ValueError, match="dense"):
         hessian_L(cache, spec, X)
+
+
+ACCEPTANCE_SHAPES = [(1, 1), (2, 2), (3, 2), (2, 3), (4, 2),
+                     (3, 3), (4, 4), (6, 3), (5, 3), (6, 2)]
+
+
+def looped_hessian_L(cache, spec):
+    """The per-residual realization 2 sum (grad_c grad_c^T + c hess_c)
+    + 2 gamma I, through the case blocks."""
+    nd = spec.n * spec.d
+    acc = np.zeros((nd, nd))
+    for i0 in range(spec.n):
+        for j0 in range(spec.d):
+            g = grad_c(cache, spec, i0, j0)
+            acc += np.outer(g, g) + cache.C[i0, j0] * hessian_c(cache, spec, i0, j0)
+    return 2.0 * acc + 2.0 * spec.gamma * np.eye(nd)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.37])
+@pytest.mark.parametrize("seed,shape", list(enumerate(ACCEPTANCE_SHAPES)))
+def test_hessian_L_matches_looped_realization(seed, shape, gamma):
+    n, d = shape
+    spec, X = bounded_instance(3000 + seed, n, d)  # independent B: off truth
+    spec = spec.with_gamma(gamma)
+    made = synthesize_target(spec.W, spec.V, X, gamma)
+    for sp, Y in ((spec, X), (made, X), (made, X + 0.3 * np.sin(X))):
+        cache = forward_cache(sp, Y)
+        H = hessian_L(cache, sp, Y)
+        ref = looped_hessian_L(cache, sp)
+        assert np.abs(H - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n,d,gamma", [(1, 1, 0.0), (3, 2, 0.21), (2, 4, 0.0),
+                                       (4, 3, 0.5)])
+def test_hessian_L_matches_fd_jacobian_of_grad_L(n, d, gamma):
+    spec, X = bounded_instance(7 + n * d, n, d)
+    spec = spec.with_gamma(gamma)
+    H = hessian_L(forward_cache(spec, X), spec, X)
+    fdj = fd_jacobian(
+        lambda Y: grad_L(forward_cache(spec, Y), spec, Y), X, FdConfig())
+    assert np.abs(H - fdj).max() <= 1e-4 * (1 + np.abs(H).max())
