@@ -14,6 +14,7 @@ import numpy as np
 from . import analysis, gradient, hessian, iojson, oracle, solver
 from .generate import SplitMix64, make_instance, perturbed_start, random_matrix, rescale_spectral
 from .model import (
+    NumericalRangeError,
     ProblemSpec,
     check_input,
     dense_cap,
@@ -56,6 +57,29 @@ def _parse_gamma(text: str) -> tuple[str, float]:
     return "explicit", _nonneg_float(text, "--gamma (or 'auto')")
 
 
+def _auto_gamma(spec: ProblemSpec, X) -> float:
+    """The dimension-based gamma at X; a usage error when X is so large
+    that it overflows."""
+    try:
+        gamma = analysis.choose_gamma(spec.n, spec.d,
+                                      analysis.effective_bound_constant(spec, X))
+    except OverflowError:
+        gamma = float("inf")
+    if not np.isfinite(gamma):
+        raise UsageError("--gamma auto: the start is too large for a finite gamma")
+    return gamma
+
+
+def _check_cap(nd: int) -> None:
+    """Refuse n*d above the dense cap, or an unusable ATTNINV_DENSE_CAP."""
+    try:
+        cap = dense_cap()
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    if nd > cap:
+        raise UsageError(f"n*d = {nd} exceeds the dense cap {cap}")
+
+
 def _fmt(x: float) -> str:
     return iojson.format_float(float(x))
 
@@ -64,12 +88,10 @@ def cmd_generate(args) -> int:
     mode, gamma = _parse_gamma(args.gamma)
     if args.n < 1 or args.d < 1:
         raise UsageError("--n and --d must be positive")
-    if args.n * args.d > dense_cap():
-        raise UsageError(f"n*d = {args.n * args.d} exceeds the dense cap {dense_cap()}")
+    _check_cap(args.n * args.d)
     spec, x_true = make_instance(args.seed, args.n, args.d, args.r_target, gamma=0.0)
     if mode == "auto":
-        r_eff = analysis.effective_bound_constant(spec, x_true)
-        gamma = analysis.choose_gamma(args.n, args.d, r_eff)
+        gamma = _auto_gamma(spec, x_true)
     spec = spec.with_gamma(gamma)
     os.makedirs(args.out, exist_ok=True)
     iojson.write_problem(spec, os.path.join(args.out, "problem.json"))
@@ -89,6 +111,8 @@ def _sample_x(spec: ProblemSpec, seed: int) -> np.ndarray:
 def _check_entries(spec: ProblemSpec, X, level: str, seed: int):
     """Run the selected certification checks; yields result dicts."""
     cache = forward_cache(spec, X)
+    if not np.isfinite(loss(spec, X, cache)):
+        raise NumericalRangeError("the loss is not finite at X")
     results = []
 
     def add(name, passed, detail):
@@ -171,7 +195,13 @@ def cmd_check(args) -> int:
     else:
         X = _sample_x(spec, args.seed)
         meta["x_source"] = f"seed:{args.seed}"
-    results = _check_entries(spec, X, args.level, args.seed)
+    if args.level in ("hessian", "psd", "lipschitz", "all"):
+        _check_cap(spec.n * spec.d)
+    try:
+        results = _check_entries(spec, X, args.level, args.seed)
+    except (NumericalRangeError, OverflowError) as exc:  # X is out of range
+        results = [{"check": "numerical_range", "pass": False,
+                    "error": f"{type(exc).__name__}: {exc}"}]
     ok = all(r["pass"] for r in results)
     print(json.dumps({"meta": meta, "results": results, "pass": ok},
                      sort_keys=True, indent=2))
@@ -198,6 +228,8 @@ def _check_solve_args(args) -> None:
 def cmd_solve(args) -> int:
     _check_solve_args(args)
     spec = _read(iojson.read_problem, args.problem, "problem")
+    if args.solver == "newton":
+        _check_cap(spec.n * spec.d)
     init = _parse_init(args.init)
     mode, gamma = _parse_gamma(args.gamma) if args.gamma is not None else (None, None)
     if mode == "explicit":
@@ -217,8 +249,7 @@ def cmd_solve(args) -> int:
         X0 = perturbed_start(x_true, init[1], args.seed)
 
     if mode == "auto":
-        r_eff = analysis.effective_bound_constant(spec, X0)
-        spec = spec.with_gamma(analysis.choose_gamma(spec.n, spec.d, r_eff))
+        spec = spec.with_gamma(_auto_gamma(spec, X0))
 
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
@@ -238,7 +269,9 @@ def cmd_solve(args) -> int:
     meta["status"] = status
     meta["iterations"] = len(records)
     if x_true is not None:
-        meta["distance_to_truth"] = solver.distance_to(X_out, x_true)
+        distance = solver.distance_to(X_out, x_true)
+        if np.isfinite(distance):  # a finite X_out far out can overflow it
+            meta["distance_to_truth"] = distance
     iojson.write_matrix(X_out, os.path.join(out_dir, "x_out.json"))
     iojson.write_run_log(os.path.join(out_dir, "run.jsonl"), records, meta=meta)
     print(f"status={status} iterations={len(records)}" + "".join(

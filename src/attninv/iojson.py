@@ -8,6 +8,7 @@ measurement and would break byte-identity of repeated runs.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -16,7 +17,7 @@ from .solver import RunRecord
 
 
 def format_float(x: float) -> str:
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise ValueError("artifacts may only contain finite numbers")
     return format(float(x), ".17g")
 

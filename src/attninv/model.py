@@ -13,6 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULT_DENSE_CAP = 512
+# The largest double whose exp() is finite, log(DBL_MAX): exp(s) overflows
+# exactly when s > EXP_MAX, and NaN fails the test s <= EXP_MAX as well.
+EXP_MAX = 709.782712893384
 
 
 def dense_cap() -> int:
@@ -20,9 +23,12 @@ def dense_cap() -> int:
     raw = os.environ.get("ATTNINV_DENSE_CAP")
     if raw is None:
         return DEFAULT_DENSE_CAP
-    cap = int(raw)
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
     if cap < 1:
-        raise ValueError("ATTNINV_DENSE_CAP must be a positive integer")
+        raise ValueError(f"ATTNINV_DENSE_CAP must be a positive integer, got {raw!r}")
     return cap
 
 
@@ -34,7 +40,7 @@ def _as_float_matrix(M, name: str, shape: tuple[int, int]) -> np.ndarray:
     M = np.asarray(M, dtype=float)
     if M.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {M.shape}")
-    if not np.all(np.isfinite(M)):
+    if not np.isfinite(M).all():
         raise ValueError(f"{name} contains non-finite entries")
     return M
 
@@ -100,9 +106,8 @@ class ForwardCache:
     """All intermediate quantities of one forward pass, shared by the
     gradient and Hessian code.
 
-    U    : (n, n) raw exponential scores, column i0 = exp(X^T W X[:, i0])
-    alpha: (n,) column sums of U
-    F    : (n, n) column-stochastic softmax probabilities, F = U / alpha
+    F    : (n, n) column-stochastic softmax probabilities, column i0 is
+           the softmax of the scores X^T W X[:, i0]
     H    : (n, d) value projection, column j0 = X^T V[:, j0]
     S    : (n, d) model output, S[i0, j0] = <F[:, i0], H[:, j0]>
     C    : (n, d) residuals, C = S - B
@@ -112,8 +117,6 @@ class ForwardCache:
            row i0 is W^T X[:, i0]
     """
 
-    U: np.ndarray
-    alpha: np.ndarray
     F: np.ndarray
     H: np.ndarray
     S: np.ndarray
@@ -126,29 +129,29 @@ class ForwardCache:
 def forward_cache(spec: ProblemSpec, X) -> ForwardCache:
     """Evaluate all forward quantities at X.
 
-    Raises NumericalRangeError when a raw exponential overflows, naming the
-    offending score column.  The softmax F itself is computed max-shifted,
-    so it stays finite whenever the scores are finite.
+    Raises NumericalRangeError when a raw exponential exp(score) would
+    overflow (or a score is NaN), naming the first offending score column.
+    The column maxima that decide this are also the shifts of the
+    max-shifted softmax, which keeps F finite whenever the scores are.
     """
     X = check_input(spec, X)
-    scores = X.T @ spec.W @ X
-    with np.errstate(over="ignore"):
-        U = np.exp(scores)
-    if not np.all(np.isfinite(U)):
-        bad = int(np.flatnonzero(~np.isfinite(U).all(axis=0))[0])
+    XW = X.T @ spec.W
+    scores = XW @ X
+    top = scores.max(axis=0)
+    in_range = top <= EXP_MAX
+    if not in_range.all():
+        bad = int(np.flatnonzero(~in_range)[0])
         raise NumericalRangeError(
             f"exp overflow in score column {bad}; inputs exceed the bounded regime"
         )
-    alpha = U.sum(axis=0)
-    shifted = np.exp(scores - scores.max(axis=0, keepdims=True))
-    F = shifted / shifted.sum(axis=0, keepdims=True)
+    shifted = np.exp(scores - top)
+    F = shifted / shifted.sum(axis=0)
     H = X.T @ spec.V
     S = F.T @ H
     C = S - spec.B
     Wsc = (spec.W @ X).T
-    XW = X.T @ spec.W
     Zsc = F.T @ XW
-    return ForwardCache(U=U, alpha=alpha, F=F, H=H, S=S, C=C, Wsc=Wsc, Zsc=Zsc, XW=XW)
+    return ForwardCache(F=F, H=H, S=S, C=C, Wsc=Wsc, Zsc=Zsc, XW=XW)
 
 
 def loss(spec: ProblemSpec, X, cache: ForwardCache | None = None) -> float:
@@ -156,7 +159,7 @@ def loss(spec: ProblemSpec, X, cache: ForwardCache | None = None) -> float:
     X = check_input(spec, X)
     if cache is None:
         cache = forward_cache(spec, X)
-    return float(np.sum(cache.C * cache.C) + spec.gamma * np.sum(X * X))
+    return float((cache.C * cache.C).sum() + spec.gamma * (X * X).sum())
 
 
 def loss_frobenius(spec: ProblemSpec, X) -> float:

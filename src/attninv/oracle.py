@@ -54,7 +54,7 @@ def _coordinate_steps(X: np.ndarray, step: float) -> np.ndarray:
 def _probe(fn, X):
     value = fn(X)
     arr = np.asarray(value, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericalRangeError("non-finite probe value in finite differencing")
     return value
 

@@ -1,6 +1,7 @@
 """Regularized damped Newton recovery and the gradient-descent baseline."""
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -98,8 +99,8 @@ def evaluate(spec: ProblemSpec, X):
         g = grad_L(cache, spec, X)
     except NumericalRangeError:
         return None
-    gn = float(np.linalg.norm(g))
-    return (cache, cur, g, gn) if np.isfinite(cur) and np.isfinite(gn) else None
+    gn = math.sqrt(g.dot(g))
+    return (cache, cur, g, gn) if math.isfinite(cur) and math.isfinite(gn) else None
 
 
 def _try_solve(H: np.ndarray, lam: float, g: np.ndarray):
@@ -188,7 +189,8 @@ def gd_solve(spec: ProblemSpec, X0, eta: float, max_iter: int,
     """Fixed-step gradient descent on the regularized loss.
 
     Shares the record and stop contract with newton_solve; ten consecutive
-    loss increases count as divergence.
+    loss increases count as divergence, and so does a step whose norm is
+    not finite (that step is not taken and is recorded with norm 0).
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
@@ -213,12 +215,14 @@ def gd_solve(spec: ProblemSpec, X0, eta: float, max_iter: int,
             break
         increases = increases + 1 if cur > prev else 0
         step = eta * g
-        records.append(RunRecord(it, cur, gn, float(np.linalg.norm(step)), 0.0,
+        step_norm = math.sqrt(step.dot(step))
+        finite = math.isfinite(step_norm)
+        records.append(RunRecord(it, cur, gn, step_norm if finite else 0.0, 0.0,
                                  (time.perf_counter() - t0) * 1e3))
-        if increases >= 10:
+        if increases >= 10 or not finite:
             status = NUMERICAL_FAILURE
             break
-        X = X - unflatten_input(step, spec.n, spec.d)
+        X = X - step.reshape(spec.n, spec.d).T
         prev = cur
     return X, records, status
 

@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from attninv import cli, gradient
 from attninv.iojson import read_matrix, read_problem
@@ -227,3 +232,186 @@ def test_input_matrix_files_are_validated(tmp_path, capsys):
     assert run_cli("solve", "--problem", str(out / "problem.json"),
                    "--init", f"file:{wrong}", "--out", str(tmp_path / "run")) == 2
     assert capsys.readouterr().err.startswith("error: cannot read init file")
+
+
+def _meta(run_dir):
+    lines = (run_dir / "run.jsonl").read_text().strip().splitlines()
+    return json.loads(lines[0])["meta"], [json.loads(line) for line in lines[1:]]
+
+
+def test_solve_gd_infinite_step_is_numerical_failure(tmp_path, capsys):
+    out = tmp_path / "inst"
+    run_cli("generate", "--seed", "0", "--n", "3", "--d", "2", "--out", str(out))
+    run_dir = tmp_path / "run"
+    code = run_cli("solve", "--problem", str(out / "problem.json"),
+                   "--init", "perturb:0.01", "--solver", "gd",
+                   "--eta", "1e300", "--out", str(run_dir))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in captured.err
+    assert read_matrix(run_dir / "x_out.json").shape == (2, 3)
+    meta, records = _meta(run_dir)
+    assert meta["status"] == "NumericalFailure" and meta["iterations"] == 1
+    # the overflowing step is not taken
+    assert records[-1]["step_norm"] == 0
+    assert meta["distance_to_truth"] == pytest.approx(0.01)
+
+
+def test_solve_far_start_leaves_infinite_distance_out(tmp_path, capsys):
+    out = tmp_path / "inst"
+    run_cli("generate", "--seed", "0", "--n", "3", "--d", "2", "--out", str(out))
+    far = tmp_path / "far.json"
+    far.write_text('{"rows": 2, "cols": 3, "data": [1e200, 0, 0, 0, 0, 0]}')
+    run_dir = tmp_path / "run"
+    capsys.readouterr()
+    code = run_cli("solve", "--problem", str(out / "problem.json"),
+                   "--init", f"file:{far}", "--out", str(run_dir))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in captured.err
+    assert read_matrix(run_dir / "x_out.json")[0, 0] == 1e200
+    meta, _ = _meta(run_dir)
+    assert meta["status"] == "NumericalFailure"
+    assert "distance_to_truth" not in meta and "final_loss" not in meta
+
+
+def test_check_at_exp_overflow_is_a_failing_record(tmp_path, capsys):
+    out = tmp_path / "inst"
+    run_cli("generate", "--seed", "0", "--n", "3", "--d", "2", "--out", str(out))
+    spec = read_problem(out / "problem.json")
+    # token 0 along a feature j with W[j, j] > 0 makes score (0, 0) +inf
+    j = int(np.argmax(np.diag(spec.W)))
+    assert spec.W[j, j] > 0
+    X = np.zeros((2, 3))
+    X[j, 0] = 1e200
+    x_path = tmp_path / "x.json"
+    x_path.write_text(json.dumps({"rows": 2, "cols": 3, "data": X.ravel().tolist()}))
+    capsys.readouterr()
+    code = run_cli("check", "--problem", str(out / "problem.json"),
+                   "--x", str(x_path), "--level", "all")
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in captured.err
+    report = json.loads(captured.out)
+    assert report["pass"] is False
+    assert report["results"] == [{"check": "numerical_range", "pass": False,
+                                  "error": "NumericalRangeError: exp overflow in "
+                                           "score column 0; inputs exceed the "
+                                           "bounded regime"}]
+
+
+@pytest.mark.parametrize("cap", ["abc", "0", "-3", ""])
+def test_bad_dense_cap_is_usage_error(tmp_path, capsys, monkeypatch, cap):
+    out = tmp_path / "inst"
+    run_cli("generate", "--seed", "0", "--n", "2", "--d", "2", "--out", str(out))
+    capsys.readouterr()
+    monkeypatch.setenv("ATTNINV_DENSE_CAP", cap)
+    for argv in (["generate", "--out", str(tmp_path / "g")],
+                 ["solve", "--problem", str(out / "problem.json"),
+                  "--init", "perturb:0.01", "--out", str(tmp_path / "run")],
+                 ["check", "--problem", str(out / "problem.json"),
+                  "--level", "hessian"]):
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: ATTNINV_DENSE_CAP must be a positive integer, got {cap!r}\n"
+    assert not (tmp_path / "g").exists() and not (tmp_path / "run").exists()
+    # gradient descent and the gradient check never build a dense Hessian
+    assert run_cli("check", "--problem", str(out / "problem.json"),
+                   "--level", "grad") == 0
+
+
+# Inputs for the exit-code contract: flag values, matrix files and dense
+# caps, valid and not.  Every command must return 0, 1 or 2 and raise
+# nothing: from the shell, an exception out of main is a traceback.
+_NUMBERS = ["0.01", "1", "-1", "0", "nan", "inf", "-inf", "1e300", "1e-300",
+            "1e400", "abc", ""]
+_MATRICES = {
+    "ok": '{"rows": 2, "cols": 2, "data": [0.1, -0.2, 0.3, 0.05]}',
+    "not_json": "{oops",
+    "empty": "",
+    "list": "[1, 2]",
+    "wrong_shape": '{"rows": 1, "cols": 4, "data": [1, 2, 3, 4]}',
+    "short": '{"rows": 2, "cols": 2, "data": [1, 2, 3]}',
+    "strings": '{"rows": 2, "cols": 2, "data": ["a", 1, 2, 3]}',
+    "nan": '{"rows": 2, "cols": 2, "data": [NaN, 0, 0, 0]}',
+    "inf": '{"rows": 2, "cols": 2, "data": [0, -Infinity, 0, 0]}',
+    "huge": '{"rows": 2, "cols": 2, "data": [1e200, 0, 0, 0]}',
+    "huge_all": '{"rows": 2, "cols": 2, "data": [1e200, -1e200, 1e154, 1e300]}',
+    "large": '{"rows": 2, "cols": 2, "data": [30, -30, 30, 30]}',
+    # exp stays in range (W[0, 0] < 0 in contract_dir), but R^8 overflows
+    "far": '{"rows": 2, "cols": 2, "data": [1e60, 0, 0, 0]}',
+}
+_CAPS = [None, "abc", "0", "-2", "", "1", "3", "4", "1e3", " 8"]
+
+
+@pytest.fixture(scope="module")
+def contract_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("contract")
+    assert run_cli("generate", "--seed", "0", "--n", "2", "--d", "2",
+                   "--out", str(root / "inst")) == 0
+    assert read_problem(root / "inst" / "problem.json").W[0, 0] < 0
+    for name, text in _MATRICES.items():
+        (root / f"{name}.json").write_text(text)
+    return root
+
+
+@st.composite
+def _contract_argv(draw):
+    """argv with {root} standing for the directory of contract_dir."""
+    problem = "{root}/inst/problem.json"
+    matrix = "{root}/" + draw(st.sampled_from(sorted(_MATRICES))) + ".json"
+    command = draw(st.sampled_from(["generate", "check", "solve"]))
+    if command == "generate":
+        return ["generate", "--n", draw(st.sampled_from(["0", "1", "2", "-1", "x"])),
+                "--d", draw(st.sampled_from(["1", "2", "0"])),
+                "--gamma", draw(st.sampled_from(["auto"] + _NUMBERS)),
+                "--out", "{out}"]
+    if command == "check":
+        argv = ["check", "--problem", problem,
+                "--level", draw(st.sampled_from(["grad", "hessian", "bounds", "psd",
+                                                 "lipschitz", "all", "bogus"]))]
+        return argv + (["--x", matrix] if draw(st.booleans()) else [])
+    init = draw(st.sampled_from(["file:" + matrix, "bogus"]
+                                + ["perturb:" + v for v in _NUMBERS]))
+    argv = ["solve", "--problem", problem, "--init", init,
+            "--solver", draw(st.sampled_from(["newton", "gd"])),
+            "--max-iter", draw(st.sampled_from(["1", "5", "0", "-1", "x"])),
+            "--out", "{out}"]
+    for flag in ("--eps", "--eta", "--gamma"):
+        if draw(st.booleans()):
+            argv += [flag, draw(st.sampled_from(_NUMBERS + ["auto"]))]
+    return argv
+
+
+_SOLVE = ["solve", "--problem", "{root}/inst/problem.json", "--out", "{out}"]
+
+
+@given(argv=_contract_argv(), cap=st.sampled_from(_CAPS))
+@example(argv=_SOLVE + ["--init", "perturb:0.01", "--solver", "gd", "--eta", "1e300"],
+         cap=None)
+@example(argv=_SOLVE + ["--init", "file:{root}/huge.json"], cap=None)
+@example(argv=["check", "--problem", "{root}/inst/problem.json",
+               "--x", "{root}/huge_all.json"], cap=None)
+@example(argv=["check", "--problem", "{root}/inst/problem.json",
+               "--x", "{root}/huge.json", "--level", "psd"], cap=None)
+@example(argv=["check", "--problem", "{root}/inst/problem.json",
+               "--x", "{root}/far.json", "--level", "bounds"], cap=None)
+@example(argv=_SOLVE + ["--init", "file:{root}/far.json", "--gamma", "auto"], cap=None)
+@example(argv=["generate", "--out", "{out}"], cap="abc")
+@example(argv=_SOLVE + ["--init", "perturb:0.01"], cap="0")
+@settings(max_examples=60, deadline=None)
+def test_cli_exit_code_contract(contract_dir, argv, cap):
+    with tempfile.TemporaryDirectory() as out, pytest.MonkeyPatch.context() as mp:
+        if cap is None:
+            mp.delenv("ATTNINV_DENSE_CAP", raising=False)
+        else:
+            mp.setenv("ATTNINV_DENSE_CAP", cap)
+        argv = [a.format(root=contract_dir, out=out) for a in argv]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err), np.errstate(all="ignore"):
+            code = cli.main(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith(("error: ", "usage: ")), argv

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from attninv.model import (
+    EXP_MAX,
     NumericalRangeError,
     ProblemSpec,
     attention_forward,
@@ -49,9 +50,7 @@ def test_forward_all_ones_scores():
     # W = 0 forces exp(0) = 1 everywhere
     spec = ProblemSpec(2, 1, [[0.0]], [[1.0]], np.zeros((2, 1)))
     cache = forward_cache(spec, [[1.0, 1.0]])
-    assert np.array_equal(cache.U, np.ones((2, 2)))
-    assert np.array_equal(cache.alpha, [2.0, 2.0])
-    assert np.allclose(cache.F, 0.5)
+    assert np.array_equal(cache.F, np.full((2, 2), 0.5))
 
 
 def test_forward_single_token_softmax():
@@ -66,18 +65,18 @@ def test_forward_matches_longdouble_evaluation():
     cache = forward_cache(spec, X)
     scores = (X.T @ spec.W @ X).astype(np.longdouble)
     U = np.exp(scores)
-    alpha = U.sum(axis=0)
-    F = U / alpha
-    assert np.abs(cache.U - U.astype(float)).max() < 1e-14
-    assert np.abs(cache.alpha - alpha.astype(float)).max() < 1e-14
+    F = U / U.sum(axis=0)
     assert np.abs(cache.F - F.astype(float)).max() < 1e-14
+    # each column relative to its largest entry is exp(score - max score)
+    rel = np.exp(scores - scores.max(axis=0))
+    assert np.abs(cache.F / cache.F.max(axis=0) - rel.astype(float)).max() < 1e-14
 
 
 def test_forward_invariants():
     spec, X = bounded_instance(3, 4, 3)
     cache = forward_cache(spec, X)
     assert np.abs(cache.F.sum(axis=0) - 1.0).max() < 1e-12
-    assert (cache.alpha > 0).all()
+    assert (cache.F > 0).all()
     assert np.abs(cache.S - (cache.C + spec.B)).max() < 1e-15
 
 
@@ -85,6 +84,77 @@ def test_forward_overflow_names_column():
     spec = ProblemSpec(2, 1, [[1.0]], [[1.0]], np.zeros((2, 1)))
     with pytest.raises(NumericalRangeError, match="column"):
         forward_cache(spec, [[40.0, 40.0]])
+
+
+def _reference_forward(spec, X):
+    """The forward pass with its overflow check as a second, unshifted
+    exp over every score."""
+    X = np.asarray(X, dtype=float)
+    scores = X.T @ spec.W @ X
+    with np.errstate(over="ignore", invalid="ignore"):
+        U = np.exp(scores)
+    in_range = np.isfinite(U).all(axis=0)
+    if not in_range.all():
+        return int(np.flatnonzero(~in_range)[0])
+    with np.errstate(invalid="ignore"):
+        shifted = np.exp(scores - scores.max(axis=0, keepdims=True))
+    F = shifted / shifted.sum(axis=0, keepdims=True)
+    H = X.T @ spec.V
+    S = F.T @ H
+    XW = X.T @ spec.W
+    return {"F": F, "H": H, "S": S, "C": S - spec.B, "Wsc": (spec.W @ X).T,
+            "Zsc": F.T @ XW, "XW": XW}
+
+
+def test_exp_max_is_the_last_finite_exp():
+    # the predicate forward_cache applies to the column maxima, against exp
+    s = np.array([EXP_MAX, np.nextafter(EXP_MAX, -np.inf),
+                  np.nextafter(EXP_MAX, np.inf), np.nan, np.inf, -np.inf, 0.0])
+    with np.errstate(over="ignore"):
+        assert np.array_equal(s <= EXP_MAX, np.isfinite(np.exp(s)))
+        for v in s:  # the scalar path of exp as well
+            assert (v <= EXP_MAX) == np.isfinite(np.exp(v))
+
+
+_HUGE = 1e200
+_PAST = float(np.nextafter(EXP_MAX, np.inf))
+
+
+# Each case fixes W (d x d) and X (d x n) so that the scores take one value
+# on either side of EXP_MAX, or +inf, -inf or NaN in the matmul itself;
+# bad is the first column whose exp overflows, None when none does.
+@pytest.mark.parametrize("W, X, bad", [
+    ([[EXP_MAX]], [[1.0]], None),                  # exactly the threshold
+    ([[_PAST]], [[1.0]], 0),                       # one ulp past it
+    ([[_PAST]], [[0.0, 1.0]], 1),                  # column 1 of two
+    ([[1.0]], [[0.0, _HUGE]], 1),                  # +inf in column 1 only
+    ([[1.0]], [[_HUGE, _HUGE]], 0),                # both columns: name 0
+    ([[-1.0]], [[_HUGE]], None),                   # -inf passes the test
+    ([[_HUGE, 0.0], [0.0, -_HUGE]], [[_HUGE], [_HUGE]], 0),  # inf - inf = NaN
+])
+def test_overflow_predicate_matches_two_exp_reference(W, X, bad):
+    W = np.asarray(W, dtype=float)
+    X = np.asarray(X, dtype=float)
+    d, n = X.shape
+    spec = ProblemSpec(n, d, W, np.eye(d), np.zeros((n, d)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        reference = _reference_forward(spec, X)
+        assert reference == bad if bad is not None else isinstance(reference, dict)
+        if bad is None:
+            forward_cache(spec, X)
+        else:
+            with pytest.raises(NumericalRangeError, match=f"column {bad};"):
+                forward_cache(spec, X)
+
+
+@given(st.integers(0, 2**31 - 1), st.integers(1, 6), st.integers(1, 4),
+       st.sampled_from([0.5, 1.2, 3.0]))
+@settings(max_examples=40, deadline=None)
+def test_forward_cache_matches_two_exp_reference_bitwise(seed, n, d, r):
+    spec, X = bounded_instance(seed, n, d, r)
+    cache = forward_cache(spec, X)
+    for name, ref in _reference_forward(spec, X).items():
+        assert np.array_equal(getattr(cache, name), ref), name
 
 
 def test_loss_zero_input_is_target_norm():
