@@ -27,12 +27,12 @@ from .hessian import (
     d2c_entry,
     hessian_L,
     hessian_c,
+    residual_hessians,
 )
 from .model import (
     ForwardCache,
     NumericalRangeError,
     ProblemSpec,
-    attention_forward,
     dense_cap,
     flatten_input,
     forward_cache,

@@ -104,25 +104,15 @@ def bound_suite(cache: ForwardCache, spec: ProblemSpec, X) -> BoundReport:
     checks.append(_mk("residual_grad_entry_abs", worst_entry, 5.0 * R**4))
     checks.append(_mk("residual_grad_norm", worst_vec, 5.0 * sqrt_nd * R**4))
 
-    worst_blocks = {1: 0.0, 2: 0.0, 3: 0.0, 4: 0.0, 5: 0.0}
-    for i0 in range(n):
-        for j0 in range(d):
-            worst_blocks[1] = max(worst_blocks[1], np.linalg.norm(
-                hessian.block_case1(cache, spec, i0, j0), 2))
-            for i2 in range(n):
-                if i2 == i0:
-                    continue
-                worst_blocks[2] = max(worst_blocks[2], np.linalg.norm(
-                    hessian.block_case2(cache, spec, i0, j0, i2), 2))
-                worst_blocks[3] = max(worst_blocks[3], np.linalg.norm(
-                    hessian.block_case3(cache, spec, i0, j0, i2), 2))
-                worst_blocks[4] = max(worst_blocks[4], np.linalg.norm(
-                    hessian.block_case4(cache, spec, i0, j0, i2), 2))
-                for i1 in range(n):
-                    if i1 in (i0, i2):
-                        continue
-                    worst_blocks[5] = max(worst_blocks[5], np.linalg.norm(
-                        hessian.block_case5(cache, spec, i0, j0, i1, i2), 2))
+    # per probe token i0, the ord-2 norm of every d x d block (i1, i2) of
+    # the d residual Hessians, worst over j0; then the worst in each case
+    norms = np.stack([np.linalg.norm(
+        hessian.residual_hessians(cache, spec, i0).reshape(d, n, d, n, d)
+        .transpose(0, 1, 3, 2, 4), 2, axis=(3, 4)).max(axis=0) for i0 in range(n)])
+    case_of = np.array([[[hessian.classify_case(i0, i1, i2) for i2 in range(n)]
+                         for i1 in range(n)] for i0 in range(n)])
+    worst_blocks = {case: float(norms[case_of == case].max(initial=0.0))
+                    for case in range(1, 6)}
     block_bounds = {
         1: 23.0 * R**6 + R**5 + 12.0 * R**3,
         2: 11.0 * R**6 + 6.0 * R**3,
@@ -166,11 +156,9 @@ def psd_floor(spec: ProblemSpec, X) -> PsdReport:
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"eigensolve failed: {exc}") from exc
     floor = -2.0 * PSD_FLOOR_CONSTANT * spec.n * spec.d * R**8
-    worst_c = 0.0
-    for i0 in range(spec.n):
-        for j0 in range(spec.d):
-            worst_c = max(worst_c, float(np.linalg.norm(
-                hessian.hessian_c(cache, base, i0, j0), 2)))
+    worst_c = max(float(np.linalg.norm(hessian.residual_hessians(cache, base, i0),
+                                       2, axis=(1, 2)).max())
+                  for i0 in range(spec.n))
     c_bound = 2.0 * 36.0 * R**6
     return PsdReport(
         lambda_min=lam_min,
@@ -231,17 +219,11 @@ def lipschitz_probe(spec: ProblemSpec, pairs) -> BoundReport:
         checks.append(_mk(f"{tag}_softmax_score_ratio",
                           np.abs(cx.Zsc - cy.Zsc).max() / dist,
                           5.0 * sqrt_nd * R**4))
-        worst_gc = 0.0
-        worst_hc = 0.0
-        jx = gradient.jacobian_c(cx, base)
-        jy = gradient.jacobian_c(cy, base)
-        for i0 in range(n):
-            for j0 in range(d):
-                worst_gc = max(worst_gc, float(np.abs(
-                    jx[i0 * d + j0] - jy[i0 * d + j0]).max()))
-                worst_hc = max(worst_hc, float(np.abs(
-                    hessian.hessian_c(cx, base, i0, j0)
-                    - hessian.hessian_c(cy, base, i0, j0)).max()))
+        worst_gc = float(np.abs(gradient.jacobian_c(cx, base)
+                                - gradient.jacobian_c(cy, base)).max())
+        worst_hc = max(float(np.abs(hessian.residual_hessians(cx, base, i0)
+                                    - hessian.residual_hessians(cy, base, i0)).max())
+                       for i0 in range(n))
         checks.append(_mk(f"{tag}_residual_grad_ratio", worst_gc / dist,
                           BIG_O_CONSTANT * sqrt_nd * R**6, kind="smoke"))
         checks.append(_mk(f"{tag}_residual_hess_ratio", worst_hc / dist,

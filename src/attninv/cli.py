@@ -88,6 +88,8 @@ def cmd_generate(args) -> int:
     mode, gamma = _parse_gamma(args.gamma)
     if args.n < 1 or args.d < 1:
         raise UsageError("--n and --d must be positive")
+    if not 0.0 < args.r_target < float("inf"):
+        raise UsageError(f"--r-target must be finite and positive, got {args.r_target!r}")
     _check_cap(args.n * args.d)
     spec, x_true = make_instance(args.seed, args.n, args.d, args.r_target, gamma=0.0)
     if mode == "auto":
@@ -379,7 +381,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        # overflow far out of range is decided by explicit finiteness
+        # checks, so numpy's floating-point warnings would only be noise
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

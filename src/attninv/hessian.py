@@ -1,9 +1,12 @@
 """Analytic second derivatives of the residual entries and the loss.
 
-The production path is hessian_L, a closed form: the Gauss-Newton part
+The production paths are closed forms.  hessian_L: the Gauss-Newton part
 J^T J comes from gradient.jacobian_c, and the residual-weighted part
 sum c * hess_c is the directional derivative of the reverse-mode
 half-gradient (gradient.grad_L) with the residuals held fixed.
+residual_hessians, which the analysis checks use: the Hessians of the d
+residuals of one probe token, as the forward-mode derivative of their
+jacobian_c rows along every input coordinate.
 
 The per-residual mixed partial d^2 c[i0, j0] / dx[i1, j1] dx[i2, j2]
 splits into five index cases.  Two independent realizations are kept to
@@ -16,9 +19,9 @@ certify the closed form:
     products of cached vectors.
 
 Tests pin the two realizations against each other at 1e-10, both against
-finite differences, and hessian_L against their residual-weighted sum.  A
-handful of terms carry factors that are easy to mistranscribe (softmax
-entries at the probe token versus the derivative token, paired
+finite differences, and hessian_L and residual_hessians against the case
+blocks.  A handful of terms carry factors that are easy to mistranscribe
+(softmax entries at the probe token versus the derivative token, paired
 coefficients, a symmetric weight combination); comments keyed to the term
 index record the algebraic constraint that fixes each one, and the
 finite-difference suite is the arbiter.
@@ -390,6 +393,49 @@ def hessian_c(cache: ForwardCache, spec: ProblemSpec, i0: int, j0: int) -> np.nd
     return assemble_hessian_c(cache, spec, i0, j0).assembled()
 
 
+def residual_hessians(cache: ForwardCache, spec: ProblemSpec, i0: int) -> np.ndarray:
+    """(d, nd, nd) stack of the Hessians of the residuals c[i0, :], entry
+    j0 equal to hessian_c(cache, spec, i0, j0).
+
+    Differentiates the jacobian_c rows of probe token i0 along every input
+    coordinate x[t, k] at once, through the closed-form directional
+    derivatives dF of the softmax column, dS of the outputs and dZ of the
+    averaged scores.  The largest temporaries hold d (nd)^2 entries.
+    """
+    _check_index(spec.n, i0=i0)
+    n, d = spec.n, spec.d
+    H, V, W, XW = cache.H, spec.V, spec.W, cache.XW
+    f, s, w, z = cache.F[:, i0], cache.S[i0], cache.Wsc[i0], cache.Zsc[i0]
+    tok = np.arange(n)
+    # leading axes (t, k): direction x[t, k]; d(score column i0) has
+    # entry t from the key side, and every entry when t is the probe
+    dA = np.zeros((n, d, n))
+    dA[tok, :, tok] = w
+    dA[i0] += XW.T
+    dF = f * (dA - (dA @ f)[..., None])
+    fV = f[:, None, None] * V      # f[t] V[k, j]: x[t, k] moves H[t, j] by V[k, j]
+    dS = dF @ H + fV
+    dZ = dF @ XW + f[:, None, None] * W
+    # T[j0, i1, j1, t, k] differentiates the Jacobian entry shared by every
+    # token, f[i1] ((H[i1, j0] - s[j0]) w[j1] + V[j1, j0]): through f[i1],
+    # through H[i1, j0] - s[j0] (dH only for i1 == t), and through w,
+    # which moves only along the probe, by W[j1, k]
+    P = (H - s)[:, :, None] * w + V.T
+    T = P.transpose(1, 0, 2)[:, :, :, None, None] * dF.transpose(2, 0, 1)[None, :, None]
+    T -= (f[:, None] * w)[None, :, :, None, None] * dS.transpose(2, 0, 1)[:, None, None]
+    T[:, tok, :, tok] += fV.transpose(0, 2, 1)[:, :, None, :] * w[:, None]
+    T[:, :, :, i0] += (f[:, None] * (H - s)).T[:, :, None, None] * W
+    # the probe-token terms -s[j0] z[j1] + <f o XW[:, j1], H[:, j0]>
+    # (i1 == i0), through f, s, z, H and XW
+    D = (dF @ (H[:, :, None] * XW[:, None, :]).reshape(n, d * d)).reshape(n, d, d, d)
+    D -= dS[..., None] * z
+    D -= s[:, None] * dZ[:, :, None, :]
+    D += fV[..., None] * XW[:, None, None, :]
+    D += (f[:, None] * H)[:, None, :, None] * W[None, :, None, :]
+    T[:, i0] += D.transpose(2, 3, 0, 1)
+    return T.reshape(d, n * d, n * d)
+
+
 def hessian_L(cache: ForwardCache, spec: ProblemSpec, X) -> np.ndarray:
     """Loss Hessian 2 * (J^T J + K) + 2*gamma*I with K = sum c * hess_c.
 
@@ -444,4 +490,5 @@ __all__ = [
     "d2c_entry",
     "hessian_L",
     "hessian_c",
+    "residual_hessians",
 ]

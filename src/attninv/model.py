@@ -177,24 +177,6 @@ def loss_frobenius(spec: ProblemSpec, X) -> float:
     return float(np.sum(R * R) + spec.gamma * np.sum(X * X))
 
 
-def attention_forward(Q, K, V) -> np.ndarray:
-    """Single attention layer: row-softmax of exp(Q K^T) applied to V."""
-    Q = np.asarray(Q, dtype=float)
-    K = np.asarray(K, dtype=float)
-    V = np.asarray(V, dtype=float)
-    if Q.ndim != 2 or Q.shape != K.shape or V.shape[0] != Q.shape[0] or V.ndim != 2:
-        raise ValueError("Q, K must share shape (n, d) and V must have n rows")
-    scores = Q @ K.T
-    with np.errstate(over="ignore"):
-        A = np.exp(scores)
-    if not np.all(np.isfinite(A)):
-        bad = int(np.flatnonzero(~np.isfinite(A).all(axis=1))[0])
-        raise NumericalRangeError(f"exp overflow in attention row {bad}")
-    shifted = np.exp(scores - scores.max(axis=1, keepdims=True))
-    P = shifted / shifted.sum(axis=1, keepdims=True)
-    return P @ V
-
-
 def synthesize_target(W, V, X_true, gamma: float = 0.0) -> ProblemSpec:
     """Build a realizable instance: set B to the model output at X_true.
 

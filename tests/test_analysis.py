@@ -8,6 +8,8 @@ from attninv.analysis import (
     lipschitz_probe,
     psd_floor,
 )
+from attninv import hessian
+from attninv.gradient import jacobian_c
 from attninv.hessian import hessian_L
 from attninv.model import ProblemSpec, forward_cache, synthesize_target
 from conftest import bounded_instance, bounded_x
@@ -103,3 +105,97 @@ def test_lipschitz_probe_passes_and_labels_kinds():
     assert rep.passed, rep.failures()
     kinds = {c.kind for c in rep.checks}
     assert kinds == {"theorem", "smoke"}
+
+
+# Block-loop references: the per-residual case blocks and hessian_c that
+# the analysis checks are pinned against.
+
+def looped_block_norms(cache, spec):
+    """Worst ord-2 norm of each case's blocks, one block call at a time."""
+    n, d = spec.n, spec.d
+    worst = {1: 0.0, 2: 0.0, 3: 0.0, 4: 0.0, 5: 0.0}
+    for i0 in range(n):
+        for j0 in range(d):
+            worst[1] = max(worst[1], np.linalg.norm(
+                hessian.block_case1(cache, spec, i0, j0), 2))
+            for i2 in range(n):
+                if i2 == i0:
+                    continue
+                worst[2] = max(worst[2], np.linalg.norm(
+                    hessian.block_case2(cache, spec, i0, j0, i2), 2))
+                worst[3] = max(worst[3], np.linalg.norm(
+                    hessian.block_case3(cache, spec, i0, j0, i2), 2))
+                worst[4] = max(worst[4], np.linalg.norm(
+                    hessian.block_case4(cache, spec, i0, j0, i2), 2))
+                for i1 in range(n):
+                    if i1 not in (i0, i2):
+                        worst[5] = max(worst[5], np.linalg.norm(
+                            hessian.block_case5(cache, spec, i0, j0, i1, i2), 2))
+    return worst
+
+
+def looped_hessian_c(cache, spec):
+    return [hessian.hessian_c(cache, spec, i0, j0)
+            for i0 in range(spec.n) for j0 in range(spec.d)]
+
+
+def _agree(got, want, n):
+    """1e-12 relative; 1e-15 absolute for n == 1, where c is linear in x
+    and Hessian values are rounding-level zeros on both sides."""
+    return abs(got - want) <= 1e-12 * (1e-3 if n == 1 else abs(want))
+
+
+ANALYSIS_POINTS = [(1, 1, 3), (2, 2, 2), (3, 3, 2), (4, 2, 3), (5, 4, 3), (6, 5, 2)]
+
+
+def _analysis_points():
+    for seed, n, d in ANALYSIS_POINTS:
+        spec, X = bounded_instance(7000 + seed, n, d)
+        made = synthesize_target(spec.W, spec.V, X)
+        yield spec, X                                          # independent B
+        yield made, X                                          # the truth
+        yield spec, X * (3.6 / max(np.linalg.norm(X, 2), 1e-12))  # far scale
+
+
+def test_bound_suite_blocks_match_block_loop():
+    for spec, X in _analysis_points():
+        cache = forward_cache(spec, X)
+        rep = bound_suite(cache, spec, X)
+        ref = looped_block_norms(cache, spec)
+        blocks = [c for c in rep.checks if c.name.startswith("hessian_block")]
+        cases = {1: (1,), 2: (1, 2, 3, 4)}.get(spec.n, (1, 2, 3, 4, 5))
+        assert [c.name for c in blocks] == [f"hessian_block{k}_norm" for k in cases]
+        for c, k in zip(blocks, cases):
+            assert _agree(c.lhs, ref[k], spec.n), (c.name, c.lhs, ref[k])
+            assert c.passed == (ref[k] <= c.rhs)
+
+
+def test_psd_floor_hessian_c_norm_matches_block_loop():
+    for spec, X in _analysis_points():
+        rep = psd_floor(spec, X)
+        base = spec.with_gamma(0.0)
+        ref = max(np.linalg.norm(Hc, 2)
+                  for Hc in looped_hessian_c(forward_cache(base, X), base))
+        assert _agree(rep.hessian_c_norm_max, ref, spec.n)
+        assert rep.hessian_c_passed == (ref <= rep.hessian_c_bound)
+
+
+def test_lipschitz_probe_residual_ratios_match_block_loop():
+    for seed, n, d in ANALYSIS_POINTS:
+        spec, X = bounded_instance(7000 + seed, n, d)
+        pairs = [(X, bounded_x(7100 + seed + k, n, d)) for k in range(2)]
+        rep = lipschitz_probe(spec, pairs)
+        by_name = {c.name: c for c in rep.checks}
+        base = spec.with_gamma(0.0)
+        for idx, (A, B) in enumerate(pairs):
+            ca, cb = forward_cache(base, A), forward_cache(base, B)
+            dist = float(np.linalg.norm(A - B))
+            ja, jb = jacobian_c(ca, base), jacobian_c(cb, base)
+            gc = max(float(np.abs(ra - rb).max()) for ra, rb in zip(ja, jb))
+            hc = max(float(np.abs(ha - hb).max()) for ha, hb in
+                     zip(looped_hessian_c(ca, base), looped_hessian_c(cb, base)))
+            for name, want in (("residual_grad_ratio", gc / dist),
+                               ("residual_hess_ratio", hc / dist)):
+                got = by_name[f"pair{idx}_{name}"]
+                assert _agree(got.lhs, want, n), (name, got.lhs, want)
+                assert got.passed == (want <= got.rhs)

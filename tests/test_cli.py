@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -208,6 +210,15 @@ def test_generate_zero_tokens_is_usage_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("r_target", ["-1", "0", "nan", "inf", "-inf"])
+def test_generate_bad_r_target_is_usage_error(tmp_path, capsys, r_target):
+    # -1 used to write a negated X_true, nan and inf an unscaled one
+    assert run_cli("generate", f"--r-target={r_target}", "--out", str(tmp_path / "g")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --r-target") and err.count("\n") == 1
+    assert not (tmp_path / "g").exists()
+
+
 def test_solve_malformed_truth_is_usage_error(tmp_path, capsys):
     out = tmp_path / "inst"
     run_cli("generate", "--seed", "0", "--n", "2", "--d", "2", "--out", str(out))
@@ -273,6 +284,32 @@ def test_solve_far_start_leaves_infinite_distance_out(tmp_path, capsys):
     meta, _ = _meta(run_dir)
     assert meta["status"] == "NumericalFailure"
     assert "distance_to_truth" not in meta and "final_loss" not in meta
+
+
+def test_failure_paths_print_no_numpy_warnings(tmp_path):
+    # from the shell, with the default warning filters: the far start
+    # overflows matmuls, the loss and the distance, and the explicit
+    # finiteness checks turn that into the status line alone
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("PYTHONWARNINGS", None)
+
+    def shell(*argv):
+        return subprocess.run([sys.executable, "-m", "attninv", *argv], env=env,
+                              cwd=tmp_path, capture_output=True, text=True)
+
+    assert shell("generate", "--seed", "0", "--n", "3", "--d", "2",
+                 "--out", "inst").returncode == 0
+    (tmp_path / "far.json").write_text(
+        '{"rows": 2, "cols": 3, "data": [1e200, 0, 0, 0, 0, 0]}')
+    solve = shell("solve", "--problem", "inst/problem.json",
+                  "--init", "file:far.json", "--out", "run")
+    check = shell("check", "--problem", "inst/problem.json", "--x", "far.json")
+    assert (solve.returncode, check.returncode) == (1, 1)
+    assert solve.stdout.startswith("status=NumericalFailure")
+    assert '"pass": false' in check.stdout
+    for proc in (solve, check):
+        assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_check_at_exp_overflow_is_a_failing_record(tmp_path, capsys):
@@ -399,6 +436,10 @@ _SOLVE = ["solve", "--problem", "{root}/inst/problem.json", "--out", "{out}"]
 @example(argv=_SOLVE + ["--init", "file:{root}/far.json", "--gamma", "auto"], cap=None)
 @example(argv=["generate", "--out", "{out}"], cap="abc")
 @example(argv=_SOLVE + ["--init", "perturb:0.01"], cap="0")
+@example(argv=["generate", "--r-target", "-1", "--out", "{out}"], cap=None)
+@example(argv=["generate", "--r-target", "0", "--out", "{out}"], cap=None)
+@example(argv=["generate", "--r-target", "nan", "--out", "{out}"], cap=None)
+@example(argv=["generate", "--r-target", "inf", "--out", "{out}"], cap=None)
 @settings(max_examples=60, deadline=None)
 def test_cli_exit_code_contract(contract_dir, argv, cap):
     with tempfile.TemporaryDirectory() as out, pytest.MonkeyPatch.context() as mp:

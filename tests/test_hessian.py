@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from attninv.gradient import grad_L, grad_c
+from attninv.gradient import grad_L, grad_c, jacobian_c
 from attninv.hessian import (
     HessCase,
     assemble_hessian_c,
@@ -16,6 +16,7 @@ from attninv.hessian import (
     d2c_entry,
     hessian_L,
     hessian_c,
+    residual_hessians,
 )
 from attninv.model import ProblemSpec, forward_cache, loss, synthesize_target
 from attninv.oracle import FdConfig, fd_hessian, fd_jacobian
@@ -213,6 +214,14 @@ ACCEPTANCE_SHAPES = [(1, 1), (2, 2), (3, 2), (2, 3), (4, 2),
                      (3, 3), (4, 4), (6, 3), (5, 3), (6, 2)]
 
 
+def _three_points(seed, n, d, gamma=0.0):
+    """(spec, X) at an independent-B point, at the truth and off it."""
+    spec, X = bounded_instance(seed, n, d)
+    spec = spec.with_gamma(gamma)
+    made = synthesize_target(spec.W, spec.V, X, gamma)
+    return ((spec, X), (made, X), (made, X + 0.3 * np.sin(X)))
+
+
 def looped_hessian_L(cache, spec):
     """The per-residual realization 2 sum (grad_c grad_c^T + c hess_c)
     + 2 gamma I, through the case blocks."""
@@ -229,10 +238,7 @@ def looped_hessian_L(cache, spec):
 @pytest.mark.parametrize("seed,shape", list(enumerate(ACCEPTANCE_SHAPES)))
 def test_hessian_L_matches_looped_realization(seed, shape, gamma):
     n, d = shape
-    spec, X = bounded_instance(3000 + seed, n, d)  # independent B: off truth
-    spec = spec.with_gamma(gamma)
-    made = synthesize_target(spec.W, spec.V, X, gamma)
-    for sp, Y in ((spec, X), (made, X), (made, X + 0.3 * np.sin(X))):
+    for sp, Y in _three_points(3000 + seed, n, d, gamma):
         cache = forward_cache(sp, Y)
         H = hessian_L(cache, sp, Y)
         ref = looped_hessian_L(cache, sp)
@@ -248,3 +254,55 @@ def test_hessian_L_matches_fd_jacobian_of_grad_L(n, d, gamma):
     fdj = fd_jacobian(
         lambda Y: grad_L(forward_cache(spec, Y), spec, Y), X, FdConfig())
     assert np.abs(H - fdj).max() <= 1e-4 * (1 + np.abs(H).max())
+
+
+RESIDUAL_SHAPES = ACCEPTANCE_SHAPES + [(1, 3), (2, 1), (2, 4)]
+
+
+@pytest.mark.parametrize("seed,shape", list(enumerate(RESIDUAL_SHAPES)))
+def test_residual_hessians_match_stacked_hessian_c(seed, shape):
+    n, d = shape
+    for spec, Y in _three_points(5000 + seed, n, d):
+        cache = forward_cache(spec, Y)
+        for i0 in range(n):
+            T = residual_hessians(cache, spec, i0)
+            ref = np.stack([hessian_c(cache, spec, i0, j0) for j0 in range(d)])
+            assert T.shape == (d, n * d, n * d)
+            # n == 1: c is linear in x, both sides are rounding-level zeros
+            scale = np.abs(ref).max() if n > 1 else 1.0
+            assert np.abs(T - ref).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("n,d", [(1, 2), (2, 2), (3, 2), (2, 3), (4, 3)])
+def test_residual_hessians_match_fd_of_jacobian_rows(n, d):
+    spec, X = bounded_instance(11 + n * d, n, d)
+    cache = forward_cache(spec, X)
+    for i0 in range(n):
+        fd = fd_jacobian(
+            lambda Y: jacobian_c(forward_cache(spec, Y), spec)[i0 * d:(i0 + 1) * d],
+            X, FdConfig())
+        T = residual_hessians(cache, spec, i0)
+        assert np.abs(T - fd).max() <= 1e-4 * (1 + np.abs(T).max())
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.37])
+@pytest.mark.parametrize("seed,shape", list(enumerate(ACCEPTANCE_SHAPES)))
+def test_residual_hessians_weighted_sum_is_hessian_L_curvature(seed, shape, gamma):
+    # sum_r C_r T_r == (hessian_L - 2 J^T J - 2 gamma I) / 2: the two
+    # production paths certify each other
+    n, d = shape
+    for spec, Y in _three_points(6000 + seed, n, d, gamma):
+        cache = forward_cache(spec, Y)
+        K = sum(np.einsum("j,jab->ab", cache.C[i0], residual_hessians(cache, spec, i0))
+                for i0 in range(n))
+        J = jacobian_c(cache, spec)
+        ref = (hessian_L(cache, spec, Y) - 2.0 * J.T @ J
+               - 2.0 * spec.gamma * np.eye(n * d)) / 2.0
+        scale = max(np.abs(ref).max(), np.abs(J.T @ J).max())
+        assert np.abs(K - ref).max() <= 1e-12 * scale
+
+
+def test_residual_hessians_index_error():
+    spec, X = bounded_instance(0, 2, 2)
+    with pytest.raises(IndexError):
+        residual_hessians(forward_cache(spec, X), spec, 2)

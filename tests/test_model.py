@@ -7,7 +7,6 @@ from attninv.model import (
     EXP_MAX,
     NumericalRangeError,
     ProblemSpec,
-    attention_forward,
     flatten_input,
     forward_cache,
     loss,
@@ -187,34 +186,6 @@ def test_loss_equals_regularizer_only_at_zero_residual():
     spec, X = bounded_instance(8, 3, 2)
     made = synthesize_target(spec.W, spec.V, X, gamma=0.5)
     assert loss(made, X) == pytest.approx(0.5 * np.sum(X * X), rel=1e-14)
-
-
-def test_attention_uniform_weights():
-    V = np.arange(6.0).reshape(3, 2)
-    out = attention_forward(np.zeros((3, 2)), np.zeros((3, 2)), V)
-    assert np.allclose(out, V.mean(axis=0))
-
-
-def test_attention_single_row_identity():
-    V = np.array([[2.0, -1.0]])
-    out = attention_forward(np.array([[1.0, 2.0]]), np.array([[0.5, 0.5]]), V)
-    assert np.allclose(out, V)
-
-
-def test_attention_matches_rowwise_softmax():
-    rng = np.random.default_rng(0)
-    Q, K, V = rng.normal(size=(3, 3, 2))
-    out = attention_forward(Q, K, V)
-    expect = np.empty_like(out)
-    for i in range(3):
-        logits = Q[i] @ K.T
-        p = np.exp(logits - logits.max())
-        p /= p.sum()
-        expect[i] = p @ V
-    assert np.abs(out - expect).max() < 1e-14
-    # rows of the attention matrix sum to one
-    P = attention_forward(Q, K, np.eye(3))
-    assert np.abs(P.sum(axis=1) - 1.0).max() < 1e-12
 
 
 def test_synthesize_target_zero_loss():
