@@ -10,17 +10,8 @@ import argparse
 import sys
 
 from attninv.analysis import bound_suite, lipschitz_probe, psd_floor
-from attninv.generate import SplitMix64, random_matrix, rescale_spectral
-from attninv.model import ProblemSpec, forward_cache
-
-
-def make_bounded(seed: int, n: int, d: int, r_target: float = 1.2):
-    gen = SplitMix64(seed)
-    X = rescale_spectral(random_matrix(gen, d, n), r_target)
-    W = rescale_spectral(random_matrix(gen, d, d), r_target)
-    V = rescale_spectral(random_matrix(gen, d, d), r_target)
-    B = random_matrix(gen, n, d, -(r_target ** 2), r_target ** 2)
-    return ProblemSpec(n, d, W, V, B), X
+from attninv.generate import SplitMix64, bounded_instance, random_matrix, rescale_spectral
+from attninv.model import forward_cache
 
 
 def main(argv=None) -> int:
@@ -37,7 +28,7 @@ def main(argv=None) -> int:
     for k in range(args.count):
         seed = args.base_seed + k
         n, d = shapes[k % len(shapes)]
-        spec, X = make_bounded(seed, n, d)
+        spec, X = bounded_instance(seed, n, d)
         cache = forward_cache(spec, X)
 
         bounds = bound_suite(cache, spec, X)

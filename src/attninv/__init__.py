@@ -25,6 +25,7 @@ from .hessian import (
     block_case5,
     classify_case,
     d2c_entry,
+    d2c_table,
     hessian_L,
     hessian_c,
     residual_hessians,

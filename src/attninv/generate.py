@@ -50,6 +50,8 @@ def random_matrix(gen: SplitMix64, rows: int, cols: int,
 
 def rescale_spectral(M: np.ndarray, limit: float) -> np.ndarray:
     """Scale M down so its spectral norm is at most limit."""
+    if not 0.0 < limit < float("inf"):
+        raise ValueError(f"limit must be finite and positive, got {limit!r}")
     s = np.linalg.norm(M, 2)
     if s > limit:
         return M * (limit / s)
@@ -69,6 +71,18 @@ def make_instance(seed: int, n: int, d: int, r_target: float = 1.2,
     W = rescale_spectral(random_matrix(gen, d, d), r_target)
     V = rescale_spectral(random_matrix(gen, d, d), r_target)
     return synthesize_target(W, V, X_true, gamma), X_true
+
+
+def bounded_instance(seed: int, n: int, d: int,
+                     r_target: float = 1.2) -> tuple[ProblemSpec, np.ndarray]:
+    """(spec, X) with independently drawn B (not realizable), bounded per
+    the generator defaults: spectral norms <= r_target, |b| <= r_target^2."""
+    gen = SplitMix64(seed)
+    X = rescale_spectral(random_matrix(gen, d, n), r_target)
+    W = rescale_spectral(random_matrix(gen, d, d), r_target)
+    V = rescale_spectral(random_matrix(gen, d, d), r_target)
+    B = random_matrix(gen, n, d, -(r_target ** 2), r_target ** 2)
+    return ProblemSpec(n, d, W, V, B, 0.0), X
 
 
 def unit_perturbation(gen: SplitMix64, d: int, n: int) -> np.ndarray:

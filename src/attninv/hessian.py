@@ -12,13 +12,16 @@ The per-residual mixed partial d^2 c[i0, j0] / dx[i1, j1] dx[i2, j2]
 splits into five index cases.  Two independent realizations are kept to
 certify the closed form:
 
-  * d2c_entry sums the scalar term tables (D terms for case 1, E for
-    case 2, F for case 4, G for case 5; case 3 is case 2 with the
-    derivative pair swapped);
+  * the scalar term tables (D terms for case 1, E for case 2, F for
+    case 4, G for case 5; case 3 is case 2 with the derivative pair
+    swapped), one set of terms shared by d2c_entry, which evaluates one
+    entry, and d2c_table, which evaluates each case once on a broadcast
+    index grid for the whole nd x nd Hessian of one residual;
   * block_case1..block_case5 build the same d x d blocks from outer
     products of cached vectors.
 
-Tests pin the two realizations against each other at 1e-10, both against
+Tests pin the two realizations against each other at 1e-10 (check's
+block/entry record compares d2c_table with hessian_c), both against
 finite differences, and hessian_L and residual_hessians against the case
 blocks.  A handful of terms carry factors that are easy to mistranscribe
 (softmax entries at the probe token versus the derivative token, paired
@@ -55,8 +58,9 @@ def classify_case(i0: int, i1: int, i2: int) -> HessCase:
     return HessCase.CASE4 if i1 == i2 else HessCase.CASE5
 
 
-def _d2c_case1(cache: ForwardCache, spec: ProblemSpec,
-               i0: int, j0: int, j1: int, j2: int) -> float:
+# The indices after j0 are ints or broadcast integer arrays; token sums run
+# over a trailing axis.
+def _d2c_case1(cache: ForwardCache, spec: ProblemSpec, i0: int, j0: int, j1, j2):
     F, H, V = cache.F, cache.H, spec.V
     f = F[:, i0]
     h = H[:, j0]
@@ -66,9 +70,9 @@ def _d2c_case1(cache: ForwardCache, spec: ProblemSpec,
     w1, w2 = cache.Wsc[i0, j1], cache.Wsc[i0, j2]
     z1, z2 = cache.Zsc[i0, j1], cache.Zsc[i0, j2]
     t1, t2 = cache.XW[i0, j1], cache.XW[i0, j2]
-    g1, g2 = cache.XW[:, j1], cache.XW[:, j2]
-    fg1h = float(np.dot(f * g1, h))
-    fg2h = float(np.dot(f * g2, h))
+    g1, g2 = cache.XW.T[j1], cache.XW.T[j2]
+    fg1h = (f * g1 * h).sum(-1)
+    fg2h = (f * g2 * h).sum(-1)
     terms = (
         2.0 * s * f00 * f00 * w2 * w1,                                  # D1
         2.0 * f00 * s * z2 * w1 + 2.0 * f00 * s * z1 * w2,              # D2
@@ -85,24 +89,23 @@ def _d2c_case1(cache: ForwardCache, spec: ProblemSpec,
         s * z1 * z2,              # D13: no softmax factor here; D9 + D13
                                   # is the cross term of the two averaged
                                   # scores, 2*s*z1*z2 total (FD-pinned)
-        -s * float(np.dot(f * g2, g1)),                                 # D14
+        -s * (f * g2 * g1).sum(-1),                                     # D14
         -f00 * f00 * h00 * w2 * w1,                                     # D15
         f00 * h00 * w2 * w1,                                            # D16
         f00 * h00 * (t2 * w1 + t1 * w2),                                # D17
         f00 * (V[j2, j0] * w1 + V[j1, j0] * w2),                        # D18
         f00 * h00 * (spec.W[j1, j2] + spec.W[j2, j1]),  # D19: h00 is entry
                                   # i0 of value column j0
-        float(np.dot(f * g2 * g1, h)),                                  # D20
+        (f * g2 * g1 * h).sum(-1),                                      # D20
         f00 * (t2 * V[j1, j0] + t1 * V[j2, j0]),                        # D21
     )
     acc = 0.0
     for t in terms:
-        acc += t
+        acc = acc + t
     return acc
 
 
-def _d2c_case2(cache: ForwardCache, spec: ProblemSpec,
-               i0: int, j0: int, j1: int, i2: int, j2: int) -> float:
+def _d2c_case2(cache: ForwardCache, spec: ProblemSpec, i0: int, j0: int, j1, i2, j2):
     F, H, V = cache.F, cache.H, spec.V
     f = F[:, i0]
     h = H[:, j0]
@@ -114,7 +117,7 @@ def _d2c_case2(cache: ForwardCache, spec: ProblemSpec,
     w1, w2 = cache.Wsc[i0, j1], cache.Wsc[i0, j2]
     z1 = cache.Zsc[i0, j1]
     t21 = cache.XW[i2, j1]
-    fg1h = float(np.dot(f * cache.XW[:, j1], h))
+    fg1h = (f * cache.XW.T[j1] * h).sum(-1)
     terms = (
         2.0 * s * f02 * w2 * f00 * w1,                                  # E1
         -f02 * h02 * w2 * f00 * w1,       # E2: coefficient 1; the matching
@@ -140,12 +143,11 @@ def _d2c_case2(cache: ForwardCache, spec: ProblemSpec,
     )
     acc = 0.0
     for t in terms:
-        acc += t
+        acc = acc + t
     return acc
 
 
-def _d2c_case4(cache: ForwardCache, spec: ProblemSpec,
-               i0: int, j0: int, i1: int, j1: int, j2: int) -> float:
+def _d2c_case4(cache: ForwardCache, spec: ProblemSpec, i0: int, j0: int, i1, j1, j2):
     V = spec.V
     s = cache.S[i0, j0]
     f01 = cache.F[i1, i0]
@@ -163,12 +165,11 @@ def _d2c_case4(cache: ForwardCache, spec: ProblemSpec,
     )
     acc = 0.0
     for t in terms:
-        acc += t
+        acc = acc + t
     return acc
 
 
-def _d2c_case5(cache: ForwardCache, spec: ProblemSpec,
-               i0: int, j0: int, i1: int, j1: int, i2: int, j2: int) -> float:
+def _d2c_case5(cache: ForwardCache, spec: ProblemSpec, i0: int, j0: int, i1, j1, i2, j2):
     s = cache.S[i0, j0]
     f01, f02 = cache.F[i1, i0], cache.F[i2, i0]
     w1, w2 = cache.Wsc[i0, j1], cache.Wsc[i0, j2]
@@ -179,7 +180,7 @@ def _d2c_case5(cache: ForwardCache, spec: ProblemSpec,
     )
     acc = 0.0
     for t in terms:
-        acc += t
+        acc = acc + t
     return acc
 
 
@@ -190,15 +191,34 @@ def d2c_entry(cache: ForwardCache, spec: ProblemSpec, i0: int, j0: int,
     _check_index(spec.d, j0=j0, j1=j1, j2=j2)
     case = classify_case(i0, i1, i2)
     if case is HessCase.CASE1:
-        return _d2c_case1(cache, spec, i0, j0, j1, j2)
-    if case is HessCase.CASE2:
-        return _d2c_case2(cache, spec, i0, j0, j1, i2, j2)
-    if case is HessCase.CASE3:
+        value = _d2c_case1(cache, spec, i0, j0, j1, j2)
+    elif case is HessCase.CASE2:
+        value = _d2c_case2(cache, spec, i0, j0, j1, i2, j2)
+    elif case is HessCase.CASE3:
         # symmetry of second derivatives: swap the derivative pair
-        return _d2c_case2(cache, spec, i0, j0, j2, i1, j1)
-    if case is HessCase.CASE4:
-        return _d2c_case4(cache, spec, i0, j0, i1, j1, j2)
-    return _d2c_case5(cache, spec, i0, j0, i1, j1, i2, j2)
+        value = _d2c_case2(cache, spec, i0, j0, j2, i1, j1)
+    elif case is HessCase.CASE4:
+        value = _d2c_case4(cache, spec, i0, j0, i1, j1, j2)
+    else:
+        value = _d2c_case5(cache, spec, i0, j0, i1, j1, i2, j2)
+    return float(value)
+
+
+def d2c_table(cache: ForwardCache, spec: ProblemSpec, i0: int, j0: int) -> np.ndarray:
+    """nd x nd Hessian of c[i0, j0] from the term tables, entry for entry
+    d2c_entry: each case table is evaluated once on a broadcast (i1, j1,
+    i2, j2) grid and placed in the classify_case layout."""
+    _check_index(spec.n, i0=i0)
+    _check_index(spec.d, j0=j0)
+    n, d = spec.n, spec.d
+    i1, j1, i2, j2 = np.ix_(range(n), range(d), range(n), range(d))
+    T = _d2c_case5(cache, spec, i0, j0, i1, j1, i2, j2)     # every index varies
+    tok = np.arange(n)
+    T[tok, :, tok] = _d2c_case4(cache, spec, i0, j0, i1, j1, j2)[:, :, 0]
+    T[i0] = _d2c_case2(cache, spec, i0, j0, j1, i2, j2)[0]
+    T[:, :, i0] = _d2c_case2(cache, spec, i0, j0, j2, i1, j1)[:, :, 0]
+    T[i0, :, i0] = _d2c_case1(cache, spec, i0, j0, j1, j2)[0, :, 0]
+    return T.reshape(n * d, n * d)
 
 
 def _case1_vectors(cache: ForwardCache, spec: ProblemSpec, i0: int, j0: int):
@@ -488,6 +508,7 @@ __all__ = [
     "block_case5",
     "classify_case",
     "d2c_entry",
+    "d2c_table",
     "hessian_L",
     "hessian_c",
     "residual_hessians",

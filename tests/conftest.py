@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from attninv.generate import SplitMix64, make_instance, random_matrix, rescale_spectral
-from attninv.model import ProblemSpec
+from attninv.generate import bounded_instance  # noqa: F401  (tests import it from here)
 
 
 @pytest.fixture
@@ -11,17 +11,6 @@ def seed0_instance():
     spec, x_true = make_instance(0, 3, 2)
     probe = x_true + 0.25
     return spec, x_true, probe
-
-
-def bounded_instance(seed: int, n: int, d: int, r_target: float = 1.2):
-    """Instance with independently drawn B (not realizable), bounded per the
-    generator defaults: spectral norms <= r_target and |b| <= r_target^2."""
-    gen = SplitMix64(seed)
-    X = rescale_spectral(random_matrix(gen, d, n), r_target)
-    W = rescale_spectral(random_matrix(gen, d, d), r_target)
-    V = rescale_spectral(random_matrix(gen, d, d), r_target)
-    B = random_matrix(gen, n, d, -(r_target ** 2), r_target ** 2)
-    return ProblemSpec(n, d, W, V, B, 0.0), X
 
 
 def bounded_x(seed: int, n: int, d: int, r_target: float = 1.2) -> np.ndarray:

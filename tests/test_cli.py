@@ -141,7 +141,8 @@ def test_solve_missing_files(tmp_path, capsys):
 def test_report_empty_and_rows(tmp_path, capsys):
     assert run_cli("report") == 0
     header = capsys.readouterr().out.strip()
-    assert header.split(",")[0] == "instance"
+    # no timing column: wall-clock time is never persisted in run logs
+    assert header == "instance,solver,iterations,final_loss,final_grad_norm,distance"
 
     out = tmp_path / "inst"
     run_cli("generate", "--seed", "0", "--n", "3", "--d", "2", "--out", str(out))
@@ -157,6 +158,8 @@ def test_report_empty_and_rows(tmp_path, capsys):
     lines = csv_path.read_text().strip().splitlines()
     assert len(lines) == 3
     assert lines[1] == lines[2]  # identical seeds give identical rows
+    row = lines[1].split(",")
+    assert len(row) == 6 and all(row), row
 
 
 def test_report_skips_malformed(tmp_path, capsys):

@@ -14,6 +14,7 @@ from attninv.hessian import (
     block_case5,
     classify_case,
     d2c_entry,
+    d2c_table,
     hessian_L,
     hessian_c,
     residual_hessians,
@@ -306,3 +307,55 @@ def test_residual_hessians_index_error():
     spec, X = bounded_instance(0, 2, 2)
     with pytest.raises(IndexError):
         residual_hessians(forward_cache(spec, X), spec, 2)
+
+
+TABLE_SHAPES = RESIDUAL_SHAPES + [(8, 4)]
+
+
+def _entry_table(cache, spec, i0, j0):
+    nd, d = spec.n * spec.d, spec.d
+    return np.array([[d2c_entry(cache, spec, i0, j0, a // d, a % d, b // d, b % d)
+                      for b in range(nd)] for a in range(nd)])
+
+
+@pytest.mark.parametrize("seed,shape", list(enumerate(TABLE_SHAPES)))
+def test_d2c_table_equals_d2c_entry_bitwise(seed, shape):
+    # same term tables on an index grid: every entry is the same float
+    n, d = shape
+    for spec, Y in _three_points(8000 + seed, n, d)[:2]:
+        cache = forward_cache(spec, Y)
+        for i0 in range(n):
+            for j0 in range(d):
+                T = d2c_table(cache, spec, i0, j0)
+                assert T.shape == (n * d, n * d)
+                assert np.array_equal(T, _entry_table(cache, spec, i0, j0))
+
+
+@pytest.mark.parametrize("seed,shape", list(enumerate(TABLE_SHAPES)))
+def test_d2c_table_matches_hessian_c(seed, shape):
+    n, d = shape
+    for spec, Y in _three_points(8000 + seed, n, d)[:2]:
+        cache = forward_cache(spec, Y)
+        for i0 in range(n):
+            for j0 in range(d):
+                ref = hessian_c(cache, spec, i0, j0)
+                # n == 1: c is linear in x, both sides are rounding-level zeros
+                tol = 1e-12 * np.abs(ref).max() if n > 1 else 1e-15
+                assert np.abs(d2c_table(cache, spec, i0, j0) - ref).max() <= tol
+
+
+def test_d2c_table_matches_fd():
+    spec, X = bounded_instance(17, 3, 2)
+    cache = forward_cache(spec, X)
+    for i0 in range(3):
+        for j0 in range(2):
+            fd = fd_hessian(lambda Y: forward_cache(spec, Y).C[i0, j0], X, CFG)
+            T = d2c_table(cache, spec, i0, j0)
+            assert np.abs(T - fd).max() <= 1e-4 * (1 + np.abs(fd).max())
+
+
+@pytest.mark.parametrize("i0,j0", [(3, 0), (0, 2), (-1, 0), (0, -1)])
+def test_d2c_table_index_error(i0, j0):
+    spec, X = bounded_instance(0, 3, 2)
+    with pytest.raises(IndexError):
+        d2c_table(forward_cache(spec, X), spec, i0, j0)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from attninv.generate import SplitMix64, make_instance, perturbed_start, random_matrix
+from attninv.generate import (SplitMix64, bounded_instance, make_instance, perturbed_start,
+                              random_matrix, rescale_spectral)
 from attninv.iojson import (
     matrix_from_obj,
     matrix_to_json,
@@ -50,6 +51,31 @@ def test_make_instance_determinism_and_bounds():
     assert np.linalg.norm(a_x, 2) <= 1.2 + 1e-12
     assert np.linalg.norm(a_spec.W, 2) <= 1.2 + 1e-12
     assert loss(a_spec, a_x) <= 1e-20
+
+
+@pytest.mark.parametrize("limit", [-1.0, 0.0, float("nan"), float("inf")])
+def test_spectral_limit_must_be_finite_and_positive(limit):
+    # -1 used to negate the matrix; nan and inf left it unscaled
+    with pytest.raises(ValueError, match="finite and positive"):
+        rescale_spectral(np.ones((2, 2)), limit)
+    with pytest.raises(ValueError, match="finite and positive"):
+        make_instance(0, 3, 2, r_target=limit)
+    with pytest.raises(ValueError, match="finite and positive"):
+        bounded_instance(0, 3, 2, r_target=limit)
+
+
+def test_bounded_instance_draw_order_and_bounds():
+    spec, X = bounded_instance(4, 3, 2, r_target=0.9)
+    gen = SplitMix64(4)
+    X_ref = rescale_spectral(random_matrix(gen, 2, 3), 0.9)
+    W_ref = rescale_spectral(random_matrix(gen, 2, 2), 0.9)
+    V_ref = rescale_spectral(random_matrix(gen, 2, 2), 0.9)
+    B_ref = random_matrix(gen, 3, 2, -(0.9 ** 2), 0.9 ** 2)
+    assert np.array_equal(X, X_ref)
+    assert np.array_equal(spec.W, W_ref) and np.array_equal(spec.V, V_ref)
+    assert np.array_equal(spec.B, B_ref)
+    assert spec.gamma == 0.0
+    assert np.abs(spec.B).max() <= 0.9 ** 2
 
 
 def test_perturbed_start_radius():
