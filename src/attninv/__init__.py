@@ -12,24 +12,8 @@ from .analysis import (
     psd_floor,
 )
 from .generate import SplitMix64, make_instance, perturbed_start
-from .gradient import (GradEntryTerms, dc_entry, grad_L, grad_c, grad_f_direction,
-                       jacobian_c)
-from .hessian import (
-    HessCase,
-    HessianBlocks,
-    assemble_hessian_c,
-    block_case1,
-    block_case2,
-    block_case3,
-    block_case4,
-    block_case5,
-    classify_case,
-    d2c_entry,
-    d2c_table,
-    hessian_L,
-    hessian_c,
-    residual_hessians,
-)
+from .gradient import grad_L, jacobian_c
+from .hessian import hessian_L, hessian_c, residual_hessians
 from .model import (
     ForwardCache,
     NumericalRangeError,
@@ -42,7 +26,6 @@ from .model import (
     synthesize_target,
     unflatten_input,
 )
-from .oracle import CheckReport, FdConfig, check, fd_grad, fd_hessian, fd_jacobian
 from .solver import (
     CONVERGED,
     MAX_ITER,

@@ -124,7 +124,7 @@ def _check_entries(spec: ProblemSpec, X, level: str, seed: int):
         cfg = oracle.FdConfig(tol_abs=1e-6, tol_rel=1e-6)
         rep = oracle.check(
             gradient.grad_L(cache, spec, X),
-            oracle.fd_grad(lambda Y: loss(spec, Y), X, cfg),
+            oracle.fd_grad(lambda Ys: loss(spec, Ys), X, cfg),
             cfg, target="grad_L")
         add("grad_L_vs_fd", rep.passed,
             {"max_abs_err": rep.max_abs_err, "max_rel_err": rep.max_rel_err,
@@ -133,7 +133,7 @@ def _check_entries(spec: ProblemSpec, X, level: str, seed: int):
     if level in ("hessian", "all"):
         cfg = oracle.FdConfig(tol_abs=1e-4, tol_rel=1e-4)
         H = hessian.hessian_L(cache, spec, X)
-        rep = oracle.check(H, oracle.fd_hessian(lambda Y: loss(spec, Y), X, cfg),
+        rep = oracle.check(H, oracle.fd_hessian(lambda Ys: loss(spec, Ys), X, cfg),
                            cfg, target="hessian_L")
         add("hessian_L_vs_fd", rep.passed,
             {"max_abs_err": rep.max_abs_err, "worst_index": list(rep.worst_index),

@@ -36,7 +36,7 @@ class NumericalRangeError(ValueError):
     """exp() overflowed: the input is outside the bounded-parameter regime."""
 
 
-def _as_float_matrix(M, name: str, shape: tuple[int, int]) -> np.ndarray:
+def _as_float_matrix(M, name: str, shape: tuple[int, ...]) -> np.ndarray:
     M = np.asarray(M, dtype=float)
     if M.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {M.shape}")
@@ -85,6 +85,14 @@ def check_input(spec: ProblemSpec, X) -> np.ndarray:
     return _as_float_matrix(X, "X", (spec.d, spec.n))
 
 
+def _check_points(spec: ProblemSpec, X) -> np.ndarray:
+    """check_input, widened to a (p, d, n) stack of input matrices."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim == 3:
+        return _as_float_matrix(X, "X", (len(X), spec.d, spec.n))
+    return check_input(spec, X)
+
+
 def flatten_input(X: np.ndarray) -> np.ndarray:
     """Canonical vec: index k = i*d + j holds X[j, i] (token-major order).
 
@@ -127,39 +135,44 @@ class ForwardCache:
 
 
 def forward_cache(spec: ProblemSpec, X) -> ForwardCache:
-    """Evaluate all forward quantities at X.
+    """Evaluate all forward quantities at X, one (d, n) matrix or a
+    (p, d, n) stack of them; every field then gains the leading axis p.
 
     Raises NumericalRangeError when a raw exponential exp(score) would
-    overflow (or a score is NaN), naming the first offending score column.
-    The column maxima that decide this are also the shifts of the
-    max-shifted softmax, which keeps F finite whenever the scores are.
+    overflow (or a score is NaN), naming the first offending score column
+    (of the first offending matrix of a stack).  The column maxima that
+    decide this are also the shifts of the max-shifted softmax, which keeps
+    F finite whenever the scores are.
     """
-    X = check_input(spec, X)
-    XW = X.T @ spec.W
+    X = _check_points(spec, X)
+    XW = X.mT @ spec.W
     scores = XW @ X
-    top = scores.max(axis=0)
+    top = scores.max(axis=-2, keepdims=True)
     in_range = top <= EXP_MAX
     if not in_range.all():
-        bad = int(np.flatnonzero(~in_range)[0])
+        bad = int(np.flatnonzero(~in_range)[0] % spec.n)
         raise NumericalRangeError(
             f"exp overflow in score column {bad}; inputs exceed the bounded regime"
         )
     shifted = np.exp(scores - top)
-    F = shifted / shifted.sum(axis=0)
-    H = X.T @ spec.V
-    S = F.T @ H
+    F = shifted / shifted.sum(axis=-2, keepdims=True)
+    H = X.mT @ spec.V
+    S = F.mT @ H
     C = S - spec.B
-    Wsc = (spec.W @ X).T
-    Zsc = F.T @ XW
+    Wsc = (spec.W @ X).mT
+    Zsc = F.mT @ XW
     return ForwardCache(F=F, H=H, S=S, C=C, Wsc=Wsc, Zsc=Zsc, XW=XW)
 
 
-def loss(spec: ProblemSpec, X, cache: ForwardCache | None = None) -> float:
-    """Sum of squared residuals plus gamma * ||vec(X)||^2."""
-    X = check_input(spec, X)
+def loss(spec: ProblemSpec, X, cache: ForwardCache | None = None) -> float | np.ndarray:
+    """Sum of squared residuals plus gamma * ||vec(X)||^2: a float for one
+    (d, n) matrix, a (p,) array for a (p, d, n) stack."""
+    X = _check_points(spec, X)
     if cache is None:
         cache = forward_cache(spec, X)
-    return float((cache.C * cache.C).sum() + spec.gamma * (X * X).sum())
+    value = ((cache.C * cache.C).sum(axis=(-2, -1))
+             + spec.gamma * (X * X).sum(axis=(-2, -1)))
+    return value if X.ndim == 3 else float(value)
 
 
 def loss_frobenius(spec: ProblemSpec, X) -> float:

@@ -2,7 +2,10 @@
 
 The oracles only ever call the function under test (typically the loss or
 a forward quantity); they never touch analytic gradient or Hessian code,
-so agreement is evidence rather than tautology.
+so agreement is evidence rather than tautology.  A target takes a
+(p, d, n) stack of stencil points and returns one value per point along
+a leading axis; the oracles send it whole stencils (every point of one
+Hessian row in a single call), in bounded chunks.
 """
 from __future__ import annotations
 
@@ -51,31 +54,38 @@ def _coordinate_steps(X: np.ndarray, step: float) -> np.ndarray:
     return step * (1.0 + np.abs(flat))
 
 
-def _probe(fn, X):
-    value = fn(X)
-    arr = np.asarray(value, dtype=float)
-    if not np.isfinite(arr).all():
+# Points per target call: at most this many score entries (n^2 per point)
+# are stacked at once, so a call stays small however large n is.
+_STACK_ENTRIES = 2**16
+
+
+def _evaluate(fn, points: np.ndarray) -> np.ndarray:
+    """fn on a (p, d, n) stack of points, in chunks; one finite value per point."""
+    chunk = max(1, _STACK_ENTRIES // points.shape[-1] ** 2)
+    values = []
+    for s in range(0, len(points), chunk):
+        part = points[s:s + chunk]
+        v = np.asarray(fn(part), dtype=float)
+        if v.shape[:1] != (len(part),):
+            raise ValueError("the target must return one value per stacked point")
+        values.append(v)
+    values = np.concatenate(values)
+    if not np.isfinite(values).all():
         raise NumericalRangeError("non-finite probe value in finite differencing")
-    return value
+    return values
 
 
-def _shift(X: np.ndarray, k: int, delta: float) -> np.ndarray:
-    d = X.shape[0]
-    Y = X.copy()
-    Y[k % d, k // d] += delta
-    return Y
+def _add_at(Y: np.ndarray, ks: np.ndarray, deltas: np.ndarray) -> None:
+    """Add deltas[i] to flat coordinate ks[i] (or to ks, one coordinate for
+    every point) of point i of the (p, d, n) stack Y, in place; flat
+    coordinates are token-major, k = i*d + j addresses X[j, i]."""
+    d = Y.shape[1]
+    Y[np.arange(len(Y)), ks % d, ks // d] += deltas
 
 
 def fd_grad(scalar_fn, X, cfg: FdConfig) -> np.ndarray:
     """Central-difference gradient of a scalar function of the (d, n) input."""
-    X = np.asarray(X, dtype=float)
-    steps = _coordinate_steps(X, cfg.step)
-    out = np.empty(X.size)
-    for k in range(X.size):
-        h = steps[k]
-        out[k] = (_probe(scalar_fn, _shift(X, k, h))
-                  - _probe(scalar_fn, _shift(X, k, -h))) / (2.0 * h)
-    return out
+    return fd_jacobian(scalar_fn, X, cfg)
 
 
 def fd_jacobian(vector_fn, X, cfg: FdConfig) -> np.ndarray:
@@ -83,38 +93,41 @@ def fd_jacobian(vector_fn, X, cfg: FdConfig) -> np.ndarray:
     derivative along flattened coordinate k."""
     X = np.asarray(X, dtype=float)
     steps = _coordinate_steps(X, cfg.step)
-    cols = []
-    for k in range(X.size):
-        h = steps[k]
-        hi = np.asarray(_probe(vector_fn, _shift(X, k, h)), dtype=float)
-        lo = np.asarray(_probe(vector_fn, _shift(X, k, -h)), dtype=float)
-        cols.append((hi - lo) / (2.0 * h))
-    return np.stack(cols, axis=-1)
+    ks = np.arange(X.size).repeat(2)
+    Y = np.repeat(X[None], len(ks), axis=0)
+    _add_at(Y, ks, steps[ks] * np.tile([1.0, -1.0], X.size))
+    v = _evaluate(vector_fn, Y)
+    h = steps.reshape((-1,) + (1,) * (v.ndim - 1))
+    return np.moveaxis((v[0::2] - v[1::2]) / (2.0 * h), 0, -1)
 
 
 def fd_hessian(scalar_fn, X, cfg: FdConfig) -> np.ndarray:
     """Dense central-difference Hessian, symmetrized by averaging.
 
     Diagonal entries use the 3-point stencil, off-diagonals the 4-point
-    mixed stencil, with per-coordinate steps step2 * (1 + |x_k|).
+    mixed stencil, with per-coordinate steps step2 * (1 + |x_k|).  Row k
+    is one stack: +k, -k, then pp, pm, mp, mm for every l > k.
     """
     X = np.asarray(X, dtype=float)
     m = X.size
     steps = _coordinate_steps(X, cfg.step2)
-    center = float(_probe(scalar_fn, X))
+    center = float(_evaluate(scalar_fn, X[None])[0])
+    # Row k shifts k by k_signs[:p] * hk and, from its third point on, l > k
+    # by the tail of l_deltas that starts at l = k + 1.
+    k_signs = np.r_[1.0, -1.0, np.tile([1.0, 1.0, -1.0, -1.0], m - 1)]
+    ls = np.arange(m).repeat(4)
+    l_deltas = steps[ls] * np.tile([1.0, -1.0], 2 * m)
     H = np.empty((m, m))
     for k in range(m):
         hk = steps[k]
-        H[k, k] = (float(_probe(scalar_fn, _shift(X, k, hk))) - 2.0 * center
-                   + float(_probe(scalar_fn, _shift(X, k, -hk)))) / hk**2
-        for l in range(k + 1, m):
-            hl = steps[l]
-            pp = float(_probe(scalar_fn, _shift(_shift(X, k, hk), l, hl)))
-            pm = float(_probe(scalar_fn, _shift(_shift(X, k, hk), l, -hl)))
-            mp = float(_probe(scalar_fn, _shift(_shift(X, k, -hk), l, hl)))
-            mm = float(_probe(scalar_fn, _shift(_shift(X, k, -hk), l, -hl)))
-            H[k, l] = (pp - pm - mp + mm) / (4.0 * hk * hl)
-            H[l, k] = H[k, l]
+        Y = np.repeat(X[None], 2 + 4 * (m - 1 - k), axis=0)
+        _add_at(Y, k, hk * k_signs[:len(Y)])
+        _add_at(Y[2:], ls[4 * k + 4:], l_deltas[4 * k + 4:])
+        v = _evaluate(scalar_fn, Y)
+        H[k, k] = (v[0] - 2.0 * center + v[1]) / hk**2
+        pp, pm, mp, mm = v[2:].reshape(-1, 4).T
+        H[k, k + 1:] = (pp - pm - mp + mm) / (4.0 * hk * steps[k + 1:])
+        H[k + 1:, k] = H[k, k + 1:]
     return 0.5 * (H + H.T)
 
 

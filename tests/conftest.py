@@ -13,6 +13,16 @@ def seed0_instance():
     return spec, x_true, probe
 
 
+ACCEPTANCE_SHAPES = [(1, 1), (2, 2), (3, 2), (2, 3), (4, 2),
+                     (3, 3), (4, 4), (6, 3), (5, 3), (6, 2)]
+
+
+def per_point(fn):
+    """A stack target for the FD oracles from a function of one (d, n)
+    matrix, for functions that accept only one matrix (grad_L, jacobian_c)."""
+    return lambda Ys: np.stack([fn(Y) for Y in Ys])
+
+
 def bounded_x(seed: int, n: int, d: int, r_target: float = 1.2) -> np.ndarray:
     gen = SplitMix64(seed)
     return rescale_spectral(random_matrix(gen, d, n), r_target)

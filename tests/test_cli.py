@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from attninv import cli, gradient
 from attninv.iojson import read_matrix, read_problem
-from attninv.model import loss
+from attninv.generate import make_instance
+from attninv.model import EXP_MAX, loss
 
 
 def run_cli(*argv):
@@ -338,6 +339,27 @@ def test_check_at_exp_overflow_is_a_failing_record(tmp_path, capsys):
                                   "error": "NumericalRangeError: exp overflow in "
                                            "score column 0; inputs exceed the "
                                            "bounded regime"}]
+
+
+@pytest.mark.parametrize("level", ["grad", "hessian"])
+def test_check_names_the_first_overflowing_probe(tmp_path, capsys, level):
+    # X_true scaled so its top score sits just under EXP_MAX: X is in range,
+    # some FD stencil points are not, and the record names the column of
+    # the first of them in the order the stencils are visited
+    out = tmp_path / "inst"
+    run_cli("generate", "--seed", "0", "--n", "3", "--d", "2", "--out", str(out))
+    spec, X = make_instance(0, 3, 2)
+    X = X * np.sqrt(EXP_MAX * (1 - 1e-5) / (X.T @ spec.W @ X).max())
+    x_path = tmp_path / "x.json"
+    x_path.write_text(json.dumps({"rows": 2, "cols": 3, "data": X.ravel().tolist()}))
+    capsys.readouterr()
+    code = run_cli("check", "--problem", str(out / "problem.json"),
+                   "--x", str(x_path), "--level", level)
+    assert code == 1
+    assert json.loads(capsys.readouterr().out)["results"] == [
+        {"check": "numerical_range", "pass": False,
+         "error": "NumericalRangeError: exp overflow in score column 1; "
+                  "inputs exceed the bounded regime"}]
 
 
 @pytest.mark.parametrize("cap", ["abc", "0", "-3", ""])

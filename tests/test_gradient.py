@@ -13,7 +13,7 @@ CFG = FdConfig()
 
 
 def residual_fn(spec, i0, j0):
-    return lambda Y: forward_cache(spec, Y).C[i0, j0]
+    return lambda Ys: forward_cache(spec, Ys).C[:, i0, j0]
 
 
 def test_dc_entry_zero_input_only_value_term():
@@ -138,7 +138,7 @@ def test_grad_f_matches_fd_of_softmax_column():
     spec, X = bounded_instance(0, 4, 2)
     cache = forward_cache(spec, X)
     for i0 in range(4):
-        J = fd_jacobian(lambda Y: forward_cache(spec, Y).F[:, i0].copy(), X, CFG)
+        J = fd_jacobian(lambda Ys: forward_cache(spec, Ys).F[:, :, i0].copy(), X, CFG)
         for i1 in range(4):
             for j1 in range(2):
                 g = grad_f_direction(cache, spec, i0, i1, j1)
@@ -164,7 +164,7 @@ def test_grad_L_matches_fd():
     spec = spec.with_gamma(0.37)
     cache = forward_cache(spec, X)
     g = grad_L(cache, spec, X)
-    fd = fd_grad(lambda Y: loss(spec, Y), X, CFG)
+    fd = fd_grad(lambda Ys: loss(spec, Ys), X, CFG)
     assert np.abs(g - fd).max() <= 1e-6 * (1 + np.abs(fd).max())
 
 

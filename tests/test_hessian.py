@@ -21,7 +21,7 @@ from attninv.hessian import (
 )
 from attninv.model import ProblemSpec, forward_cache, loss, synthesize_target
 from attninv.oracle import FdConfig, fd_hessian, fd_jacobian
-from conftest import bounded_instance
+from conftest import ACCEPTANCE_SHAPES, bounded_instance, per_point
 
 CFG = FdConfig(tol_abs=1e-4, tol_rel=1e-4)
 
@@ -75,7 +75,7 @@ def test_d2c_matches_fd_per_case():
     for case, (i0, i1, i2) in probes.items():
         assert classify_case(i0, i1, i2) is case
         j0 = 1
-        fd = fd_hessian(lambda Y: forward_cache(spec, Y).C[i0, j0], X, CFG)
+        fd = fd_hessian(lambda Ys: forward_cache(spec, Ys).C[:, i0, j0], X, CFG)
         for j1 in range(2):
             for j2 in range(2):
                 got = d2c_entry(cache, spec, i0, j0, i1, j1, i2, j2)
@@ -167,7 +167,7 @@ def test_assembled_hessian_c_symmetric_and_matches_fd():
         for j0 in range(2):
             H = hessian_c(cache, spec, i0, j0)
             assert np.abs(H - H.T).max() <= 1e-8 * (1 + np.abs(H).max())
-            fd = fd_hessian(lambda Y: forward_cache(spec, Y).C[i0, j0], X, CFG)
+            fd = fd_hessian(lambda Ys: forward_cache(spec, Ys).C[:, i0, j0], X, CFG)
             assert np.abs(H - fd).max() <= 1e-4 * (1 + np.abs(fd).max())
 
 
@@ -196,10 +196,10 @@ def test_hessian_L_matches_fd_of_loss_and_gradient():
     cache = forward_cache(spec, X)
     H = hessian_L(cache, spec, X)
     assert np.abs(H - H.T).max() <= 1e-8 * (1 + np.abs(H).max())
-    fd = fd_hessian(lambda Y: loss(spec, Y), X, CFG)
+    fd = fd_hessian(lambda Ys: loss(spec, Ys), X, CFG)
     assert np.abs(H - fd).max() <= 1e-4 * (1 + np.abs(fd).max())
     fdj = fd_jacobian(
-        lambda Y: grad_L(forward_cache(spec, Y), spec, Y), X, FdConfig())
+        per_point(lambda Y: grad_L(forward_cache(spec, Y), spec, Y)), X, FdConfig())
     assert np.abs(H - 0.5 * (fdj + fdj.T)).max() <= 1e-4 * (1 + np.abs(H).max())
 
 
@@ -209,10 +209,6 @@ def test_hessian_L_dense_cap(monkeypatch):
     cache = forward_cache(spec, X)
     with pytest.raises(ValueError, match="dense"):
         hessian_L(cache, spec, X)
-
-
-ACCEPTANCE_SHAPES = [(1, 1), (2, 2), (3, 2), (2, 3), (4, 2),
-                     (3, 3), (4, 4), (6, 3), (5, 3), (6, 2)]
 
 
 def _three_points(seed, n, d, gamma=0.0):
@@ -253,7 +249,7 @@ def test_hessian_L_matches_fd_jacobian_of_grad_L(n, d, gamma):
     spec = spec.with_gamma(gamma)
     H = hessian_L(forward_cache(spec, X), spec, X)
     fdj = fd_jacobian(
-        lambda Y: grad_L(forward_cache(spec, Y), spec, Y), X, FdConfig())
+        per_point(lambda Y: grad_L(forward_cache(spec, Y), spec, Y)), X, FdConfig())
     assert np.abs(H - fdj).max() <= 1e-4 * (1 + np.abs(H).max())
 
 
@@ -280,7 +276,7 @@ def test_residual_hessians_match_fd_of_jacobian_rows(n, d):
     cache = forward_cache(spec, X)
     for i0 in range(n):
         fd = fd_jacobian(
-            lambda Y: jacobian_c(forward_cache(spec, Y), spec)[i0 * d:(i0 + 1) * d],
+            per_point(lambda Y: jacobian_c(forward_cache(spec, Y), spec)[i0 * d:(i0 + 1) * d]),
             X, FdConfig())
         T = residual_hessians(cache, spec, i0)
         assert np.abs(T - fd).max() <= 1e-4 * (1 + np.abs(T).max())
@@ -349,7 +345,7 @@ def test_d2c_table_matches_fd():
     cache = forward_cache(spec, X)
     for i0 in range(3):
         for j0 in range(2):
-            fd = fd_hessian(lambda Y: forward_cache(spec, Y).C[i0, j0], X, CFG)
+            fd = fd_hessian(lambda Ys: forward_cache(spec, Ys).C[:, i0, j0], X, CFG)
             T = d2c_table(cache, spec, i0, j0)
             assert np.abs(T - fd).max() <= 1e-4 * (1 + np.abs(fd).max())
 

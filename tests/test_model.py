@@ -14,7 +14,12 @@ from attninv.model import (
     synthesize_target,
     unflatten_input,
 )
-from conftest import bounded_instance
+from attninv.gradient import grad_L
+from attninv.hessian import hessian_L
+from attninv.solver import gd_solve, newton_solve
+from conftest import ACCEPTANCE_SHAPES, bounded_instance
+
+CACHE_FIELDS = ("F", "H", "S", "C", "Wsc", "Zsc", "XW")
 
 
 def test_spec_validation():
@@ -154,6 +159,54 @@ def test_forward_cache_matches_two_exp_reference_bitwise(seed, n, d, r):
     cache = forward_cache(spec, X)
     for name, ref in _reference_forward(spec, X).items():
         assert np.array_equal(getattr(cache, name), ref), name
+
+
+@pytest.mark.parametrize("n,d", ACCEPTANCE_SHAPES + [(4, 3), (6, 4), (8, 4), (1, 3), (2, 1)])
+def test_stacked_forward_and_loss_equal_per_matrix_bitwise(n, d):
+    spec, X = bounded_instance(n + 10 * d, n, d)
+    spec = spec.with_gamma(0.3)
+    rng = np.random.default_rng(n * d)
+    Xs = X + 0.1 * rng.normal(size=(7, d, n))
+    stacked = forward_cache(spec, Xs)
+    values = loss(spec, Xs)
+    assert values.shape == (7,)
+    for p, Y in enumerate(Xs):
+        one = forward_cache(spec, Y)
+        for name in CACHE_FIELDS:
+            assert np.array_equal(getattr(stacked, name)[p], getattr(one, name)), name
+        assert values[p] == loss(spec, Y)
+    assert isinstance(loss(spec, X), float)
+
+
+def test_stacked_overflow_names_first_column_of_first_bad_matrix():
+    # matrix 1 overflows in column 2, matrix 2 in column 0: name column 2
+    spec = ProblemSpec(3, 1, [[1.0]], [[1.0]], np.zeros((3, 1)))
+    Xs = np.array([[[1.0, 1.0, 1.0]], [[1.0, 1.0, 40.0]], [[40.0, 1.0, 1.0]]])
+    with pytest.raises(NumericalRangeError, match="column 2;"):
+        forward_cache(spec, Xs)
+    with pytest.raises(NumericalRangeError, match="column 2;"):
+        loss(spec, Xs)
+    with pytest.raises(NumericalRangeError, match="column 0;"):
+        loss(spec, Xs[[0, 2, 1]])
+
+
+def test_stacked_input_validation():
+    spec, X = bounded_instance(0, 3, 2)
+    bad_stack = np.stack([X, X])
+    bad_stack[1, 0, 2] = np.nan
+    for Xs in (np.zeros((1, 2, 2, 3)), np.zeros((2, 3, 2)), bad_stack):
+        with pytest.raises(ValueError):
+            forward_cache(spec, Xs)
+        with pytest.raises(ValueError):
+            loss(spec, Xs)
+    # only the forward pass and the loss take a stack
+    Xs = np.stack([X, X])
+    cache = forward_cache(spec, X)
+    for call in (lambda: grad_L(cache, spec, Xs), lambda: hessian_L(cache, spec, Xs),
+                 lambda: newton_solve(spec, Xs),
+                 lambda: gd_solve(spec, Xs, eta=1e-3, max_iter=1)):
+        with pytest.raises(ValueError, match="shape"):
+            call()
 
 
 def test_loss_zero_input_is_target_norm():
