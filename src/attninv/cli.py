@@ -162,8 +162,8 @@ def _check_entries(spec: ProblemSpec, X, level: str, seed: int):
              "hessian_c_norm_max": rep.hessian_c_norm_max,
              "hessian_c_bound": rep.hessian_c_bound})
         gamma = analysis.choose_gamma(spec.n, spec.d, rep.r_eff)
-        total = hessian.hessian_L(forward_cache(spec.with_gamma(gamma), X),
-                                  spec.with_gamma(gamma), X)
+        # the forward cache does not depend on gamma
+        total = hessian.hessian_L(cache, spec.with_gamma(gamma), X)
         lam = float(np.linalg.eigvalsh(0.5 * (total + total.T)).min())
         add("psd_with_auto_gamma", lam > 0.0, {"lambda_min": lam, "gamma": gamma})
     if level in ("lipschitz", "all"):

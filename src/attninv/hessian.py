@@ -18,7 +18,9 @@ certify the closed form:
     entry, and d2c_table, which evaluates each case once on a broadcast
     index grid for the whole nd x nd Hessian of one residual;
   * block_case1..block_case5 build the same d x d blocks from outer
-    products of cached vectors.
+    products of cached vectors; hessian_c evaluates each case block once
+    on the (i1, i2) token grid of one residual and places it in the
+    classify_case layout.
 
 Tests pin the two realizations against each other at 1e-10 (check's
 block/entry record compares d2c_table with hessian_c), both against
@@ -31,7 +33,6 @@ finite-difference suite is the arbiter.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
@@ -274,20 +275,16 @@ def block_case1(cache: ForwardCache, spec: ProblemSpec, i0: int, j0: int) -> np.
     return B
 
 
-def block_case2(cache: ForwardCache, spec: ProblemSpec,
-                i0: int, j0: int, i2: int) -> np.ndarray:
-    """Probe-row block: first derivative on token i0, second on i2 != i0."""
-    _check_index(spec.n, i0=i0, i2=i2)
-    _check_index(spec.d, j0=j0)
-    if i2 == i0:
-        raise ValueError("block_case2 requires i2 != i0")
+# The token indices after j0 are ints or broadcast integer arrays; the
+# blocks carry the token axes first and (d, d) last.
+def _block_case2(cache: ForwardCache, spec: ProblemSpec, i0: int, j0: int, i2):
     f, h, wv, zv, _, vc = _case1_vectors(cache, spec, i0, j0)
     s = cache.S[i0, j0]
     f00 = cache.F[i0, i0]
     h00 = cache.H[i0, j0]
-    f02 = cache.F[i2, i0]
-    h02 = cache.H[i2, j0]
-    t2v = cache.XW[i2, :]          # W^T X[:, i2]
+    f02 = cache.F[i2, i0][..., None, None]
+    h02 = cache.H[i2, j0][..., None, None]
+    t2v = cache.XW[i2][..., None]  # W^T X[:, i2]
     m = cache.XW.T @ (f * h)
     ww = np.outer(wv, wv)
     zw = np.outer(zv, wv)
@@ -298,16 +295,26 @@ def block_case2(cache: ForwardCache, spec: ProblemSpec,
     J += -f02 * h02 * zw                                    # J5
     J += -f02 * np.outer(zv, vc)                            # J6
     J += s * f02 * zw              # J7: softmax entry i2, as in E7
-    J += -s * f02 * np.outer(t2v, wv)  # J8: W^T X[:, i2] against wv,
+    J += -s * f02 * (t2v * wv)     # J8: W^T X[:, i2] against wv,
                                    # matching E8's token-i2 factors
     J += -s * f02 * spec.W.T       # J9: softmax entry i2, as in E9
     J += -f00 * f02 * h00 * ww                              # J10
     J += -f02 * np.outer(m, wv)                             # J11
-    J += f02 * h02 * np.outer(t2v, wv)                      # J12
+    J += f02 * h02 * (t2v * wv)                             # J12
     J += f02 * h02 * spec.W.T                               # J13
-    J += f02 * np.outer(t2v, vc)                            # J14
+    J += f02 * (t2v * vc)                                   # J14
     J += -f00 * f02 * np.outer(vc, wv)                      # J15
     return J
+
+
+def block_case2(cache: ForwardCache, spec: ProblemSpec,
+                i0: int, j0: int, i2: int) -> np.ndarray:
+    """Probe-row block: first derivative on token i0, second on i2 != i0."""
+    _check_index(spec.n, i0=i0, i2=i2)
+    _check_index(spec.d, j0=j0)
+    if i2 == i0:
+        raise ValueError("block_case2 requires i2 != i0")
+    return _block_case2(cache, spec, i0, j0, i2)
 
 
 def block_case3(cache: ForwardCache, spec: ProblemSpec,
@@ -322,16 +329,10 @@ def block_case3(cache: ForwardCache, spec: ProblemSpec,
     return block_case2(cache, spec, i0, j0, i1).T
 
 
-def block_case4(cache: ForwardCache, spec: ProblemSpec,
-                i0: int, j0: int, i1: int) -> np.ndarray:
-    """Off-probe diagonal block: both derivatives on token i1 != i0."""
-    _check_index(spec.n, i0=i0, i1=i1)
-    _check_index(spec.d, j0=j0)
-    if i1 == i0:
-        raise ValueError("block_case4 requires i1 != i0")
+def _block_case4(cache: ForwardCache, spec: ProblemSpec, i0: int, j0: int, i1):
     s = cache.S[i0, j0]
-    f01 = cache.F[i1, i0]
-    h01 = cache.H[i1, j0]
+    f01 = cache.F[i1, i0][..., None, None]
+    h01 = cache.H[i1, j0][..., None, None]
     wv = cache.Wsc[i0, :]
     vc = spec.V[:, j0]
     ww = np.outer(wv, wv)
@@ -345,6 +346,31 @@ def block_case4(cache: ForwardCache, spec: ProblemSpec,
     return K
 
 
+def block_case4(cache: ForwardCache, spec: ProblemSpec,
+                i0: int, j0: int, i1: int) -> np.ndarray:
+    """Off-probe diagonal block: both derivatives on token i1 != i0."""
+    _check_index(spec.n, i0=i0, i1=i1)
+    _check_index(spec.d, j0=j0)
+    if i1 == i0:
+        raise ValueError("block_case4 requires i1 != i0")
+    return _block_case4(cache, spec, i0, j0, i1)
+
+
+def _block_case5(cache: ForwardCache, spec: ProblemSpec, i0: int, j0: int, i1, i2):
+    s = cache.S[i0, j0]
+    f01 = cache.F[i1, i0][..., None, None]
+    f02 = cache.F[i2, i0][..., None, None]
+    wv = cache.Wsc[i0, :]
+    vc = spec.V[:, j0]
+    ww = np.outer(wv, wv)
+    wvvc = np.outer(wv, vc)
+    N = 2.0 * s * f01 * f02 * ww                            # N1
+    N += -f01 * f02 * (cache.H[i2, j0] + cache.H[i1, j0])[..., None, None] * ww  # N2
+    N += -f01 * f02 * (wvvc + wvvc.T)  # N3: same w vector on both sides,
+                                   # matching G3
+    return N
+
+
 def block_case5(cache: ForwardCache, spec: ProblemSpec,
                 i0: int, j0: int, i1: int, i2: int) -> np.ndarray:
     """Fully off-probe block: tokens i0, i1, i2 pairwise distinct."""
@@ -352,65 +378,24 @@ def block_case5(cache: ForwardCache, spec: ProblemSpec,
     _check_index(spec.d, j0=j0)
     if i1 == i0 or i2 == i0 or i1 == i2:
         raise ValueError("block_case5 requires pairwise distinct tokens")
-    s = cache.S[i0, j0]
-    f01, f02 = cache.F[i1, i0], cache.F[i2, i0]
-    wv = cache.Wsc[i0, :]
-    vc = spec.V[:, j0]
-    ww = np.outer(wv, wv)
-    wvvc = np.outer(wv, vc)
-    N = 2.0 * s * f01 * f02 * ww                            # N1
-    N += -f01 * f02 * (cache.H[i2, j0] + cache.H[i1, j0]) * ww  # N2
-    N += -f01 * f02 * (wvvc + wvvc.T)  # N3: same w vector on both sides,
-                                   # matching G3
-    return N
-
-
-@dataclass(frozen=True)
-class HessianBlocks:
-    """n x n grid of d x d blocks of one residual-entry Hessian."""
-
-    i0: int
-    j0: int
-    blocks: tuple[tuple[np.ndarray, ...], ...]
-
-    def assembled(self) -> np.ndarray:
-        return np.block([[self.blocks[i1][i2] for i2 in range(len(self.blocks))]
-                         for i1 in range(len(self.blocks))])
-
-
-def assemble_hessian_c(cache: ForwardCache, spec: ProblemSpec,
-                       i0: int, j0: int) -> HessianBlocks:
-    """Tile the five case blocks into the full layout.
-
-    Row i0 of the grid holds case-2 blocks with the case-1 block at
-    (i0, i0); column i0 holds case-3 blocks; the remaining diagonal is
-    case 4 and everything else case 5.
-    """
-    _check_index(spec.n, i0=i0)
-    _check_index(spec.d, j0=j0)
-    n = spec.n
-    grid = []
-    for i1 in range(n):
-        row = []
-        for i2 in range(n):
-            if i1 == i0 and i2 == i0:
-                blk = block_case1(cache, spec, i0, j0)
-            elif i1 == i0:
-                blk = block_case2(cache, spec, i0, j0, i2)
-            elif i2 == i0:
-                blk = block_case3(cache, spec, i0, j0, i1)
-            elif i1 == i2:
-                blk = block_case4(cache, spec, i0, j0, i1)
-            else:
-                blk = block_case5(cache, spec, i0, j0, i1, i2)
-            row.append(blk)
-        grid.append(tuple(row))
-    return HessianBlocks(i0=i0, j0=j0, blocks=tuple(grid))
+    return _block_case5(cache, spec, i0, j0, i1, i2)
 
 
 def hessian_c(cache: ForwardCache, spec: ProblemSpec, i0: int, j0: int) -> np.ndarray:
-    """Assembled nd x nd Hessian of one residual entry."""
-    return assemble_hessian_c(cache, spec, i0, j0).assembled()
+    """nd x nd Hessian of one residual entry from the case blocks: each
+    case is evaluated once on the (i1, i2) token grid and placed in the
+    classify_case layout."""
+    _check_index(spec.n, i0=i0)
+    _check_index(spec.d, j0=j0)
+    n, nd = spec.n, spec.n * spec.d
+    tok = np.arange(n)
+    T = _block_case5(cache, spec, i0, j0, tok[:, None], tok)   # (n, n, d, d)
+    T[tok, tok] = _block_case4(cache, spec, i0, j0, tok)
+    J = _block_case2(cache, spec, i0, j0, tok)
+    T[i0] = J
+    T[:, i0] = J.transpose(0, 2, 1)                            # case 3
+    T[i0, i0] = block_case1(cache, spec, i0, j0)
+    return T.transpose(0, 2, 1, 3).reshape(nd, nd)
 
 
 def residual_hessians(cache: ForwardCache, spec: ProblemSpec, i0: int) -> np.ndarray:
@@ -499,8 +484,6 @@ def hessian_L(cache: ForwardCache, spec: ProblemSpec, X) -> np.ndarray:
 
 __all__ = [
     "HessCase",
-    "HessianBlocks",
-    "assemble_hessian_c",
     "block_case1",
     "block_case2",
     "block_case3",

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from attninv import hessian
 from attninv.generate import SplitMix64, make_instance, random_matrix, rescale_spectral
 from attninv.generate import bounded_instance  # noqa: F401  (tests import it from here)
 
@@ -26,3 +27,26 @@ def per_point(fn):
 def bounded_x(seed: int, n: int, d: int, r_target: float = 1.2) -> np.ndarray:
     gen = SplitMix64(seed)
     return rescale_spectral(random_matrix(gen, d, n), r_target)
+
+
+def block_loop_hessian_c(cache, spec, i0: int, j0: int) -> np.ndarray:
+    """Reference for hessian.hessian_c: the nd x nd Hessian of one residual
+    tiled from the public case blocks, one block call per (i1, i2)."""
+    n = spec.n
+    grid = []
+    for i1 in range(n):
+        row = []
+        for i2 in range(n):
+            if i1 == i0 and i2 == i0:
+                blk = hessian.block_case1(cache, spec, i0, j0)
+            elif i1 == i0:
+                blk = hessian.block_case2(cache, spec, i0, j0, i2)
+            elif i2 == i0:
+                blk = hessian.block_case3(cache, spec, i0, j0, i1)
+            elif i1 == i2:
+                blk = hessian.block_case4(cache, spec, i0, j0, i1)
+            else:
+                blk = hessian.block_case5(cache, spec, i0, j0, i1, i2)
+            row.append(blk)
+        grid.append(row)
+    return np.block(grid)

@@ -12,7 +12,7 @@ from attninv import hessian
 from attninv.gradient import jacobian_c
 from attninv.hessian import hessian_L
 from attninv.model import ProblemSpec, forward_cache, synthesize_target
-from conftest import bounded_instance, bounded_x
+from conftest import block_loop_hessian_c, bounded_instance, bounded_x
 
 
 def test_r_eff_is_at_least_one_and_tracks_norms():
@@ -135,7 +135,7 @@ def looped_block_norms(cache, spec):
 
 
 def looped_hessian_c(cache, spec):
-    return [hessian.hessian_c(cache, spec, i0, j0)
+    return [block_loop_hessian_c(cache, spec, i0, j0)
             for i0 in range(spec.n) for j0 in range(spec.d)]
 
 

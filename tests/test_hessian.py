@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from attninv import hessian
 from attninv.gradient import grad_L, grad_c, jacobian_c
 from attninv.hessian import (
     HessCase,
-    assemble_hessian_c,
     block_case1,
     block_case2,
     block_case3,
@@ -21,7 +21,7 @@ from attninv.hessian import (
 )
 from attninv.model import ProblemSpec, forward_cache, loss, synthesize_target
 from attninv.oracle import FdConfig, fd_hessian, fd_jacobian
-from conftest import ACCEPTANCE_SHAPES, bounded_instance, per_point
+from conftest import ACCEPTANCE_SHAPES, block_loop_hessian_c, bounded_instance, per_point
 
 CFG = FdConfig(tol_abs=1e-4, tol_rel=1e-4)
 
@@ -101,9 +101,9 @@ def test_d2c_index_and_precondition_errors():
 def test_single_token_has_no_offdiagonal_blocks():
     spec = ProblemSpec(1, 2, np.eye(2) * 0.3, np.eye(2), np.zeros((1, 2)))
     cache = forward_cache(spec, [[0.2], [0.1]])
-    blocks = assemble_hessian_c(cache, spec, 0, 0)
-    assert len(blocks.blocks) == 1
-    assert np.allclose(blocks.assembled(), block_case1(cache, spec, 0, 0))
+    H = hessian_c(cache, spec, 0, 0)
+    assert H.shape == (2, 2)
+    assert np.array_equal(H, block_case1(cache, spec, 0, 0))
 
 
 @given(st.integers(0, 2**31 - 1), st.integers(2, 4), st.integers(1, 3))
@@ -355,3 +355,46 @@ def test_d2c_table_index_error(i0, j0):
     spec, X = bounded_instance(0, 3, 2)
     with pytest.raises(IndexError):
         d2c_table(forward_cache(spec, X), spec, i0, j0)
+
+
+BLOCK_GRID_SHAPES = ACCEPTANCE_SHAPES + [(1, 3), (2, 1), (2, 4), (8, 4), (16, 8)]
+
+
+@pytest.mark.parametrize("seed,shape", list(enumerate(BLOCK_GRID_SHAPES)))
+def test_hessian_c_equals_block_loop_bitwise(seed, shape):
+    # the same case-block terms on a token grid: every entry is the same
+    # float as in the one-block-at-a-time tiling
+    n, d = shape
+    # 16 x 8: the first, a middle and the last probe token (the block loop
+    # makes n^2 calls per residual)
+    probes = range(n) if n <= 8 else (0, n // 2, n - 1)
+    for spec, Y in _three_points(9000 + seed, n, d):
+        cache = forward_cache(spec, Y)
+        for i0 in probes:
+            for j0 in range(d):
+                H = hessian_c(cache, spec, i0, j0)
+                assert np.array_equal(H, block_loop_hessian_c(cache, spec, i0, j0))
+
+
+def test_hessian_c_makes_one_call_per_case(monkeypatch):
+    # one call per index case at every n; one call per block would scale
+    # the counts with n^2
+    names = ("block_case1", "_block_case2", "_block_case4", "_block_case5")
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _fn=getattr(hessian, name), _name=name):
+            counts[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(hessian, name, counted)
+    for n in (3, 8):
+        spec, X = bounded_instance(1, n, 2)
+        counts.update(dict.fromkeys(names, 0))
+        hessian_c(forward_cache(spec, X), spec, 1, 1)
+        assert counts == dict.fromkeys(names, 1), n
+
+
+@pytest.mark.parametrize("i0,j0", [(3, 0), (-1, 0), (0, 2), (0, -1)])
+def test_hessian_c_index_error(i0, j0):
+    spec, X = bounded_instance(0, 3, 2)
+    with pytest.raises(IndexError):
+        hessian_c(forward_cache(spec, X), spec, i0, j0)
