@@ -19,7 +19,7 @@ from attninv.generate import make_instance, perturbed_start
 from attninv.hessian import hessian_L
 from attninv.iojson import write_run_log
 from attninv.model import forward_cache, loss
-from attninv.solver import NewtonConfig, gd_solve, newton_solve
+from attninv.solver import gd_solve, newton_solve
 
 EPS_GRID = (1e-2, 1e-4, 1e-6, 1e-8)
 
@@ -28,7 +28,7 @@ def run_one(seed: int, n: int, d: int, radius: float, out_dir=None):
     spec, x_true = make_instance(seed, n, d)
     X0 = perturbed_start(x_true, radius, 1000 + seed)
 
-    X, recs, status = newton_solve(spec, X0, NewtonConfig(eps=1e-12, max_iter=50))
+    X, recs, status = newton_solve(spec, X0, eps=1e-12, max_iter=50)
     newton_iters = len(recs)
     dist = float(np.linalg.norm(X - x_true))
     if out_dir is not None:
@@ -51,7 +51,7 @@ def run_one(seed: int, n: int, d: int, radius: float, out_dir=None):
     reg = spec.with_gamma(gamma)
     sweep = []
     for eps in EPS_GRID:
-        _, r, s = newton_solve(reg, X0, NewtonConfig(eps=eps, max_iter=100))
+        _, r, s = newton_solve(reg, X0, eps=eps, max_iter=100)
         sweep.append(len(r) if s == "Converged" else -1)
 
     return {"seed": seed, "n": n, "d": d, "status": status,

@@ -30,7 +30,6 @@ from .solver import (
     CONVERGED,
     MAX_ITER,
     NUMERICAL_FAILURE,
-    NewtonConfig,
     RunRecord,
     gd_solve,
     newton_solve,

@@ -32,7 +32,7 @@ class UsageError(Exception):
 def _read(reader, path, what: str):
     try:
         return reader(path)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         raise UsageError(f"cannot read {what}: {exc}") from exc
 
 
@@ -252,8 +252,8 @@ def cmd_solve(args) -> int:
     meta = {"problem": args.problem, "solver": args.solver, "seed": args.seed,
             "init": args.init, "gamma_mode": mode or "problem"}
     if args.solver == "newton":
-        cfg = solver.NewtonConfig(eps=args.eps, max_iter=args.max_iter)
-        X_out, records, status = solver.newton_solve(spec, X0, cfg)
+        X_out, records, status = solver.newton_solve(spec, X0, eps=args.eps,
+                                                     max_iter=args.max_iter)
     else:
         X_out, records, status = solver.gd_solve(spec, X0, args.eta,
                                                  args.max_iter, eps=args.eps)
@@ -311,7 +311,7 @@ def cmd_report(args) -> int:
     for path in args.runs:
         try:
             row = _report_row(path)
-        except OSError as exc:
+        except (OSError, ValueError, TypeError) as exc:  # unreadable or unformattable
             print(f"warning: cannot read {path}: {exc}", file=sys.stderr)
             continue
         if row is not None:
@@ -378,7 +378,7 @@ def main(argv=None) -> int:
         # checks, so numpy's floating-point warnings would only be noise
         with np.errstate(all="ignore"):
             return args.func(args)
-    except UsageError as exc:
+    except (UsageError, OSError) as exc:  # OSError: an output cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

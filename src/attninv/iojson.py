@@ -2,8 +2,8 @@
 
 Floats are written with 17 significant decimal digits, which round-trips
 every finite double bit-exactly and keeps artifacts byte-reproducible.
-Run records are persisted without the wallclock field: timing is real
-measurement and would break byte-identity of repeated runs.
+Run logs persist every RunRecord field; records carry no timings, which
+would break byte-identity of repeated runs.
 """
 from __future__ import annotations
 
@@ -101,7 +101,8 @@ def write_run_log(path, records, meta: dict | None = None) -> None:
 
 def read_run_log(path):
     """Parse a run log into (meta, records, skipped) where records are
-    dicts and skipped counts malformed lines."""
+    dicts and skipped counts malformed lines: not a JSON object, a meta
+    that is not an object, or neither meta nor record."""
     meta = {}
     records = []
     skipped = 0
@@ -112,12 +113,11 @@ def read_run_log(path):
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError:
-                skipped += 1
-                continue
-            if "meta" in obj:
+            except (json.JSONDecodeError, RecursionError):  # or nested too deep
+                obj = None
+            if isinstance(obj, dict) and isinstance(obj.get("meta"), dict):
                 meta = obj["meta"]
-            elif "iter" in obj:
+            elif isinstance(obj, dict) and "iter" in obj and "meta" not in obj:
                 records.append(obj)
             else:
                 skipped += 1

@@ -26,7 +26,6 @@ class FdConfig:
     """
 
     step: float = 1e-5
-    scheme: str = "central"
     tol_abs: float = 1e-6
     tol_rel: float = 1e-6
     step2: float = 1e-4
@@ -36,8 +35,6 @@ class FdConfig:
             raise ValueError("steps must be positive")
         if self.tol_abs <= 0 or self.tol_rel <= 0:
             raise ValueError("tolerances must be positive")
-        if self.scheme != "central":
-            raise ValueError("only the central scheme is supported")
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,14 @@
-"""Regularized damped Newton recovery and the gradient-descent baseline."""
+"""Regularized damped Newton recovery and the gradient-descent baseline.
+
+Run records hold no timings, so seeded runs are byte-reproducible.
+"""
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import choose_gamma, effective_bound_constant
 from .gradient import grad_L
 from .hessian import hessian_L
 from .model import (
@@ -32,53 +33,14 @@ _MAX_BACKTRACKS = 40
 
 
 @dataclass(frozen=True)
-class NewtonConfig:
-    """Newton solve parameters.
-
-    eps scales the gradient-norm stop ||grad|| <= eps * (1 + |loss|);
-    damping is the initial Levenberg shift (0 relies on the gamma term);
-    line_search is "backtracking" or "none"; gamma_mode "explicit" keeps
-    the instance's gamma, "auto" replaces it with the dimension-based
-    choice.
-    """
-
-    eps: float = 1e-8
-    max_iter: int = 100
-    damping: float = 0.0
-    line_search: str = "backtracking"
-    gamma_mode: str = "explicit"
-
-    def __post_init__(self):
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-        if self.damping < 0:
-            raise ValueError("damping must be nonnegative")
-        if self.line_search not in ("backtracking", "none"):
-            raise ValueError("line_search must be 'backtracking' or 'none'")
-        if self.gamma_mode not in ("explicit", "auto"):
-            raise ValueError("gamma_mode must be 'explicit' or 'auto'")
-
-
-@dataclass(frozen=True)
 class RunRecord:
-    """Per-iteration telemetry; wallclock_ms is measurement-only and never
-    enters persisted artifacts."""
+    """Per-iteration telemetry, persisted field for field in run.jsonl."""
 
     iter: int
     loss: float
     grad_norm: float
     step_norm: float
     damping_used: float
-    wallclock_ms: float
-
-
-def _effective_spec(spec: ProblemSpec, X0, cfg: NewtonConfig) -> ProblemSpec:
-    if cfg.gamma_mode == "auto":
-        r_eff = effective_bound_constant(spec, X0)
-        return spec.with_gamma(choose_gamma(spec.n, spec.d, r_eff))
-    return spec
 
 
 def _bump(lam: float) -> float:
@@ -115,35 +77,38 @@ def _try_solve(H: np.ndarray, lam: float, g: np.ndarray):
     return np.linalg.solve(cf.T, y)
 
 
-def newton_solve(spec: ProblemSpec, X0, cfg: NewtonConfig = NewtonConfig()):
-    """Damped Newton iteration on the regularized loss.
+def newton_solve(spec: ProblemSpec, X0, eps: float = 1e-8, max_iter: int = 100):
+    """Damped Newton iteration with Armijo backtracking on the regularized
+    loss, stopped when ||grad|| <= eps * (1 + |loss|).
 
     Returns (X_out, records, status) with status one of Converged,
-    MaxIter, NumericalFailure.  The damping grows tenfold whenever the
-    shifted system is not positive definite or the step fails the descent
-    test, and shrinks tenfold after every accepted step.
+    MaxIter, NumericalFailure.  The damping starts at 0 (the gamma term
+    regularizes), grows tenfold whenever the shifted system is not
+    positive definite or the step fails the descent test, and shrinks
+    tenfold after every accepted step.
     """
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     X = check_input(spec, X0).copy()
     if spec.n * spec.d > dense_cap():
         raise ValueError(
             f"n*d = {spec.n * spec.d} exceeds the dense cap {dense_cap()}")
-    work = _effective_spec(spec, X, cfg)
-    lam = cfg.damping
+    lam = 0.0
     records: list[RunRecord] = []
     status = MAX_ITER
-    t0 = time.perf_counter()
-    for it in range(cfg.max_iter):
-        point = evaluate(work, X)
+    for it in range(max_iter):
+        point = evaluate(spec, X)
         if point is None:
             status = NUMERICAL_FAILURE
             break
         cache, cur, g, gn = point
-        if gn <= cfg.eps * (1.0 + abs(cur)):
-            records.append(RunRecord(it, cur, gn, 0.0, lam,
-                                     (time.perf_counter() - t0) * 1e3))
+        if gn <= eps * (1.0 + abs(cur)):
+            records.append(RunRecord(it, cur, gn, 0.0, lam))
             status = CONVERGED
             break
-        H = hessian_L(cache, work, X)
+        H = hessian_L(cache, spec, X)
         step_norm = 0.0
         lam_used = lam
         accepted = False
@@ -159,12 +124,9 @@ def newton_solve(spec: ProblemSpec, X0, cfg: NewtonConfig = NewtonConfig()):
             ok = False
             for _ in range(_MAX_BACKTRACKS):
                 try:
-                    trial = loss(work, X + t * direction)
+                    trial = loss(spec, X + t * direction)
                 except NumericalRangeError:
                     trial = np.inf
-                if cfg.line_search == "none":
-                    ok = np.isfinite(trial)
-                    break
                 if np.isfinite(trial) and trial <= cur + _ARMIJO_C * t * slope:
                     ok = True
                     break
@@ -176,8 +138,7 @@ def newton_solve(spec: ProblemSpec, X0, cfg: NewtonConfig = NewtonConfig()):
                 accepted = True
                 break
             lam = _bump(lam)
-        records.append(RunRecord(it, cur, gn, step_norm, lam_used,
-                                 (time.perf_counter() - t0) * 1e3))
+        records.append(RunRecord(it, cur, gn, step_norm, lam_used))
         if not accepted:
             status = NUMERICAL_FAILURE
             break
@@ -201,7 +162,6 @@ def gd_solve(spec: ProblemSpec, X0, eta: float, max_iter: int,
     status = MAX_ITER
     increases = 0
     prev = np.inf
-    t0 = time.perf_counter()
     for it in range(max_iter):
         point = evaluate(spec, X)
         if point is None:
@@ -209,16 +169,14 @@ def gd_solve(spec: ProblemSpec, X0, eta: float, max_iter: int,
             break
         _, cur, g, gn = point
         if gn <= eps * (1.0 + abs(cur)):
-            records.append(RunRecord(it, cur, gn, 0.0, 0.0,
-                                     (time.perf_counter() - t0) * 1e3))
+            records.append(RunRecord(it, cur, gn, 0.0, 0.0))
             status = CONVERGED
             break
         increases = increases + 1 if cur > prev else 0
         step = eta * g
         step_norm = math.sqrt(step.dot(step))
         finite = math.isfinite(step_norm)
-        records.append(RunRecord(it, cur, gn, step_norm if finite else 0.0, 0.0,
-                                 (time.perf_counter() - t0) * 1e3))
+        records.append(RunRecord(it, cur, gn, step_norm if finite else 0.0, 0.0))
         if increases >= 10 or not finite:
             status = NUMERICAL_FAILURE
             break
@@ -236,7 +194,6 @@ __all__ = [
     "CONVERGED",
     "MAX_ITER",
     "NUMERICAL_FAILURE",
-    "NewtonConfig",
     "RunRecord",
     "distance_to",
     "evaluate",

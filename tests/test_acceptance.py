@@ -22,7 +22,7 @@ from attninv.gradient import grad_L
 from attninv.hessian import d2c_entry, hessian_L, hessian_c
 from attninv.model import forward_cache, loss
 from attninv.oracle import FdConfig, fd_grad, fd_hessian, fd_jacobian
-from attninv.solver import CONVERGED, NewtonConfig, gd_solve, newton_solve
+from attninv.solver import CONVERGED, gd_solve, newton_solve
 from conftest import bounded_instance, bounded_x, per_point
 
 # fixed recovery family for criteria 7-9: (seed, n, d), n <= 4, d <= 3
@@ -159,8 +159,7 @@ def _recovery_runs():
     for seed, n, d in RECOVERY_FAMILY:
         spec, x_true = make_instance(seed, n, d)
         X0 = perturbed_start(x_true, 0.01, 1000 + seed)
-        X, recs, status = newton_solve(spec, X0,
-                                       NewtonConfig(eps=1e-12, max_iter=25))
+        X, recs, status = newton_solve(spec, X0, eps=1e-12, max_iter=25)
         runs.append((seed, spec, x_true, X0, X, recs, status))
     return runs
 
@@ -184,8 +183,7 @@ def test_criterion_7_newton_recovery():
         reg = spec.with_gamma(gamma)
         iters = []
         for eps in eps_grid:
-            _, recs, status = newton_solve(reg, X0,
-                                           NewtonConfig(eps=eps, max_iter=100))
+            _, recs, status = newton_solve(reg, X0, eps=eps, max_iter=100)
             if status != CONVERGED:
                 bad.append(f"seed{seed}:gamma-run {status} at eps={eps}")
                 break

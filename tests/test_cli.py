@@ -170,6 +170,47 @@ def test_report_skips_malformed(tmp_path, capsys):
     assert "skipped" in capsys.readouterr().err
 
 
+# Run logs for report: one it can format, and JSON-valid ones it cannot.
+_RUN_LOGS = {
+    "good": '{"meta": {"solver": "gd", "final_loss": 0.5}}',
+    "loss_str": '{"meta": {"final_loss": "x"}}',
+    "loss_inf": '{"meta": {"final_loss": 1e999}}',
+    "loss_null": '{"meta": {"final_loss": null}}',
+    "meta_list": '{"meta": [1]}',
+    "record_null": '{"iter": 0, "loss": null, "grad_norm": 1.0}',
+    "deep": "[" * 100000,
+}
+
+
+@pytest.mark.parametrize("name", sorted(set(_RUN_LOGS) - {"good"}))
+def test_report_skips_unformattable_logs(tmp_path, capsys, name):
+    bad, good = tmp_path / "bad.jsonl", tmp_path / "good.jsonl"
+    bad.write_text(_RUN_LOGS[name] + "\n")
+    good.write_text(_RUN_LOGS["good"] + "\n")
+    assert run_cli("report", str(bad), str(good)) == 0
+    captured = capsys.readouterr()
+    assert captured.err.startswith("warning: ") and str(bad) in captured.err
+    assert captured.out.strip().splitlines()[1:] == [",gd,0,0.5,,"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--out", "{taken}"],
+    ["solve", "--problem", "{inst}/problem.json", "--init", "perturb:0.01",
+     "--out", "{taken}"],
+    ["report", "--csv", "{missing}/summary.csv"],
+])
+def test_unwritable_output_is_usage_error(tmp_path, capsys, argv):
+    inst, taken = tmp_path / "inst", tmp_path / "taken"
+    run_cli("generate", "--seed", "0", "--n", "2", "--d", "2", "--out", str(inst))
+    taken.write_text("")
+    capsys.readouterr()
+    argv = [a.format(inst=inst, taken=taken, missing=tmp_path / "missing")
+            for a in argv]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_solve_gd_divergence_writes_artifacts(tmp_path, capsys):
     out = tmp_path / "inst"
     run_cli("generate", "--seed", "0", "--n", "3", "--d", "2", "--out", str(out))
@@ -252,6 +293,20 @@ def test_input_matrix_files_are_validated(tmp_path, capsys):
 def _meta(run_dir):
     lines = (run_dir / "run.jsonl").read_text().strip().splitlines()
     return json.loads(lines[0])["meta"], [json.loads(line) for line in lines[1:]]
+
+
+def test_solve_gamma_auto(tmp_path, capsys):
+    inst, run_dir = tmp_path / "inst", tmp_path / "run"
+    run_cli("generate", "--seed", "4", "--n", "2", "--d", "2", "--out", str(inst))
+    code = run_cli("solve", "--problem", str(inst / "problem.json"),
+                   "--init", "perturb:0.01", "--seed", "2", "--eps", "1e-10",
+                   "--gamma", "auto", "--out", str(run_dir))
+    meta, _ = _meta(run_dir)
+    assert code == 0 and meta["status"] == "Converged"
+    assert meta["gamma_mode"] == "auto"
+    # heavy regularization pulls the minimizer near the origin
+    x_out = read_matrix(run_dir / "x_out.json")
+    assert np.linalg.norm(x_out) < np.linalg.norm(read_matrix(inst / "x_true.json"))
 
 
 def test_solve_gd_infinite_step_is_numerical_failure(tmp_path, capsys):
@@ -402,6 +457,7 @@ _MATRICES = {
     "large": '{"rows": 2, "cols": 2, "data": [30, -30, 30, 30]}',
     # exp stays in range (W[0, 0] < 0 in contract_dir), but R^8 overflows
     "far": '{"rows": 2, "cols": 2, "data": [1e60, 0, 0, 0]}',
+    "deep": "[" * 100000,
 }
 _CAPS = [None, "abc", "0", "-2", "", "1", "3", "4", "1e3", " 8"]
 
@@ -414,20 +470,32 @@ def contract_dir(tmp_path_factory):
     assert read_problem(root / "inst" / "problem.json").W[0, 0] < 0
     for name, text in _MATRICES.items():
         (root / f"{name}.json").write_text(text)
+    for name, text in _RUN_LOGS.items():
+        (root / f"{name}.jsonl").write_text(text + "\n")
     return root
 
 
 @st.composite
 def _contract_argv(draw):
-    """argv with {root} standing for the directory of contract_dir."""
+    """argv with {root} standing for the directory of contract_dir and {out}
+    for an empty directory; {root}/ok.json is a file, so no directory can be
+    made there, and {root}/missing does not exist."""
     problem = "{root}/inst/problem.json"
     matrix = "{root}/" + draw(st.sampled_from(sorted(_MATRICES))) + ".json"
-    command = draw(st.sampled_from(["generate", "check", "solve"]))
+    out = draw(st.sampled_from(["{out}", "{root}/ok.json"]))
+    command = draw(st.sampled_from(["generate", "check", "solve", "report"]))
     if command == "generate":
         return ["generate", "--n", draw(st.sampled_from(["0", "1", "2", "-1", "x"])),
                 "--d", draw(st.sampled_from(["1", "2", "0"])),
                 "--gamma", draw(st.sampled_from(["auto"] + _NUMBERS)),
-                "--out", "{out}"]
+                "--out", out]
+    if command == "report":
+        logs = [f"{{root}}/{name}.jsonl" for name in sorted(_RUN_LOGS)]
+        argv = ["report"] + draw(st.lists(st.sampled_from(
+            logs + [matrix, "{root}/nope.jsonl"]), max_size=3))
+        csv = draw(st.sampled_from([None, "{out}/summary.csv",
+                                    "{root}/missing/summary.csv"]))
+        return argv + (["--csv", csv] if csv else [])
     if command == "check":
         argv = ["check", "--problem", problem,
                 "--level", draw(st.sampled_from(["grad", "hessian", "bounds", "psd",
@@ -438,7 +506,7 @@ def _contract_argv(draw):
     argv = ["solve", "--problem", problem, "--init", init,
             "--solver", draw(st.sampled_from(["newton", "gd"])),
             "--max-iter", draw(st.sampled_from(["1", "5", "0", "-1", "x"])),
-            "--out", "{out}"]
+            "--out", out]
     for flag in ("--eps", "--eta", "--gamma"):
         if draw(st.booleans()):
             argv += [flag, draw(st.sampled_from(_NUMBERS + ["auto"]))]
@@ -465,7 +533,20 @@ _SOLVE = ["solve", "--problem", "{root}/inst/problem.json", "--out", "{out}"]
 @example(argv=["generate", "--r-target", "0", "--out", "{out}"], cap=None)
 @example(argv=["generate", "--r-target", "nan", "--out", "{out}"], cap=None)
 @example(argv=["generate", "--r-target", "inf", "--out", "{out}"], cap=None)
-@settings(max_examples=60, deadline=None)
+@example(argv=["generate", "--out", "{root}/ok.json"], cap=None)
+@example(argv=["solve", "--problem", "{root}/inst/problem.json",
+               "--init", "perturb:0.01", "--out", "{root}/ok.json"], cap=None)
+@example(argv=["report", "{root}/good.jsonl", "--csv", "{root}/missing/s.csv"],
+         cap=None)
+@example(argv=["report", "{root}/loss_str.jsonl"], cap=None)
+@example(argv=["report", "{root}/loss_inf.jsonl"], cap=None)
+@example(argv=["report", "{root}/loss_null.jsonl"], cap=None)
+@example(argv=["report", "{root}/meta_list.jsonl"], cap=None)
+@example(argv=["report", "{root}/record_null.jsonl"], cap=None)
+@example(argv=["report", "{root}/deep.jsonl"], cap=None)
+@example(argv=["check", "--problem", "{root}/inst/problem.json",
+               "--x", "{root}/deep.json"], cap=None)
+@settings(max_examples=80, deadline=None)
 def test_cli_exit_code_contract(contract_dir, argv, cap):
     with tempfile.TemporaryDirectory() as out, pytest.MonkeyPatch.context() as mp:
         if cap is None:
@@ -480,4 +561,7 @@ def test_cli_exit_code_contract(contract_dir, argv, cap):
     assert code in (0, 1, 2), argv
     assert "Traceback" not in err.getvalue()
     if code == 2:
-        assert err.getvalue().startswith(("error: ", "usage: ")), argv
+        text = err.getvalue()
+        while text.startswith("warning: "):  # report warns of each log it skips
+            text = text.split("\n", 1)[1]
+        assert text.startswith(("error: ", "usage: ")), argv

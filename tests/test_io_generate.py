@@ -116,8 +116,8 @@ def test_problem_json_is_stable_text():
 
 
 def test_run_log_roundtrip_and_malformed_lines(tmp_path):
-    recs = [RunRecord(0, 1.0, 0.5, 0.1, 0.0, 12.5),
-            RunRecord(1, 0.25, 0.1, 0.05, 1e-4, 13.0)]
+    recs = [RunRecord(0, 1.0, 0.5, 0.1, 0.0),
+            RunRecord(1, 0.25, 0.1, 0.05, 1e-4)]
     p = tmp_path / "run.jsonl"
     write_run_log(p, recs, meta={"solver": "newton"})
     with open(p, "a") as fh:
@@ -127,6 +127,18 @@ def test_run_log_roundtrip_and_malformed_lines(tmp_path):
     assert meta == {"solver": "newton"}
     assert len(records) == 2
     assert skipped == 2
-    # wallclock is measurement, never persisted
-    assert "wallclock_ms" not in records[0]
+    # every RunRecord field is persisted, and nothing else
+    assert set(records[0]) == {"iter", "loss", "grad_norm", "step_norm",
+                               "damping_used"}
     assert records[1]["loss"] == 0.25
+
+
+def test_run_log_non_objects_are_malformed(tmp_path):
+    p = tmp_path / "run.jsonl"
+    p.write_text('{"meta": {"solver": "gd"}}\n{"meta": [1]}\n{"meta": null}\n'
+                 '1\n"meta"\n[1]\n{"iter": 0, "meta": 1}\n{"iter": 0}\n'
+                 + "[" * 100000 + "\n")
+    meta, records, skipped = read_run_log(p)
+    assert meta == {"solver": "gd"}
+    assert records == [{"iter": 0}]
+    assert skipped == 7

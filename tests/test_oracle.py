@@ -253,5 +253,3 @@ def test_config_validation():
         FdConfig(step=0.0)
     with pytest.raises(ValueError):
         FdConfig(tol_abs=-1.0)
-    with pytest.raises(ValueError):
-        FdConfig(scheme="forward")

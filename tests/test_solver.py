@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -9,7 +7,6 @@ from attninv.solver import (
     CONVERGED,
     MAX_ITER,
     NUMERICAL_FAILURE,
-    NewtonConfig,
     gd_solve,
     newton_solve,
 )
@@ -23,7 +20,7 @@ def scalar_spec():
 
 def test_newton_scalar_quadratic():
     spec = scalar_spec()
-    X, recs, status = newton_solve(spec, [[0.4]], NewtonConfig(eps=1e-12))
+    X, recs, status = newton_solve(spec, [[0.4]], eps=1e-12)
     assert status == CONVERGED
     assert len(recs) <= 3
     assert X[0, 0] == pytest.approx(0.5, abs=1e-12)
@@ -33,7 +30,7 @@ def test_newton_scalar_quadratic():
 def test_newton_recovers_synthesized_instance():
     spec, x_true = make_instance(3, 3, 2)
     X0 = perturbed_start(x_true, 0.01, 11)
-    X, recs, status = newton_solve(spec, X0, NewtonConfig(eps=1e-12, max_iter=50))
+    X, recs, status = newton_solve(spec, X0, eps=1e-12, max_iter=50)
     assert status == CONVERGED
     assert loss(spec, X) <= 1e-16
     assert np.linalg.norm(X - x_true) <= 1e-6
@@ -42,7 +39,7 @@ def test_newton_recovers_synthesized_instance():
 def test_newton_descent_is_monotone_with_backtracking():
     spec, x_true = make_instance(5, 3, 2)
     X0 = perturbed_start(x_true, 0.5, 3)
-    _, recs, status = newton_solve(spec, X0, NewtonConfig(eps=1e-12, max_iter=60))
+    _, recs, status = newton_solve(spec, X0, eps=1e-12, max_iter=60)
     assert status == CONVERGED
     losses = [r.loss for r in recs]
     assert all(b <= a + 1e-15 for a, b in zip(losses, losses[1:]))
@@ -52,8 +49,7 @@ def test_newton_quadratic_tail():
     spec, x_true = make_instance(7, 3, 2)
     gamma_spec = spec.with_gamma(1.0)
     X0 = perturbed_start(x_true, 0.05, 5)
-    _, recs, status = newton_solve(gamma_spec, X0,
-                                   NewtonConfig(eps=1e-10, max_iter=60))
+    _, recs, status = newton_solve(gamma_spec, X0, eps=1e-10, max_iter=60)
     assert status == CONVERGED
     tail = [r.grad_norm for r in recs[-3:]]
     assert len(tail) == 3
@@ -68,7 +64,7 @@ def test_newton_quadratic_tail():
 def test_newton_respects_max_iter():
     spec, x_true = make_instance(9, 3, 2)
     X0 = perturbed_start(x_true, 0.3, 1)
-    _, recs, status = newton_solve(spec, X0, NewtonConfig(eps=1e-15, max_iter=2))
+    _, recs, status = newton_solve(spec, X0, eps=1e-15, max_iter=2)
     assert status == MAX_ITER
     assert len(recs) == 2
     assert [r.iter for r in recs] == [0, 1]
@@ -79,9 +75,8 @@ def test_newton_is_deterministic():
     X0 = perturbed_start(x_true, 0.02, 4)
     runs = []
     for _ in range(2):
-        X, recs, status = newton_solve(spec, X0, NewtonConfig(eps=1e-12))
-        stripped = [dataclasses.replace(r, wallclock_ms=0.0) for r in recs]
-        runs.append((X.tobytes(), stripped, status))
+        X, recs, status = newton_solve(spec, X0, eps=1e-12)
+        runs.append((X.tobytes(), recs, status))
     assert runs[0] == runs[1]
 
 
@@ -91,8 +86,8 @@ def test_solver_blind_to_target_provenance():
     clone = ProblemSpec(spec.n, spec.d, spec.W.copy(), spec.V.copy(),
                         spec.B.copy(), spec.gamma)
     X0 = perturbed_start(x_true, 0.01, 8)
-    Xa, ra, sa = newton_solve(spec, X0, NewtonConfig(eps=1e-12))
-    Xb, rb, sb = newton_solve(clone, X0, NewtonConfig(eps=1e-12))
+    Xa, ra, sa = newton_solve(spec, X0, eps=1e-12)
+    Xb, rb, sb = newton_solve(clone, X0, eps=1e-12)
     assert sa == sb and np.array_equal(Xa, Xb)
     assert [r.loss for r in ra] == [r.loss for r in rb]
 
@@ -112,7 +107,7 @@ def test_gd_scalar_contraction_and_divergence():
 def test_gd_reaches_small_loss_slower_than_newton():
     spec, x_true = make_instance(3, 3, 2)
     X0 = perturbed_start(x_true, 0.01, 11)
-    _, newton_recs, _ = newton_solve(spec, X0, NewtonConfig(eps=1e-12))
+    _, newton_recs, _ = newton_solve(spec, X0, eps=1e-12)
     _, gd_recs, status = gd_solve(spec, X0, eta=0.1, max_iter=5000, eps=1e-12)
     reached = [r.iter for r in gd_recs if r.loss <= 1e-8]
     assert reached, "gradient descent never reached loss 1e-8"
@@ -128,21 +123,8 @@ def test_gd_validation():
 
 
 def test_newton_config_validation():
-    with pytest.raises(ValueError):
-        NewtonConfig(eps=0.0)
-    with pytest.raises(ValueError):
-        NewtonConfig(max_iter=0)
-    with pytest.raises(ValueError):
-        NewtonConfig(line_search="bogus")
-    with pytest.raises(ValueError):
-        NewtonConfig(gamma_mode="bogus")
-
-
-def test_newton_auto_gamma_mode():
-    spec, x_true = make_instance(4, 2, 2)
-    X0 = perturbed_start(x_true, 0.01, 2)
-    X, recs, status = newton_solve(
-        spec, X0, NewtonConfig(eps=1e-10, gamma_mode="auto"))
-    assert status == CONVERGED
-    # heavy regularization pulls the minimizer near the origin
-    assert np.linalg.norm(X) < np.linalg.norm(x_true)
+    spec = scalar_spec()
+    with pytest.raises(ValueError, match="eps"):
+        newton_solve(spec, [[0.0]], eps=0.0)
+    with pytest.raises(ValueError, match="max_iter"):
+        newton_solve(spec, [[0.0]], max_iter=0)
