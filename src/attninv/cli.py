@@ -120,24 +120,27 @@ def _check_entries(spec: ProblemSpec, X, level: str, seed: int):
     def add(name, passed, detail):
         results.append({"check": name, "pass": bool(passed), **detail})
 
+    def add_bounds(name, rep):
+        add(name, rep.passed, {"r_eff": rep.r_eff, "checks": [
+            {"name": c.name, "lhs": c.lhs, "rhs": c.rhs, "pass": c.passed, "kind": c.kind}
+            for c in rep.checks]})
+
     if level in ("grad", "all"):
-        cfg = oracle.FdConfig(tol_abs=1e-6, tol_rel=1e-6)
-        rep = oracle.check(
-            gradient.grad_L(cache, spec, X),
-            oracle.fd_grad(lambda Ys: loss(spec, Ys), X, cfg),
-            cfg, target="grad_L")
+        tol = 1e-6
+        rep = oracle.check(gradient.grad_L(cache, spec, X),
+                           oracle.fd_grad(lambda Ys: loss(spec, Ys), X), tol,
+                           target="grad_L")
         add("grad_L_vs_fd", rep.passed,
             {"max_abs_err": rep.max_abs_err, "max_rel_err": rep.max_rel_err,
-             "worst_index": list(rep.worst_index),
-             "tol_abs": cfg.tol_abs, "tol_rel": cfg.tol_rel})
+             "worst_index": list(rep.worst_index), "tol_abs": tol, "tol_rel": tol})
     if level in ("hessian", "all"):
-        cfg = oracle.FdConfig(tol_abs=1e-4, tol_rel=1e-4)
+        tol = 1e-4
         H = hessian.hessian_L(cache, spec, X)
-        rep = oracle.check(H, oracle.fd_hessian(lambda Ys: loss(spec, Ys), X, cfg),
-                           cfg, target="hessian_L")
+        rep = oracle.check(H, oracle.fd_hessian(lambda Ys: loss(spec, Ys), X), tol,
+                           target="hessian_L")
         add("hessian_L_vs_fd", rep.passed,
             {"max_abs_err": rep.max_abs_err, "worst_index": list(rep.worst_index),
-             "tol_abs": cfg.tol_abs, "tol_rel": cfg.tol_rel})
+             "tol_abs": tol, "tol_rel": tol})
         asym = float(np.abs(H - H.T).max())
         tol = 1e-8 * (1.0 + float(np.abs(H).max()))
         add("hessian_L_symmetry", asym <= tol, {"asymmetry": asym, "tol": tol})
@@ -149,12 +152,7 @@ def _check_entries(spec: ProblemSpec, X, level: str, seed: int):
                 worst = max(worst, float(np.abs(diff).max()))
         add("hessian_block_entry_equiv", worst <= 1e-10, {"max_abs_diff": worst})
     if level in ("bounds", "all"):
-        rep = analysis.bound_suite(cache, spec, X)
-        add("bound_suite", rep.passed,
-            {"r_eff": rep.r_eff,
-             "checks": [{"name": c.name, "lhs": c.lhs, "rhs": c.rhs,
-                         "pass": c.passed, "kind": c.kind}
-                        for c in rep.checks]})
+        add_bounds("bound_suite", analysis.bound_suite(cache, spec, X))
     if level in ("psd", "all"):
         rep = analysis.psd_floor(spec, X)
         add("psd_floor", rep.passed and rep.hessian_c_passed,
@@ -173,12 +171,7 @@ def _check_entries(spec: ProblemSpec, X, level: str, seed: int):
             A = rescale_spectral(random_matrix(gen, spec.d, spec.n), 1.2)
             Bm = rescale_spectral(random_matrix(gen, spec.d, spec.n), 1.2)
             pairs.append((A, Bm))
-        rep = analysis.lipschitz_probe(spec, pairs)
-        add("lipschitz_probe", rep.passed,
-            {"r_eff": rep.r_eff,
-             "checks": [{"name": c.name, "lhs": c.lhs, "rhs": c.rhs,
-                         "pass": c.passed, "kind": c.kind}
-                        for c in rep.checks]})
+        add_bounds("lipschitz_probe", analysis.lipschitz_probe(spec, pairs))
     return results
 
 
@@ -191,7 +184,7 @@ def cmd_check(args) -> int:
     else:
         X = _sample_x(spec, args.seed)
         meta["x_source"] = f"seed:{args.seed}"
-    if args.level in ("hessian", "psd", "lipschitz", "all"):
+    if args.level != "grad":
         _check_cap(spec.n * spec.d)
     try:
         results = _check_entries(spec, X, args.level, args.seed)

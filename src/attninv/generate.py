@@ -97,7 +97,7 @@ def unit_perturbation(gen: SplitMix64, d: int, n: int) -> np.ndarray:
 def perturbed_start(x_true: np.ndarray, radius: float, seed: int) -> np.ndarray:
     """X_true plus a seeded random direction of Frobenius norm radius."""
     d, n = x_true.shape
-    if radius < 0:
+    if not radius >= 0:
         raise ValueError("radius must be nonnegative")
     if radius == 0:
         return x_true.copy()

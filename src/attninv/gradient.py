@@ -18,9 +18,6 @@ import numpy as np
 
 from .model import ForwardCache, ProblemSpec, check_input, flatten_input
 
-DIAGONAL = "diagonal"
-OFF_DIAGONAL = "off_diagonal"
-
 
 @dataclass(frozen=True)
 class GradEntryTerms:
@@ -30,7 +27,6 @@ class GradEntryTerms:
     fixed (C1..C5, resp. C6..C8) so repeated runs accumulate identically.
     """
 
-    case: str
     terms: tuple[tuple[str, float], ...]
 
     @property
@@ -64,14 +60,14 @@ def dc_entry(cache: ForwardCache, spec: ProblemSpec,
             ("C4", float(np.dot(F[:, i0] * cache.XW[:, j1], H[:, j0]))),
             ("C5", f00 * spec.V[j1, j0]),
         )
-        return GradEntryTerms(case=DIAGONAL, terms=terms)
+        return GradEntryTerms(terms)
     f01 = F[i1, i0]
     terms = (
         ("C6", -s * f01 * w1),
         ("C7", f01 * H[i1, j0] * w1),
         ("C8", f01 * spec.V[j1, j0]),
     )
-    return GradEntryTerms(case=OFF_DIAGONAL, terms=terms)
+    return GradEntryTerms(terms)
 
 
 def jacobian_c(cache: ForwardCache, spec: ProblemSpec) -> np.ndarray:
@@ -98,17 +94,17 @@ def grad_c(cache: ForwardCache, spec: ProblemSpec, i0: int, j0: int) -> np.ndarr
     return jacobian_c(cache, spec)[i0 * spec.d + j0]
 
 
-def grad_f_direction(cache: ForwardCache, spec: ProblemSpec,
-                     i0: int, i1: int, j1: int) -> np.ndarray:
-    """d F[:, i0] / d x[i1, j1]; entries sum to zero exactly in theory."""
-    _check_index(spec.n, i0=i0, i1=i1)
-    _check_index(spec.d, j1=j1)
-    f = cache.F[:, i0]
-    p = np.zeros(spec.n)
-    p[i1] = cache.Wsc[i0, j1]
-    if i0 == i1:
-        p = p + cache.XW[:, j1]
-    return f * p - f * float(np.dot(f, p))
+def softmax_jacobian(cache: ForwardCache, spec: ProblemSpec) -> np.ndarray:
+    """d F[:, i0] / d x[i1, j1] at [i0, i1, j1] of an (n, n, d, n) array:
+    f o p - f (f . p) with f = F[:, i0] and p the score derivative, Wsc[i0, j1]
+    at token i1 plus XW[:, j1] when i1 == i0.  Each sums to zero in theory."""
+    n = spec.n
+    P = np.zeros((n, n, spec.d, n))
+    probe = np.arange(n)
+    P[:, probe, :, probe] = cache.Wsc
+    P[probe, probe] += cache.XW.T
+    f = cache.F.T[:, None, None, :]
+    return f * P - f * (P[..., None, :] @ f[..., None])[..., 0]
 
 
 def grad_L(cache: ForwardCache, spec: ProblemSpec, X) -> np.ndarray:

@@ -13,28 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import NumericalRangeError
+from .model import NumericalRangeError, flatten_input
 
 
-@dataclass(frozen=True)
-class FdConfig:
-    """Central-difference stepping and comparison tolerances.
-
-    step is the relative first-derivative step (h_k = step * (1 + |x_k|));
-    step2 the second-derivative analog, kept larger to balance truncation
-    against round-off.
-    """
-
-    step: float = 1e-5
-    tol_abs: float = 1e-6
-    tol_rel: float = 1e-6
-    step2: float = 1e-4
-
-    def __post_init__(self):
-        if self.step <= 0 or self.step2 <= 0:
-            raise ValueError("steps must be positive")
-        if self.tol_abs <= 0 or self.tol_rel <= 0:
-            raise ValueError("tolerances must be positive")
+# Relative central-difference steps: coordinate k moves by STEP * (1 + |x_k|)
+# for first derivatives, by the larger STEP2 * (1 + |x_k|) for second ones,
+# to balance truncation against round-off.
+STEP = 1e-5
+STEP2 = 1e-4
 
 
 @dataclass(frozen=True)
@@ -47,8 +33,7 @@ class CheckReport:
 
 
 def _coordinate_steps(X: np.ndarray, step: float) -> np.ndarray:
-    flat = np.ascontiguousarray(X.T).reshape(-1)
-    return step * (1.0 + np.abs(flat))
+    return step * (1.0 + np.abs(flatten_input(X)))
 
 
 # Points per target call: at most this many score entries (n^2 per point)
@@ -80,16 +65,16 @@ def _add_at(Y: np.ndarray, ks: np.ndarray, deltas: np.ndarray) -> None:
     Y[np.arange(len(Y)), ks % d, ks // d] += deltas
 
 
-def fd_grad(scalar_fn, X, cfg: FdConfig) -> np.ndarray:
+def fd_grad(scalar_fn, X) -> np.ndarray:
     """Central-difference gradient of a scalar function of the (d, n) input."""
-    return fd_jacobian(scalar_fn, X, cfg)
+    return fd_jacobian(scalar_fn, X)
 
 
-def fd_jacobian(vector_fn, X, cfg: FdConfig) -> np.ndarray:
+def fd_jacobian(vector_fn, X) -> np.ndarray:
     """Columnwise central differences of a vector function; column k is the
     derivative along flattened coordinate k."""
     X = np.asarray(X, dtype=float)
-    steps = _coordinate_steps(X, cfg.step)
+    steps = _coordinate_steps(X, STEP)
     ks = np.arange(X.size).repeat(2)
     Y = np.repeat(X[None], len(ks), axis=0)
     _add_at(Y, ks, steps[ks] * np.tile([1.0, -1.0], X.size))
@@ -98,16 +83,16 @@ def fd_jacobian(vector_fn, X, cfg: FdConfig) -> np.ndarray:
     return np.moveaxis((v[0::2] - v[1::2]) / (2.0 * h), 0, -1)
 
 
-def fd_hessian(scalar_fn, X, cfg: FdConfig) -> np.ndarray:
+def fd_hessian(scalar_fn, X) -> np.ndarray:
     """Dense central-difference Hessian, symmetrized by averaging.
 
     Diagonal entries use the 3-point stencil, off-diagonals the 4-point
-    mixed stencil, with per-coordinate steps step2 * (1 + |x_k|).  Row k
+    mixed stencil, with per-coordinate steps STEP2 * (1 + |x_k|).  Row k
     is one stack: +k, -k, then pp, pm, mp, mm for every l > k.
     """
     X = np.asarray(X, dtype=float)
     m = X.size
-    steps = _coordinate_steps(X, cfg.step2)
+    steps = _coordinate_steps(X, STEP2)
     center = float(_evaluate(scalar_fn, X[None])[0])
     # Row k shifts k by k_signs[:p] * hk and, from its third point on, l > k
     # by the tail of l_deltas that starts at l = k + 1.
@@ -128,9 +113,12 @@ def fd_hessian(scalar_fn, X, cfg: FdConfig) -> np.ndarray:
     return 0.5 * (H + H.T)
 
 
-def check(analytic_value, oracle_value, cfg: FdConfig, target: str = "quantity") -> CheckReport:
+def check(analytic_value, oracle_value, tol: float,
+          target: str = "quantity") -> CheckReport:
     """Mixed-tolerance elementwise comparison: pass iff
-    |a - o| <= tol_abs + tol_rel * max(|a|, |o|) everywhere."""
+    |a - o| <= tol + tol * max(|a|, |o|) everywhere, rounded in that form."""
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
     a = np.asarray(analytic_value, dtype=float)
     o = np.asarray(oracle_value, dtype=float)
     if a.shape != o.shape:
@@ -139,7 +127,7 @@ def check(analytic_value, oracle_value, cfg: FdConfig, target: str = "quantity")
         return CheckReport(target, 0.0, 0.0, (), True)
     err = np.abs(a - o)
     scale = np.maximum(np.abs(a), np.abs(o))
-    allowance = cfg.tol_abs + cfg.tol_rel * scale
+    allowance = tol + tol * scale
     ratio = err / allowance
     worst_flat = int(np.argmax(ratio))
     worst = np.unravel_index(worst_flat, a.shape) if a.ndim else ()

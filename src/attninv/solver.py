@@ -87,7 +87,7 @@ def newton_solve(spec: ProblemSpec, X0, eps: float = 1e-8, max_iter: int = 100):
     positive definite or the step fails the descent test, and shrinks
     tenfold after every accepted step.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
@@ -153,8 +153,10 @@ def gd_solve(spec: ProblemSpec, X0, eta: float, max_iter: int,
     loss increases count as divergence, and so does a step whose norm is
     not finite (that step is not taken and is recorded with norm 0).
     """
-    if eta <= 0:
+    if not eta > 0:
         raise ValueError("eta must be positive")
+    if not eps > 0:
+        raise ValueError("eps must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     X = check_input(spec, X0).copy()

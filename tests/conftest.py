@@ -29,6 +29,34 @@ def bounded_x(seed: int, n: int, d: int, r_target: float = 1.2) -> np.ndarray:
     return rescale_spectral(random_matrix(gen, d, n), r_target)
 
 
+def softmax_direction(cache, spec, i0: int, i1: int, j1: int) -> np.ndarray:
+    """Reference for one derivative d F[:, i0] / d x[i1, j1] of
+    gradient.softmax_jacobian, built one direction at a time."""
+    f = cache.F[:, i0]
+    p = np.zeros(spec.n)
+    p[i1] = cache.Wsc[i0, j1]
+    if i0 == i1:
+        p = p + cache.XW[:, j1]
+    return f * p - f * float(np.dot(f, p))
+
+
+def direction_loop_softmax_grad_norms(cache, spec) -> tuple[float, float]:
+    """Reference for bound_suite's softmax_grad_direction_norm and
+    softmax_grad_frobenius: the worst direction norm, and the worst over i0
+    of the root of the running sum of its squared direction norms."""
+    worst_dir = 0.0
+    worst_full = 0.0
+    for i0 in range(spec.n):
+        sq = 0.0
+        for i1 in range(spec.n):
+            for j1 in range(spec.d):
+                norm = float(np.linalg.norm(softmax_direction(cache, spec, i0, i1, j1)))
+                worst_dir = max(worst_dir, norm)
+                sq += norm * norm
+        worst_full = max(worst_full, float(np.sqrt(sq)))
+    return worst_dir, worst_full
+
+
 def block_loop_hessian_c(cache, spec, i0: int, j0: int) -> np.ndarray:
     """Reference for hessian.hessian_c: the nd x nd Hessian of one residual
     tiled from the public case blocks, one block call per (i1, i2)."""

@@ -21,7 +21,7 @@ from attninv.generate import make_instance, perturbed_start
 from attninv.gradient import grad_L
 from attninv.hessian import d2c_entry, hessian_L, hessian_c
 from attninv.model import forward_cache, loss
-from attninv.oracle import FdConfig, fd_grad, fd_hessian, fd_jacobian
+from attninv.oracle import fd_grad, fd_hessian, fd_jacobian
 from attninv.solver import CONVERGED, gd_solve, newton_solve
 from conftest import bounded_instance, bounded_x, per_point
 
@@ -46,7 +46,7 @@ def test_criterion_1_gradient_certification():
             spec, X = bounded_instance(100 * seed + d, n, d)
             cache = forward_cache(spec, X)
             g = grad_L(cache, spec, X)
-            fd = fd_grad(lambda Ys: loss(spec, Ys), X, FdConfig())
+            fd = fd_grad(lambda Ys: loss(spec, Ys), X)
             allowance = 1e-6 + 1e-6 * np.maximum(np.abs(g), np.abs(fd))
             worst = max(worst, float((np.abs(g - fd) / allowance).max()))
             count += 1
@@ -71,12 +71,12 @@ def test_criterion_2_hessian_certification():
         scale = 1.0 + float(np.abs(H).max())
         worst_asym = max(worst_asym, float(np.abs(H - H.T).max()) / scale)
 
-        fdh = fd_hessian(lambda Ys: loss(spec, Ys), X, FdConfig())
+        fdh = fd_hessian(lambda Ys: loss(spec, Ys), X)
         allow = 1e-4 + 1e-4 * np.maximum(np.abs(H), np.abs(fdh))
         worst_fd = max(worst_fd, float((np.abs(H - fdh) / allow).max()))
 
         fdj = fd_jacobian(
-            per_point(lambda Y: grad_L(forward_cache(spec, Y), spec, Y)), X, FdConfig())
+            per_point(lambda Y: grad_L(forward_cache(spec, Y), spec, Y)), X)
         allow = 1e-4 + 1e-4 * np.maximum(np.abs(H), np.abs(fdj))
         worst_jac = max(worst_jac, float((np.abs(H - fdj) / allow).max()))
     elapsed = time.perf_counter() - t0

@@ -12,7 +12,12 @@ from attninv import hessian
 from attninv.gradient import jacobian_c
 from attninv.hessian import hessian_L
 from attninv.model import ProblemSpec, forward_cache, synthesize_target
-from conftest import block_loop_hessian_c, bounded_instance, bounded_x
+from conftest import (
+    block_loop_hessian_c,
+    bounded_instance,
+    bounded_x,
+    direction_loop_softmax_grad_norms,
+)
 
 
 def test_r_eff_is_at_least_one_and_tracks_norms():
@@ -46,6 +51,33 @@ def test_bound_suite_adversarial_scale_still_passes():
     assert rep.passed, rep.failures()
 
 
+@pytest.mark.parametrize("n,d", [(1, 1), (1, 4), (2, 1), (2, 3), (3, 2), (5, 3), (8, 4),
+                                 (17, 2)])
+def test_bound_suite_softmax_grad_checks_equal_the_direction_loop(n, d):
+    for seed in range(4):
+        spec, X = bounded_instance(seed, n, d)
+        X = X * (1 + seed)
+        cache = forward_cache(spec, X)
+        by_name = {c.name: c.lhs for c in bound_suite(cache, spec, X).checks}
+        got = (by_name["softmax_grad_direction_norm"],
+               by_name["softmax_grad_frobenius"])
+        assert got == direction_loop_softmax_grad_norms(cache, spec)
+
+
+@pytest.mark.parametrize("n,cases", [(1, (1,)), (2, (1, 2, 3, 4)), (3, (1, 2, 3, 4, 5)),
+                                     (6, (1, 2, 3, 4, 5))])
+def test_bound_suite_records_by_n(n, cases):
+    # the block records follow the index cases that occur at n
+    spec, X = bounded_instance(n, n, 2)
+    names = [c.name for c in bound_suite(forward_cache(spec, X), spec, X).checks]
+    assert names == [
+        "softmax_column_norm", "value_column_norm", "residual_abs",
+        "weighted_input_column_norm", "score_coeff_abs", "softmax_score_abs",
+        "output_abs", "softmax_grad_direction_norm", "softmax_grad_frobenius",
+        "residual_grad_entry_abs", "residual_grad_norm",
+    ] + [f"hessian_block{k}_norm" for k in cases]
+
+
 def test_psd_floor_at_truth_is_gauss_newton():
     spec, X = bounded_instance(4, 3, 2)
     made = synthesize_target(spec.W, spec.V, X)
@@ -71,8 +103,9 @@ def test_psd_floor_seeded():
 def test_choose_gamma_formula_and_positivity():
     assert choose_gamma(1, 1, 1.0) == 72.0
     assert choose_gamma(2, 2, 1.0) == 288.0
-    with pytest.raises(ValueError):
-        choose_gamma(1, 1, 0.5)
+    for r_eff in (0.5, float("nan")):
+        with pytest.raises(ValueError):
+            choose_gamma(1, 1, r_eff)
     spec, X = bounded_instance(0, 3, 2)
     gamma = choose_gamma(3, 2, effective_bound_constant(spec, X))
     reg = spec.with_gamma(gamma)

@@ -437,6 +437,20 @@ def test_bad_dense_cap_is_usage_error(tmp_path, capsys, monkeypatch, cap):
                    "--level", "grad") == 0
 
 
+@pytest.mark.parametrize("level", ["hessian", "bounds", "psd", "lipschitz", "all"])
+def test_check_hessian_levels_refuse_over_cap(tmp_path, capsys, monkeypatch, level):
+    # bound_suite builds n slabs of d (nd)^2 entries, so bounds is capped
+    # like the other Hessian levels; only grad runs past the cap
+    out = tmp_path / "inst"
+    run_cli("generate", "--seed", "0", "--n", "3", "--d", "3", "--out", str(out))
+    capsys.readouterr()
+    monkeypatch.setenv("ATTNINV_DENSE_CAP", "8")
+    problem = str(out / "problem.json")
+    assert run_cli("check", "--problem", problem, "--level", level) == 2
+    assert capsys.readouterr().err == "error: n*d = 9 exceeds the dense cap 8\n"
+    assert run_cli("check", "--problem", problem, "--level", "grad") == 0
+
+
 # Inputs for the exit-code contract: flag values, matrix files and dense
 # caps, valid and not.  Every command must return 0, 1 or 2 and raise
 # nothing: from the shell, an exception out of main is a traceback.

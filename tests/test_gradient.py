@@ -4,12 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from attninv.analysis import effective_bound_constant
-from attninv.gradient import dc_entry, grad_L, grad_c, grad_f_direction, jacobian_c
+from attninv.gradient import dc_entry, grad_L, grad_c, jacobian_c, softmax_jacobian
 from attninv.model import ProblemSpec, forward_cache, loss, synthesize_target
-from attninv.oracle import FdConfig, fd_grad, fd_jacobian
-from conftest import bounded_instance
-
-CFG = FdConfig()
+from attninv.oracle import fd_grad, fd_jacobian
+from conftest import bounded_instance, softmax_direction
 
 
 def residual_fn(spec, i0, j0):
@@ -44,7 +42,7 @@ def test_dc_entry_matches_fd_probe():
     spec, X = bounded_instance(0, 3, 2)
     cache = forward_cache(spec, X)
     got = dc_entry(cache, spec, 0, 0, 1, 1).total
-    fd = fd_grad(residual_fn(spec, 0, 0), X, CFG)[1 * 2 + 1]
+    fd = fd_grad(residual_fn(spec, 0, 0), X)[1 * 2 + 1]
     assert got == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
 
@@ -99,7 +97,7 @@ def test_grad_c_norm_bound_and_fd_row():
         for j0 in range(spec.d):
             g = grad_c(cache, spec, i0, j0)
             assert np.linalg.norm(g) <= 5 * np.sqrt(nd) * R**4
-            fd = fd_grad(residual_fn(spec, i0, j0), X, CFG)
+            fd = fd_grad(residual_fn(spec, i0, j0), X)
             assert np.abs(g - fd).max() <= 1e-6 * (1 + np.abs(fd).max())
 
 
@@ -119,30 +117,38 @@ def test_dc_entry_bound(seed, n, d):
 def test_grad_f_single_token_is_zero():
     spec = ProblemSpec(1, 1, [[0.9]], [[1.0]], [[0.0]])
     cache = forward_cache(spec, [[0.4]])
-    assert np.array_equal(grad_f_direction(cache, spec, 0, 0, 0), [0.0])
+    assert np.array_equal(softmax_jacobian(cache, spec), np.zeros((1, 1, 1, 1)))
 
 
 @given(st.integers(0, 2**31 - 1), st.integers(1, 5), st.integers(1, 3))
 @settings(max_examples=25, deadline=None)
 def test_grad_f_entries_sum_to_zero(seed, n, d):
     spec, X = bounded_instance(seed, n, d)
-    cache = forward_cache(spec, X)
-    for i0 in range(n):
-        for i1 in range(n):
-            for j1 in range(d):
-                g = grad_f_direction(cache, spec, i0, i1, j1)
-                assert abs(g.sum()) < 1e-12
+    J = softmax_jacobian(forward_cache(spec, X), spec)
+    assert J.shape == (n, n, d, n)
+    assert np.abs(J.sum(axis=-1)).max() < 1e-12
 
 
 def test_grad_f_matches_fd_of_softmax_column():
     spec, X = bounded_instance(0, 4, 2)
-    cache = forward_cache(spec, X)
+    G = softmax_jacobian(forward_cache(spec, X), spec)
     for i0 in range(4):
-        J = fd_jacobian(lambda Ys: forward_cache(spec, Ys).F[:, :, i0].copy(), X, CFG)
-        for i1 in range(4):
-            for j1 in range(2):
-                g = grad_f_direction(cache, spec, i0, i1, j1)
-                assert np.abs(g - J[:, i1 * 2 + j1]).max() < 1e-6
+        J = fd_jacobian(lambda Ys: forward_cache(spec, Ys).F[:, :, i0].copy(), X)
+        assert np.abs(G[i0].reshape(8, 4).T - J).max() < 1e-6
+
+
+@pytest.mark.parametrize("n,d", [(1, 1), (1, 3), (2, 1), (3, 2), (4, 3), (9, 2), (17, 3),
+                                 (40, 2)])
+def test_softmax_jacobian_equals_the_direction_loop_bitwise(n, d):
+    for seed in range(3):
+        spec, X = bounded_instance(seed, n, d)
+        cache = forward_cache(spec, X * (1 + seed))
+        G = softmax_jacobian(cache, spec)
+        for i0 in range(n):
+            for i1 in range(n):
+                for j1 in range(d):
+                    assert np.array_equal(G[i0, i1, j1],
+                                          softmax_direction(cache, spec, i0, i1, j1))
 
 
 def test_grad_L_closed_form_at_zero():
@@ -164,7 +170,7 @@ def test_grad_L_matches_fd():
     spec = spec.with_gamma(0.37)
     cache = forward_cache(spec, X)
     g = grad_L(cache, spec, X)
-    fd = fd_grad(lambda Ys: loss(spec, Ys), X, CFG)
+    fd = fd_grad(lambda Ys: loss(spec, Ys), X)
     assert np.abs(g - fd).max() <= 1e-6 * (1 + np.abs(fd).max())
 
 

@@ -20,10 +20,8 @@ from attninv.hessian import (
     residual_hessians,
 )
 from attninv.model import ProblemSpec, forward_cache, loss, synthesize_target
-from attninv.oracle import FdConfig, fd_hessian, fd_jacobian
+from attninv.oracle import fd_hessian, fd_jacobian
 from conftest import ACCEPTANCE_SHAPES, block_loop_hessian_c, bounded_instance, per_point
-
-CFG = FdConfig(tol_abs=1e-4, tol_rel=1e-4)
 
 
 def test_case_classification_is_total_and_matches_layout():
@@ -75,7 +73,7 @@ def test_d2c_matches_fd_per_case():
     for case, (i0, i1, i2) in probes.items():
         assert classify_case(i0, i1, i2) is case
         j0 = 1
-        fd = fd_hessian(lambda Ys: forward_cache(spec, Ys).C[:, i0, j0], X, CFG)
+        fd = fd_hessian(lambda Ys: forward_cache(spec, Ys).C[:, i0, j0], X)
         for j1 in range(2):
             for j2 in range(2):
                 got = d2c_entry(cache, spec, i0, j0, i1, j1, i2, j2)
@@ -167,7 +165,7 @@ def test_assembled_hessian_c_symmetric_and_matches_fd():
         for j0 in range(2):
             H = hessian_c(cache, spec, i0, j0)
             assert np.abs(H - H.T).max() <= 1e-8 * (1 + np.abs(H).max())
-            fd = fd_hessian(lambda Ys: forward_cache(spec, Ys).C[:, i0, j0], X, CFG)
+            fd = fd_hessian(lambda Ys: forward_cache(spec, Ys).C[:, i0, j0], X)
             assert np.abs(H - fd).max() <= 1e-4 * (1 + np.abs(fd).max())
 
 
@@ -196,10 +194,10 @@ def test_hessian_L_matches_fd_of_loss_and_gradient():
     cache = forward_cache(spec, X)
     H = hessian_L(cache, spec, X)
     assert np.abs(H - H.T).max() <= 1e-8 * (1 + np.abs(H).max())
-    fd = fd_hessian(lambda Ys: loss(spec, Ys), X, CFG)
+    fd = fd_hessian(lambda Ys: loss(spec, Ys), X)
     assert np.abs(H - fd).max() <= 1e-4 * (1 + np.abs(fd).max())
     fdj = fd_jacobian(
-        per_point(lambda Y: grad_L(forward_cache(spec, Y), spec, Y)), X, FdConfig())
+        per_point(lambda Y: grad_L(forward_cache(spec, Y), spec, Y)), X)
     assert np.abs(H - 0.5 * (fdj + fdj.T)).max() <= 1e-4 * (1 + np.abs(H).max())
 
 
@@ -249,7 +247,7 @@ def test_hessian_L_matches_fd_jacobian_of_grad_L(n, d, gamma):
     spec = spec.with_gamma(gamma)
     H = hessian_L(forward_cache(spec, X), spec, X)
     fdj = fd_jacobian(
-        per_point(lambda Y: grad_L(forward_cache(spec, Y), spec, Y)), X, FdConfig())
+        per_point(lambda Y: grad_L(forward_cache(spec, Y), spec, Y)), X)
     assert np.abs(H - fdj).max() <= 1e-4 * (1 + np.abs(H).max())
 
 
@@ -277,7 +275,7 @@ def test_residual_hessians_match_fd_of_jacobian_rows(n, d):
     for i0 in range(n):
         fd = fd_jacobian(
             per_point(lambda Y: jacobian_c(forward_cache(spec, Y), spec)[i0 * d:(i0 + 1) * d]),
-            X, FdConfig())
+            X)
         T = residual_hessians(cache, spec, i0)
         assert np.abs(T - fd).max() <= 1e-4 * (1 + np.abs(T).max())
 
@@ -345,7 +343,7 @@ def test_d2c_table_matches_fd():
     cache = forward_cache(spec, X)
     for i0 in range(3):
         for j0 in range(2):
-            fd = fd_hessian(lambda Ys: forward_cache(spec, Ys).C[:, i0, j0], X, CFG)
+            fd = fd_hessian(lambda Ys: forward_cache(spec, Ys).C[:, i0, j0], X)
             T = d2c_table(cache, spec, i0, j0)
             assert np.abs(T - fd).max() <= 1e-4 * (1 + np.abs(fd).max())
 

@@ -83,6 +83,9 @@ def test_perturbed_start_radius():
     X0 = perturbed_start(x, 0.01, 3)
     assert np.linalg.norm(X0 - x) == pytest.approx(0.01, rel=1e-12)
     assert np.array_equal(perturbed_start(x, 0.0, 3), x)
+    for radius in (-0.01, float("nan")):
+        with pytest.raises(ValueError, match="radius"):
+            perturbed_start(x, radius, 3)
 
 
 @given(st.integers(0, 2**31 - 1))

@@ -6,7 +6,7 @@ import pytest
 import attninv.oracle
 from attninv.generate import make_instance
 from attninv.model import NumericalRangeError, forward_cache, loss
-from attninv.oracle import CheckReport, FdConfig, check, fd_grad, fd_hessian, fd_jacobian
+from attninv.oracle import STEP, STEP2, CheckReport, check, fd_grad, fd_hessian, fd_jacobian
 from conftest import ACCEPTANCE_SHAPES
 
 
@@ -24,15 +24,14 @@ def test_oracle_stays_independent_of_analytic_code():
 
 
 def test_fd_grad_cubic():
-    # f(x) = x^3 at x = 1 with absolute step 1e-3: central diff = 3 + h^2.
-    # The per-coordinate step is step * (1 + |x|), so step = 5e-4 gives h = 1e-3.
-    cfg = FdConfig(step=5e-4)
-    g = fd_grad(lambda Xs: Xs[:, 0, 0] ** 3, np.array([[1.0]]), cfg)
-    assert g[0] == pytest.approx(3.000001, abs=1e-9)
+    # f(x) = x^3 at x = 1: the central difference is 3 + h^2, and the
+    # per-coordinate step is h = STEP * (1 + |x|) = 2e-5
+    g = fd_grad(lambda Xs: Xs[:, 0, 0] ** 3, np.array([[1.0]]))
+    assert g[0] - 3.0 == pytest.approx((2.0 * STEP) ** 2, abs=2e-11)
 
 
 def test_fd_grad_constant():
-    g = fd_grad(lambda Xs: np.full(len(Xs), 7.5), np.ones((2, 3)), FdConfig())
+    g = fd_grad(lambda Xs: np.full(len(Xs), 7.5), np.ones((2, 3)))
     assert np.array_equal(g, np.zeros(6))
 
 
@@ -46,19 +45,19 @@ def test_fd_grad_quadratic_near_exact():
         v = _vec(Ys)
         return ((v @ A) * v).sum(axis=1)
 
-    g = fd_grad(quad, X, FdConfig(step=1e-5))
+    g = fd_grad(quad, X)
     v = np.ascontiguousarray(X.T).reshape(-1)
     assert np.abs(g - 2 * A @ v).max() < 1e-9
 
 
 def test_fd_jacobian_identity_and_linear():
     X = np.arange(6.0).reshape(2, 3)
-    J = fd_jacobian(_vec, X, FdConfig())
+    J = fd_jacobian(_vec, X)
     assert np.abs(J - np.eye(6)).max() < 1e-9
 
     rng = np.random.default_rng(2)
     A = rng.normal(size=(4, 6))
-    J = fd_jacobian(lambda Ys: _vec(Ys) @ A.T, X, FdConfig())
+    J = fd_jacobian(lambda Ys: _vec(Ys) @ A.T, X)
     assert np.abs(J - A).max() < 1e-8
 
 
@@ -66,7 +65,7 @@ def test_fd_hessian_bilinear():
     def f(Ys):
         return Ys[:, 0, 0] * Ys[:, 0, 1]
 
-    H = fd_hessian(f, np.array([[0.3, -0.7]]), FdConfig())
+    H = fd_hessian(f, np.array([[0.3, -0.7]]))
     assert np.abs(H - np.array([[0.0, 1.0], [1.0, 0.0]])).max() < 1e-8
 
 
@@ -80,25 +79,25 @@ def test_fd_hessian_quadratic():
         return ((v @ A) * v).sum(axis=1)
 
     X = rng.normal(size=(2, 2))
-    H = fd_hessian(quad, X, FdConfig())
+    H = fd_hessian(quad, X)
     assert np.abs(H - 2 * A).max() < 1e-6
     assert np.array_equal(H, H.T)
 
 
 def test_fd_nonfinite_probe_raises():
     with pytest.raises(NumericalRangeError):
-        fd_grad(lambda Xs: np.full(len(Xs), np.nan), np.zeros((1, 1)), FdConfig())
+        fd_grad(lambda Xs: np.full(len(Xs), np.nan), np.zeros((1, 1)))
     # one non-finite value anywhere in a stack is enough
     with pytest.raises(NumericalRangeError):
         fd_hessian(lambda Xs: np.where(Xs[:, 0, 1] < 0, np.inf, 0.0),
-                   np.zeros((1, 2)), FdConfig())
+                   np.zeros((1, 2)))
 
 
 def test_fd_target_must_return_one_value_per_point():
     with pytest.raises(ValueError, match="one value per stacked point"):
-        fd_grad(lambda Xs: 7.5, np.ones((2, 3)), FdConfig())
+        fd_grad(lambda Xs: 7.5, np.ones((2, 3)))
     with pytest.raises(ValueError, match="one value per stacked point"):
-        fd_hessian(lambda Xs: Xs[0, 0], np.ones((2, 3)), FdConfig())
+        fd_hessian(lambda Xs: Xs[0, 0], np.ones((2, 3)))
 
 
 # The per-point oracles the stacked ones replaced, kept as the reference:
@@ -123,8 +122,8 @@ def _steps(X, step):
     return step * (1.0 + np.abs(np.ascontiguousarray(X.T).reshape(-1)))
 
 
-def _loop_fd_grad(scalar_fn, X, cfg):
-    steps = _steps(X, cfg.step)
+def _loop_fd_grad(scalar_fn, X):
+    steps = _steps(X, STEP)
     out = np.empty(X.size)
     for k in range(X.size):
         h = steps[k]
@@ -133,8 +132,8 @@ def _loop_fd_grad(scalar_fn, X, cfg):
     return out
 
 
-def _loop_fd_jacobian(vector_fn, X, cfg):
-    steps = _steps(X, cfg.step)
+def _loop_fd_jacobian(vector_fn, X):
+    steps = _steps(X, STEP)
     cols = []
     for k in range(X.size):
         h = steps[k]
@@ -144,9 +143,9 @@ def _loop_fd_jacobian(vector_fn, X, cfg):
     return np.stack(cols, axis=-1)
 
 
-def _loop_fd_hessian(scalar_fn, X, cfg):
+def _loop_fd_hessian(scalar_fn, X):
     m = X.size
-    steps = _steps(X, cfg.step2)
+    steps = _steps(X, STEP2)
     center = float(_probe(scalar_fn, X))
     H = np.empty((m, m))
     for k in range(m):
@@ -174,8 +173,8 @@ def _recorded(fn, seen):
 def _assert_matches_loop(oracle, loop, stacked_fn, point_fn, X):
     """Same result bit for bit, and the same points in the same order."""
     stacks, points = [], []
-    assert np.array_equal(oracle(_recorded(stacked_fn, stacks), X, FdConfig()),
-                          loop(_recorded(point_fn, points), X, FdConfig()))
+    assert np.array_equal(oracle(_recorded(stacked_fn, stacks), X),
+                          loop(_recorded(point_fn, points), X))
     assert np.array_equal(np.concatenate(stacks), np.stack(points))
 
 
@@ -222,22 +221,21 @@ def test_fd_hessian_call_size_is_bounded():
         return (Ys * Ys).sum(axis=(1, 2))
 
     X = np.linspace(-1.0, 1.0, 64).reshape(1, 64)
-    H = fd_hessian(quad, X, FdConfig())
+    H = fd_hessian(quad, X)
     assert max(sizes) == 2**16 // 64**2
     assert sum(sizes) == 1 + sum(2 + 4 * (63 - k) for k in range(64))
     assert np.abs(H - 2.0 * np.eye(64)).max() < 1e-6
 
 
 def test_check_pass_and_fail():
-    cfg = FdConfig(tol_abs=1e-4, tol_rel=1e-4)
     a = np.zeros((2, 3))
-    rep = check(a, a, cfg, target="same")
+    rep = check(a, a, 1e-4, target="same")
     assert isinstance(rep, CheckReport)
     assert rep.passed and rep.max_abs_err == 0.0
 
     b = a.copy()
     b[1, 2] = 1e-2
-    rep = check(a, b, cfg, target="offby")
+    rep = check(a, b, 1e-4, target="offby")
     assert not rep.passed
     assert rep.worst_index == (1, 2)
     assert rep.max_abs_err == pytest.approx(1e-2)
@@ -245,11 +243,11 @@ def test_check_pass_and_fail():
 
 def test_check_shape_mismatch():
     with pytest.raises(ValueError):
-        check(np.zeros(3), np.zeros(4), FdConfig())
+        check(np.zeros(3), np.zeros(4), 1e-6)
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        FdConfig(step=0.0)
-    with pytest.raises(ValueError):
-        FdConfig(tol_abs=-1.0)
+def test_check_tol_validation():
+    a = np.zeros(3)
+    for tol in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="tol"):
+            check(a, a, tol)

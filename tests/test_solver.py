@@ -118,6 +118,10 @@ def test_gd_validation():
     spec = scalar_spec()
     with pytest.raises(ValueError):
         gd_solve(spec, [[0.0]], eta=-1.0, max_iter=10)
+    with pytest.raises(ValueError, match="eta"):
+        gd_solve(spec, [[0.0]], eta=float("nan"), max_iter=10)
+    with pytest.raises(ValueError, match="eps"):
+        gd_solve(spec, [[0.0]], eta=0.1, max_iter=10, eps=float("nan"))
     with pytest.raises(ValueError):
         gd_solve(spec, [[0.0]], eta=0.1, max_iter=0)
 
@@ -126,5 +130,7 @@ def test_newton_config_validation():
     spec = scalar_spec()
     with pytest.raises(ValueError, match="eps"):
         newton_solve(spec, [[0.0]], eps=0.0)
+    with pytest.raises(ValueError, match="eps"):
+        newton_solve(spec, [[0.0]], eps=float("nan"))
     with pytest.raises(ValueError, match="max_iter"):
         newton_solve(spec, [[0.0]], max_iter=0)

@@ -1,12 +1,24 @@
-"""The benchmark harness looks up its trace targets by name, so a rename
-or deletion in attninv would only surface as a failed traced bench run."""
+"""Checks on the repository's tooling: the benchmark's trace targets and
+the artifact digests."""
+import importlib
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
-import attninv
+ROOT = Path(__file__).resolve().parent.parent
+BENCH_RUN = ROOT / "bench" / "run.py"
 
-BENCH_RUN = Path(__file__).resolve().parent.parent / "bench" / "run.py"
+# scripts/artifact_digest.py on the acceptance family; a change that moves
+# an artifact byte updates these lines and says so in CHANGES.md
+ARTIFACT_DIGESTS = """\
+generate     122bb61f12b4c5f82aaa661ff3425949e31acee025c5ea56924c4e39cb00dd57
+check        4f865921284af9f4dcd8c54bfbfdda96fe68a5b3f81034f6ed68ac9881465cca
+solve newton 9f14c3abf83804ce9dcb877035e25cf3d8b8903e65ad9102e210cb5166e8dabc
+solve gd     a852e6dec7f55b123267d8f810fec6d578a0d0fcd4974ede33cf9cb05813c841
+report       7a0b2a11fe1d840309be1c2cecc05d277bf1421c8e74c5a877c8293fa4cab9bf
+0860a8734982205d0c02ab7e39da5155004a16c76ffc213fac344ab54233fea3
+"""
 
 
 def test_bench_trace_targets_resolve(monkeypatch):
@@ -16,5 +28,12 @@ def test_bench_trace_targets_resolve(monkeypatch):
     spec.loader.exec_module(run)
     assert run.TRACE_TARGETS
     missing = [(module, fn) for module, fn, _ in run.TRACE_TARGETS
-               if not callable(getattr(getattr(attninv, module, None), fn, None))]
+               if not callable(getattr(importlib.import_module(f"attninv.{module}"),
+                                       fn, None))]
     assert not missing, missing
+
+
+def test_artifact_digests_are_pinned():
+    out = subprocess.run([sys.executable, str(ROOT / "scripts" / "artifact_digest.py")],
+                         capture_output=True, text=True, timeout=300, check=True)
+    assert out.stdout == ARTIFACT_DIGESTS
