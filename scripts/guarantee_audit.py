@@ -34,7 +34,7 @@ def main(argv=None) -> int:
         bounds = bound_suite(cache, spec, X)
         bmargin = max((c.lhs / c.rhs for c in bounds.checks if c.rhs > 0),
                       default=0.0)
-        psd = psd_floor(spec, X)
+        psd = psd_floor(cache, spec, X)
         pmargin = psd.lambda_min / psd.floor if psd.floor < 0 else 0.0
         gen = SplitMix64(seed ^ 0xABCDEF)
         Y = rescale_spectral(random_matrix(gen, d, n), 1.2)

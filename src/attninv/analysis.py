@@ -91,13 +91,12 @@ def bound_suite(cache: ForwardCache, spec: ProblemSpec, X) -> BoundReport:
                       np.sqrt(np.cumsum(dir_norms * dir_norms, axis=1)[:, -1]).max(),
                       4.0 * sqrt_nd * R**2))
 
-    worst_entry = 0.0
-    worst_vec = 0.0
-    for g in gradient.jacobian_c(cache, spec):
-        worst_entry = max(worst_entry, float(np.abs(g).max()))
-        worst_vec = max(worst_vec, float(np.linalg.norm(g)))
-    checks.append(_mk("residual_grad_entry_abs", worst_entry, 5.0 * R**4))
-    checks.append(_mk("residual_grad_norm", worst_vec, 5.0 * sqrt_nd * R**4))
+    # one gradient row per residual; row norms as vector-vector matmuls, the
+    # dot product np.linalg.norm takes on one row, so the values match a loop
+    J = gradient.jacobian_c(cache, spec)
+    checks.append(_mk("residual_grad_entry_abs", np.abs(J).max(), 5.0 * R**4))
+    checks.append(_mk("residual_grad_norm",
+                      np.sqrt((J[:, None] @ J[..., None]).max()), 5.0 * sqrt_nd * R**4))
 
     # per probe token i0, the ord-2 norm of every d x d block (i1, i2) of
     # the d residual Hessians, worst over j0; then the worst in each case
@@ -105,8 +104,7 @@ def bound_suite(cache: ForwardCache, spec: ProblemSpec, X) -> BoundReport:
     norms = np.stack([np.linalg.norm(
         hessian.residual_hessians(cache, spec, i0).reshape(d, n, d, n, d)
         .transpose(0, 1, 3, 2, 4), 2, axis=(3, 4)).max(axis=0) for i0 in range(n)])
-    case_of = np.array([[[hessian.classify_case(i0, i1, i2) for i2 in range(n)]
-                         for i1 in range(n)] for i0 in range(n)])
+    case_of = hessian.classify_case(*np.ix_(range(n), range(n), range(n)))
     block_bounds = {
         1: 23.0 * R**6 + R**5 + 12.0 * R**3,
         2: 11.0 * R**6 + 6.0 * R**3,
@@ -132,13 +130,13 @@ class PsdReport:
     hessian_c_passed: bool
 
 
-def psd_floor(spec: ProblemSpec, X) -> PsdReport:
+def psd_floor(cache: ForwardCache, spec: ProblemSpec, X) -> PsdReport:
     """Lower spectral bound check for the unregularized loss Hessian, plus
     the per-residual Hessian norm check at twice the single-entry bound
-    (the doubling matches the loss convention)."""
+    (the doubling matches the loss convention).  cache is the forward
+    cache at X, which does not depend on gamma."""
     X = check_input(spec, X)
     base = spec.with_gamma(0.0)
-    cache = forward_cache(base, X)
     R = effective_bound_constant(spec, X)
     H = hessian.hessian_L(cache, base, X)
     try:

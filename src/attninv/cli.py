@@ -16,8 +16,8 @@ from .generate import SplitMix64, make_instance, perturbed_start, random_matrix,
 from .model import (
     NumericalRangeError,
     ProblemSpec,
+    check_dense_cap,
     check_input,
-    dense_cap,
     forward_cache,
     loss,
 )
@@ -71,13 +71,11 @@ def _auto_gamma(spec: ProblemSpec, X) -> float:
 
 
 def _check_cap(nd: int) -> None:
-    """Refuse n*d above the dense cap, or an unusable ATTNINV_DENSE_CAP."""
+    """check_dense_cap's refusal as a usage error."""
     try:
-        cap = dense_cap()
+        check_dense_cap(nd)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    if nd > cap:
-        raise UsageError(f"n*d = {nd} exceeds the dense cap {cap}")
 
 
 def _fmt(x: float) -> str:
@@ -111,7 +109,7 @@ def _sample_x(spec: ProblemSpec, seed: int) -> np.ndarray:
 
 
 def _check_entries(spec: ProblemSpec, X, level: str, seed: int):
-    """Run the selected certification checks; yields result dicts."""
+    """Run the selected certification checks and return their result dicts."""
     cache = forward_cache(spec, X)
     if not np.isfinite(loss(spec, X, cache)):
         raise NumericalRangeError("the loss is not finite at X")
@@ -154,7 +152,7 @@ def _check_entries(spec: ProblemSpec, X, level: str, seed: int):
     if level in ("bounds", "all"):
         add_bounds("bound_suite", analysis.bound_suite(cache, spec, X))
     if level in ("psd", "all"):
-        rep = analysis.psd_floor(spec, X)
+        rep = analysis.psd_floor(cache, spec, X)
         add("psd_floor", rep.passed and rep.hessian_c_passed,
             {"lambda_min": rep.lambda_min, "floor": rep.floor,
              "hessian_c_norm_max": rep.hessian_c_norm_max,

@@ -33,30 +33,19 @@ finite-difference suite is the arbiter.
 """
 from __future__ import annotations
 
-from enum import IntEnum
-
 import numpy as np
 
 from .gradient import _check_index, jacobian_c
-from .model import ForwardCache, ProblemSpec, check_input, dense_cap
+from .model import ForwardCache, ProblemSpec, check_dense_cap, check_input
 
 
-class HessCase(IntEnum):
-    """Index case of one mixed partial; classification is total."""
-
-    CASE1 = 1  # i0 == i1 == i2
-    CASE2 = 2  # i0 == i1 != i2
-    CASE3 = 3  # i0 != i1, i0 == i2
-    CASE4 = 4  # i0 != i1 == i2
-    CASE5 = 5  # i0, i1, i2 pairwise distinct
-
-
-def classify_case(i0: int, i1: int, i2: int) -> HessCase:
-    if i0 == i1:
-        return HessCase.CASE1 if i0 == i2 else HessCase.CASE2
-    if i0 == i2:
-        return HessCase.CASE3
-    return HessCase.CASE4 if i1 == i2 else HessCase.CASE5
+def classify_case(i0, i1, i2):
+    """Index case of the mixed partials over tokens (i0, i1, i2), for ints
+    or broadcast integer arrays such as an np.ix_ grid; total:
+    1: i0 == i1 == i2, 2: i0 == i1 != i2, 3: i0 == i2 != i1,
+    4: i0 != i1 == i2, 5: pairwise distinct."""
+    return np.where(i0 == i1, np.where(i0 == i2, 1, 2),
+                    np.where(i0 == i2, 3, np.where(i1 == i2, 4, 5)))
 
 
 # The indices after j0 are ints or broadcast integer arrays; token sums run
@@ -191,14 +180,14 @@ def d2c_entry(cache: ForwardCache, spec: ProblemSpec, i0: int, j0: int,
     _check_index(spec.n, i0=i0, i1=i1, i2=i2)
     _check_index(spec.d, j0=j0, j1=j1, j2=j2)
     case = classify_case(i0, i1, i2)
-    if case is HessCase.CASE1:
+    if case == 1:
         value = _d2c_case1(cache, spec, i0, j0, j1, j2)
-    elif case is HessCase.CASE2:
+    elif case == 2:
         value = _d2c_case2(cache, spec, i0, j0, j1, i2, j2)
-    elif case is HessCase.CASE3:
+    elif case == 3:
         # symmetry of second derivatives: swap the derivative pair
         value = _d2c_case2(cache, spec, i0, j0, j2, i1, j1)
-    elif case is HessCase.CASE4:
+    elif case == 4:
         value = _d2c_case4(cache, spec, i0, j0, i1, j1, j2)
     else:
         value = _d2c_case5(cache, spec, i0, j0, i1, j1, i2, j2)
@@ -451,9 +440,7 @@ def hessian_L(cache: ForwardCache, spec: ProblemSpec, X) -> np.ndarray:
     """
     X = check_input(spec, X)
     n, d, nd = spec.n, spec.d, spec.n * spec.d
-    if nd > dense_cap():
-        raise ValueError(f"n*d = {nd} exceeds the dense Hessian cap {dense_cap()}; "
-                         "raise ATTNINV_DENSE_CAP to override")
+    check_dense_cap(nd)
     F, C, W = cache.F, cache.C, spec.W
     WX, WtX = cache.Wsc.T, cache.XW.T
     G_F = cache.H @ C.T
@@ -480,19 +467,3 @@ def hessian_L(cache: ForwardCache, spec: ProblemSpec, X) -> np.ndarray:
     H = 2.0 * (J.T @ J + K)
     H[np.diag_indices(nd)] += 2.0 * spec.gamma
     return H
-
-
-__all__ = [
-    "HessCase",
-    "block_case1",
-    "block_case2",
-    "block_case3",
-    "block_case4",
-    "block_case5",
-    "classify_case",
-    "d2c_entry",
-    "d2c_table",
-    "hessian_L",
-    "hessian_c",
-    "residual_hessians",
-]

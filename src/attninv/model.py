@@ -32,6 +32,13 @@ def dense_cap() -> int:
     return cap
 
 
+def check_dense_cap(nd: int) -> None:
+    """Refuse a problem of nd = n*d unknowns above dense_cap()."""
+    cap = dense_cap()
+    if nd > cap:
+        raise ValueError(f"n*d = {nd} exceeds the dense cap {cap}")
+
+
 class NumericalRangeError(ValueError):
     """exp() overflowed: the input is outside the bounded-parameter regime."""
 

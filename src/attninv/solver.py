@@ -14,8 +14,8 @@ from .hessian import hessian_L
 from .model import (
     NumericalRangeError,
     ProblemSpec,
+    check_dense_cap,
     check_input,
-    dense_cap,
     forward_cache,
     loss,
     unflatten_input,
@@ -92,9 +92,7 @@ def newton_solve(spec: ProblemSpec, X0, eps: float = 1e-8, max_iter: int = 100):
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     X = check_input(spec, X0).copy()
-    if spec.n * spec.d > dense_cap():
-        raise ValueError(
-            f"n*d = {spec.n * spec.d} exceeds the dense cap {dense_cap()}")
+    check_dense_cap(spec.n * spec.d)
     lam = 0.0
     records: list[RunRecord] = []
     status = MAX_ITER
@@ -190,15 +188,3 @@ def gd_solve(spec: ProblemSpec, X0, eta: float, max_iter: int,
 def distance_to(X, X_ref) -> float:
     """Frobenius distance; reporting helper for recovery experiments."""
     return float(np.linalg.norm(np.asarray(X, float) - np.asarray(X_ref, float)))
-
-
-__all__ = [
-    "CONVERGED",
-    "MAX_ITER",
-    "NUMERICAL_FAILURE",
-    "RunRecord",
-    "distance_to",
-    "evaluate",
-    "gd_solve",
-    "newton_solve",
-]

@@ -4,6 +4,7 @@ import pytest
 from attninv import hessian
 from attninv.generate import SplitMix64, make_instance, random_matrix, rescale_spectral
 from attninv.generate import bounded_instance  # noqa: F401  (tests import it from here)
+from attninv.gradient import jacobian_c
 
 
 @pytest.fixture
@@ -55,6 +56,18 @@ def direction_loop_softmax_grad_norms(cache, spec) -> tuple[float, float]:
                 sq += norm * norm
         worst_full = max(worst_full, float(np.sqrt(sq)))
     return worst_dir, worst_full
+
+
+def row_loop_residual_grad_norms(cache, spec) -> tuple[float, float]:
+    """Reference for bound_suite's residual_grad_entry_abs and
+    residual_grad_norm: the worst entry and the worst norm over the
+    jacobian_c rows, one row at a time."""
+    worst_entry = 0.0
+    worst_vec = 0.0
+    for g in jacobian_c(cache, spec):
+        worst_entry = max(worst_entry, float(np.abs(g).max()))
+        worst_vec = max(worst_vec, float(np.linalg.norm(g)))
+    return worst_entry, worst_vec
 
 
 def block_loop_hessian_c(cache, spec, i0: int, j0: int) -> np.ndarray:

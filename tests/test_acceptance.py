@@ -125,7 +125,7 @@ def test_criterion_5_psd_floor():
         n = (2, 3, 4)[seed % 3]
         d = (1, 2, 3)[seed % 3 - 1]
         spec, X = bounded_instance(5000 + seed, n, d)
-        rep = psd_floor(spec, X)
+        rep = psd_floor(forward_cache(spec, X), spec, X)
         if not (rep.passed and rep.hessian_c_passed):
             bad.append(f"seed{seed}:floor")
         gamma = choose_gamma(n, d, rep.r_eff)

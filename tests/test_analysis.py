@@ -17,7 +17,12 @@ from conftest import (
     bounded_instance,
     bounded_x,
     direction_loop_softmax_grad_norms,
+    row_loop_residual_grad_norms,
 )
+
+
+# shapes on which bound_suite's broadcasts are pinned against loops
+LOOP_SHAPES = [(1, 1), (1, 4), (2, 1), (2, 3), (3, 2), (5, 3), (8, 4), (17, 2)]
 
 
 def test_r_eff_is_at_least_one_and_tracks_norms():
@@ -51,8 +56,7 @@ def test_bound_suite_adversarial_scale_still_passes():
     assert rep.passed, rep.failures()
 
 
-@pytest.mark.parametrize("n,d", [(1, 1), (1, 4), (2, 1), (2, 3), (3, 2), (5, 3), (8, 4),
-                                 (17, 2)])
+@pytest.mark.parametrize("n,d", LOOP_SHAPES)
 def test_bound_suite_softmax_grad_checks_equal_the_direction_loop(n, d):
     for seed in range(4):
         spec, X = bounded_instance(seed, n, d)
@@ -62,6 +66,17 @@ def test_bound_suite_softmax_grad_checks_equal_the_direction_loop(n, d):
         got = (by_name["softmax_grad_direction_norm"],
                by_name["softmax_grad_frobenius"])
         assert got == direction_loop_softmax_grad_norms(cache, spec)
+
+
+@pytest.mark.parametrize("n,d", LOOP_SHAPES)
+def test_bound_suite_residual_grad_checks_equal_the_row_loop(n, d):
+    for seed in range(4):
+        spec, X = bounded_instance(seed, n, d)
+        X = X * (1 + seed)
+        cache = forward_cache(spec, X)
+        by_name = {c.name: c.lhs for c in bound_suite(cache, spec, X).checks}
+        got = (by_name["residual_grad_entry_abs"], by_name["residual_grad_norm"])
+        assert got == row_loop_residual_grad_norms(cache, spec)
 
 
 @pytest.mark.parametrize("n,cases", [(1, (1,)), (2, (1, 2, 3, 4)), (3, (1, 2, 3, 4, 5)),
@@ -81,14 +96,14 @@ def test_bound_suite_records_by_n(n, cases):
 def test_psd_floor_at_truth_is_gauss_newton():
     spec, X = bounded_instance(4, 3, 2)
     made = synthesize_target(spec.W, spec.V, X)
-    rep = psd_floor(made, X)
+    rep = psd_floor(forward_cache(made, X), made, X)
     assert rep.lambda_min >= -1e-8
     assert rep.passed and rep.hessian_c_passed
 
 
 def test_psd_floor_scalar_case():
     spec = ProblemSpec(1, 1, [[0.2]], [[1.5]], [[0.7]])
-    rep = psd_floor(spec, [[0.9]])
+    rep = psd_floor(forward_cache(spec, [[0.9]]), spec, [[0.9]])
     assert rep.lambda_min == pytest.approx(2 * 1.5**2, abs=1e-12)
     assert rep.lambda_min >= 0.0 >= rep.floor
     assert rep.passed
@@ -96,7 +111,7 @@ def test_psd_floor_scalar_case():
 
 def test_psd_floor_seeded():
     spec, X = bounded_instance(0, 3, 2)
-    rep = psd_floor(spec, X)
+    rep = psd_floor(forward_cache(spec, X), spec, X)
     assert rep.passed and rep.hessian_c_passed
 
 
@@ -205,7 +220,7 @@ def test_bound_suite_blocks_match_block_loop():
 
 def test_psd_floor_hessian_c_norm_matches_block_loop():
     for spec, X in _analysis_points():
-        rep = psd_floor(spec, X)
+        rep = psd_floor(forward_cache(spec, X), spec, X)
         base = spec.with_gamma(0.0)
         ref = max(np.linalg.norm(Hc, 2)
                   for Hc in looped_hessian_c(forward_cache(base, X), base))

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from attninv import hessian
 from attninv.gradient import grad_L, grad_c, jacobian_c
 from attninv.hessian import (
-    HessCase,
     block_case1,
     block_case2,
     block_case3,
@@ -26,20 +25,23 @@ from conftest import ACCEPTANCE_SHAPES, block_loop_hessian_c, bounded_instance, 
 
 def test_case_classification_is_total_and_matches_layout():
     for n in (1, 2, 3, 4):
+        grid = classify_case(*np.ix_(range(n), range(n), range(n)))
+        assert grid.shape == (n, n, n)
         for i0 in range(n):
             for i1 in range(n):
                 for i2 in range(n):
                     case = classify_case(i0, i1, i2)
+                    assert grid[i0, i1, i2] == case
                     if i1 == i0 and i2 == i0:
-                        assert case is HessCase.CASE1
+                        assert case == 1
                     elif i1 == i0:
-                        assert case is HessCase.CASE2
+                        assert case == 2
                     elif i2 == i0:
-                        assert case is HessCase.CASE3
+                        assert case == 3
                     elif i1 == i2:
-                        assert case is HessCase.CASE4
+                        assert case == 4
                     else:
-                        assert case is HessCase.CASE5
+                        assert case == 5
 
 
 def test_d2c_single_token_is_zero():
@@ -63,15 +65,9 @@ def test_d2c_matches_fd_per_case():
     spec, X = bounded_instance(0, 4, 2)
     cache = forward_cache(spec, X)
     # one probe per case id: (i0, i1, i2) patterns
-    probes = {
-        HessCase.CASE1: (1, 1, 1),
-        HessCase.CASE2: (1, 1, 2),
-        HessCase.CASE3: (1, 2, 1),
-        HessCase.CASE4: (1, 2, 2),
-        HessCase.CASE5: (1, 2, 3),
-    }
+    probes = {1: (1, 1, 1), 2: (1, 1, 2), 3: (1, 2, 1), 4: (1, 2, 2), 5: (1, 2, 3)}
     for case, (i0, i1, i2) in probes.items():
-        assert classify_case(i0, i1, i2) is case
+        assert classify_case(i0, i1, i2) == case
         j0 = 1
         fd = fd_hessian(lambda Ys: forward_cache(spec, Ys).C[:, i0, j0], X)
         for j1 in range(2):
@@ -205,8 +201,11 @@ def test_hessian_L_dense_cap(monkeypatch):
     monkeypatch.setenv("ATTNINV_DENSE_CAP", "3")
     spec, X = bounded_instance(0, 2, 2)
     cache = forward_cache(spec, X)
-    with pytest.raises(ValueError, match="dense"):
+    with pytest.raises(ValueError) as exc:
         hessian_L(cache, spec, X)
+    assert str(exc.value) == "n*d = 4 exceeds the dense cap 3"
+    monkeypatch.setenv("ATTNINV_DENSE_CAP", "4")
+    assert hessian_L(cache, spec, X).shape == (4, 4)
 
 
 def _three_points(seed, n, d, gamma=0.0):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from attninv import solver
 from attninv.generate import make_instance, perturbed_start
 from attninv.model import ProblemSpec, loss
 from attninv.solver import (
@@ -134,3 +135,13 @@ def test_newton_config_validation():
         newton_solve(spec, [[0.0]], eps=float("nan"))
     with pytest.raises(ValueError, match="max_iter"):
         newton_solve(spec, [[0.0]], max_iter=0)
+
+
+def test_newton_refuses_over_dense_cap(monkeypatch):
+    # the CLI's refusal, raised before the first iteration evaluates X
+    monkeypatch.setenv("ATTNINV_DENSE_CAP", "8")
+    monkeypatch.setattr(solver, "evaluate", lambda *a: pytest.fail("iterated"))
+    spec, x_true = make_instance(0, 3, 3)
+    with pytest.raises(ValueError) as exc:
+        newton_solve(spec, x_true)
+    assert str(exc.value) == "n*d = 9 exceeds the dense cap 8"

@@ -1,7 +1,9 @@
-"""Checks on the repository's tooling: the benchmark's trace targets and
-the artifact digests."""
+"""Checks on the repository's tooling: the benchmark's trace targets, the
+artifact digests and the guarantee audit's output."""
+import hashlib
 import importlib
 import importlib.util
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +21,8 @@ solve gd     a852e6dec7f55b123267d8f810fec6d578a0d0fcd4974ede33cf9cb05813c841
 report       7a0b2a11fe1d840309be1c2cecc05d277bf1421c8e74c5a877c8293fa4cab9bf
 0860a8734982205d0c02ab7e39da5155004a16c76ffc213fac344ab54233fea3
 """
+# sha256 of what scripts/guarantee_audit.py --count 25 prints
+GUARANTEE_AUDIT_DIGEST = "0b4c81797ae0eed4a11b9f2d379c2ad8869094900d78d79e60a9695698d8b2ae"
 
 
 def test_bench_trace_targets_resolve(monkeypatch):
@@ -37,3 +41,11 @@ def test_artifact_digests_are_pinned():
     out = subprocess.run([sys.executable, str(ROOT / "scripts" / "artifact_digest.py")],
                          capture_output=True, text=True, timeout=300, check=True)
     assert out.stdout == ARTIFACT_DIGESTS
+
+
+def test_guarantee_audit_output_is_pinned():
+    out = subprocess.run([sys.executable, str(ROOT / "scripts" / "guarantee_audit.py"),
+                          "--count", "25"],
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                         capture_output=True, timeout=300, check=True)
+    assert hashlib.sha256(out.stdout).hexdigest() == GUARANTEE_AUDIT_DIGEST
