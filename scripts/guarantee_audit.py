@@ -8,10 +8,14 @@ Prints one line per instance family member with the tightest margin seen
 """
 import argparse
 import sys
+from pathlib import Path
 
-from attninv.analysis import bound_suite, lipschitz_probe, psd_floor
-from attninv.generate import SplitMix64, bounded_instance, random_matrix, rescale_spectral
-from attninv.model import forward_cache
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from attninv.analysis import bound_suite, lipschitz_probe, psd_floor  # noqa: E402
+from attninv.generate import (  # noqa: E402
+    SplitMix64, bounded_instance, random_matrix, rescale_spectral)
+from attninv.model import forward_cache  # noqa: E402
 
 
 def main(argv=None) -> int:

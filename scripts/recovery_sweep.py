@@ -11,15 +11,18 @@ show the logarithmic growth of its iteration count.
 import argparse
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
-from attninv.analysis import choose_gamma, effective_bound_constant
-from attninv.generate import make_instance, perturbed_start
-from attninv.hessian import hessian_L
-from attninv.iojson import write_run_log
-from attninv.model import forward_cache, loss
-from attninv.solver import gd_solve, newton_solve
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from attninv.analysis import choose_gamma, effective_bound_constant  # noqa: E402
+from attninv.generate import make_instance, perturbed_start  # noqa: E402
+from attninv.hessian import hessian_L  # noqa: E402
+from attninv.iojson import write_run_log  # noqa: E402
+from attninv.model import forward_cache, loss  # noqa: E402
+from attninv.solver import gd_solve, newton_solve  # noqa: E402
 
 EPS_GRID = (1e-2, 1e-4, 1e-6, 1e-8)
 

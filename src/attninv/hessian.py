@@ -2,8 +2,9 @@
 
 The production paths are closed forms.  hessian_L: the Gauss-Newton part
 J^T J comes from gradient.jacobian_c, and the residual-weighted part
-sum c * hess_c is the directional derivative of the reverse-mode
-half-gradient (gradient.grad_L) with the residuals held fixed.
+K = sum c * hess_c is one closed form (no token loop) of three pieces:
+softmax curvature, bilinear scores and the softmax-value cross term, in
+O(n^3 d^2) time with O((nd)^2) temporaries.
 residual_hessians, which the analysis checks use: the Hessians of the d
 residuals of one probe token, as the forward-mode derivative of their
 jacobian_c rows along every input coordinate.
@@ -433,37 +434,36 @@ def residual_hessians(cache: ForwardCache, spec: ProblemSpec, i0: int) -> np.nda
 def hessian_L(cache: ForwardCache, spec: ProblemSpec, X) -> np.ndarray:
     """Loss Hessian 2 * (J^T J + K) + 2*gamma*I with K = sum c * hess_c.
 
-    K is the derivative of the half-gradient J^T vec(C) of grad_L with C
-    held fixed (so K == 0 exactly when C == 0).  It is taken along the d
-    unit directions x[t, :] of one token t at a time, which keeps the
-    temporaries at O(d n^2).
+    K is the Hessian of phi(X) = <F, X^T V C^T> with C held fixed (K == 0
+    when C == 0).  With G = G_A of grad_L, w = Wsc and f_s = F[:, s], its
+    pieces are the softmax curvature diag(G_s) - G_s f_s^T - f_s G_s^T
+    between the Jacobians of score column s (w_s at token t, XW in token
+    s), the bilinear scores (block (t, s) = G[t, s] W + G[s, t] W^T), and
+    each softmax Jacobian against row t of d(X^T V C^T).  O(n^3 d^2) time,
+    O((nd)^2) temporaries; K = A + A^T, so H is bitwise symmetric.
     """
     X = check_input(spec, X)
     n, d, nd = spec.n, spec.d, spec.n * spec.d
     check_dense_cap(nd)
-    F, C, W = cache.F, cache.C, spec.W
-    WX, WtX = cache.Wsc.T, cache.XW.T
-    G_F = cache.H @ C.T
-    p = (F * G_F).sum(axis=0, keepdims=True)
-    G_A = F * (G_F - p)
-    VC = spec.V @ C.T
-    K = np.empty((nd, nd))
-    for t in range(n):
-        # leading axis k: direction x[t, k]; d(scores) has row t and
-        # column t, d(G_F) only row t
-        dA = np.zeros((d, n, n))
-        dA[:, t, :] = WX
-        dA[:, :, t] += WtX
-        FdA = F * dA
-        dF = FdA - F * FdA.sum(axis=1, keepdims=True)
-        Q = dF * G_F
-        Q[:, t, :] += F[t] * VC
-        dG_A = Q - dF * p - F * Q.sum(axis=1, keepdims=True)
-        dg = (W.T[:, :, None] * G_A[:, t] + W[:, :, None] * G_A[t]
-              + WX @ dG_A.transpose(0, 2, 1) + WtX @ dG_A
-              + VC @ dF.transpose(0, 2, 1))
-        K[t * d:(t + 1) * d] = dg.transpose(0, 2, 1).reshape(d, nd)
+    F, W, w, XW, Z = cache.F, spec.W, cache.Wsc, cache.XW, cache.Zsc
+    G_F = cache.H @ cache.C.T
+    G = F * (G_F - (F * G_F).sum(axis=0, keepdims=True))
+    v = cache.C @ spec.V.T
+    Y = G.T @ XW                   # Y[s] = XW^T G_s
+    # A[t, k, s, l]; the rank-one sums over score columns s are one GEMM
+    A = (-(F[:, None] * w.T).reshape(nd, n)
+         @ (G[:, None] * w.T + F[:, None] * v.T).reshape(nd, n).T).reshape(n, d, n, d)
+    # key (token t) x query (token s) of column s
+    A += w.T[:, :, None] * (G[:, :, None] * (XW[:, None] - Z) - F[:, :, None] * Y)[:, None]
+    # query (token s) x value (token t) of column s
+    A += (F.T[:, None] * (XW.T - Z[:, :, None]))[..., None] * v[:, None, None]
+    A += G[:, None, :, None] * W[:, None]                    # bilinear scores
+    tok = np.arange(n)             # d x d token-diagonal blocks; A^T adds
+                                   # the symmetric ones again, so half here
+    A[tok, :, tok] += (w.T @ (0.5 * G[:, :, None] * w + F[:, :, None] * v)
+                       + XW.T @ (0.5 * G.T[:, :, None] * XW) - Z[:, :, None] * Y[:, None])
+    A = A.reshape(nd, nd)
     J = jacobian_c(cache, spec)
-    H = 2.0 * (J.T @ J + K)
+    H = 2.0 * (J.T @ J + (A + A.T))
     H[np.diag_indices(nd)] += 2.0 * spec.gamma
     return H

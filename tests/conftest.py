@@ -91,3 +91,36 @@ def block_loop_hessian_c(cache, spec, i0: int, j0: int) -> np.ndarray:
             row.append(blk)
         grid.append(row)
     return np.block(grid)
+
+
+def token_loop_hessian_L(cache, spec) -> np.ndarray:
+    """Reference for hessian.hessian_L: K = sum c * hess_c as the derivative
+    of the half-gradient J^T vec(C) of grad_L with C held fixed, taken
+    along the d unit directions x[t, :] of one token t at a time."""
+    n, d, nd = spec.n, spec.d, spec.n * spec.d
+    F, C, W = cache.F, cache.C, spec.W
+    WX, WtX = cache.Wsc.T, cache.XW.T
+    G_F = cache.H @ C.T
+    p = (F * G_F).sum(axis=0, keepdims=True)
+    G_A = F * (G_F - p)
+    VC = spec.V @ C.T
+    K = np.empty((nd, nd))
+    for t in range(n):
+        # leading axis k: direction x[t, k]; d(scores) has row t and
+        # column t, d(G_F) only row t
+        dA = np.zeros((d, n, n))
+        dA[:, t, :] = WX
+        dA[:, :, t] += WtX
+        FdA = F * dA
+        dF = FdA - F * FdA.sum(axis=1, keepdims=True)
+        Q = dF * G_F
+        Q[:, t, :] += F[t] * VC
+        dG_A = Q - dF * p - F * Q.sum(axis=1, keepdims=True)
+        dg = (W.T[:, :, None] * G_A[:, t] + W[:, :, None] * G_A[t]
+              + WX @ dG_A.transpose(0, 2, 1) + WtX @ dG_A
+              + VC @ dF.transpose(0, 2, 1))
+        K[t * d:(t + 1) * d] = dg.transpose(0, 2, 1).reshape(d, nd)
+    J = jacobian_c(cache, spec)
+    H = 2.0 * (J.T @ J + K)
+    H[np.diag_indices(nd)] += 2.0 * spec.gamma
+    return H

@@ -396,6 +396,16 @@ def test_check_at_exp_overflow_is_a_failing_record(tmp_path, capsys):
                                            "bounded regime"}]
 
 
+def test_check_hessian_records_exact_symmetry(tmp_path, capsys):
+    # hessian_L assembles K as A + A^T, so H equals H^T bit for bit
+    out = tmp_path / "inst"
+    run_cli("generate", "--seed", "4", "--n", "5", "--d", "3", "--out", str(out))
+    capsys.readouterr()
+    assert run_cli("check", "--problem", str(out / "problem.json"), "--level", "hessian") == 0
+    records = {r["check"]: r for r in json.loads(capsys.readouterr().out)["results"]}
+    assert records["hessian_L_symmetry"]["asymmetry"] == 0.0
+
+
 @pytest.mark.parametrize("level", ["grad", "hessian"])
 def test_check_names_the_first_overflowing_probe(tmp_path, capsys, level):
     # X_true scaled so its top score sits just under EXP_MAX: X is in range,

@@ -20,7 +20,8 @@ from attninv.hessian import (
 )
 from attninv.model import ProblemSpec, forward_cache, loss, synthesize_target
 from attninv.oracle import fd_hessian, fd_jacobian
-from conftest import ACCEPTANCE_SHAPES, block_loop_hessian_c, bounded_instance, per_point
+from conftest import (ACCEPTANCE_SHAPES, block_loop_hessian_c, bounded_instance, per_point,
+                      token_loop_hessian_L)
 
 
 def test_case_classification_is_total_and_matches_layout():
@@ -239,8 +240,29 @@ def test_hessian_L_matches_looped_realization(seed, shape, gamma):
         assert np.abs(H - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+# 1 x d, n x 1, the acceptance shapes, the newton_recover workload's shapes
+# and 32 x 16
+CLOSED_FORM_SHAPES = ([(1, 1), (1, 4), (3, 1), (7, 1)] + ACCEPTANCE_SHAPES
+                      + [(8, 4), (12, 6), (16, 8), (8, 16), (32, 16)])
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.3])
+@pytest.mark.parametrize("seed,shape", list(enumerate(CLOSED_FORM_SHAPES)))
+def test_hessian_L_matches_token_loop(seed, shape, gamma):
+    n, d = shape
+    points = _three_points(9000 + seed, n, d, gamma)
+    for sp, Y in (points[0], points[2]):           # off the truth: C != 0
+        cache = forward_cache(sp, Y)
+        assert np.abs(cache.C).max() > 0.0
+        H = hessian_L(cache, sp, Y)
+        ref = token_loop_hessian_L(cache, sp)
+        assert np.array_equal(H, H.T)
+        assert np.abs(H - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 @pytest.mark.parametrize("n,d,gamma", [(1, 1, 0.0), (3, 2, 0.21), (2, 4, 0.0),
-                                       (4, 3, 0.5)])
+                                       (4, 3, 0.5), (1, 4, 0.3), (3, 1, 0.3),
+                                       (8, 4, 0.0)])
 def test_hessian_L_matches_fd_jacobian_of_grad_L(n, d, gamma):
     spec, X = bounded_instance(7 + n * d, n, d)
     spec = spec.with_gamma(gamma)
@@ -280,7 +302,8 @@ def test_residual_hessians_match_fd_of_jacobian_rows(n, d):
 
 
 @pytest.mark.parametrize("gamma", [0.0, 0.37])
-@pytest.mark.parametrize("seed,shape", list(enumerate(ACCEPTANCE_SHAPES)))
+@pytest.mark.parametrize("seed,shape", list(enumerate(
+    ACCEPTANCE_SHAPES + [(1, 4), (3, 1), (8, 4), (12, 6), (16, 8), (8, 16)])))
 def test_residual_hessians_weighted_sum_is_hessian_L_curvature(seed, shape, gamma):
     # sum_r C_r T_r == (hessian_L - 2 J^T J - 2 gamma I) / 2: the two
     # production paths certify each other

@@ -1,5 +1,6 @@
 """Checks on the repository's tooling: the benchmark's trace targets, the
-artifact digests and the guarantee audit's output."""
+artifact digests, the guarantee audit's output and the recovery sweep's
+command line."""
 import hashlib
 import importlib
 import importlib.util
@@ -10,16 +11,18 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH_RUN = ROOT / "bench" / "run.py"
+# the scripts run as documented: no PYTHONPATH, they find the checkout's src/
+SCRIPT_ENV = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
 
 # scripts/artifact_digest.py on the acceptance family; a change that moves
 # an artifact byte updates these lines and says so in CHANGES.md
 ARTIFACT_DIGESTS = """\
 generate     122bb61f12b4c5f82aaa661ff3425949e31acee025c5ea56924c4e39cb00dd57
-check        4f865921284af9f4dcd8c54bfbfdda96fe68a5b3f81034f6ed68ac9881465cca
+check        496ddf3f71ce4ec88d65156ed3ccd3c997d3a4162f2aadc917ee4704ea30f0a0
 solve newton 9f14c3abf83804ce9dcb877035e25cf3d8b8903e65ad9102e210cb5166e8dabc
 solve gd     a852e6dec7f55b123267d8f810fec6d578a0d0fcd4974ede33cf9cb05813c841
 report       7a0b2a11fe1d840309be1c2cecc05d277bf1421c8e74c5a877c8293fa4cab9bf
-0860a8734982205d0c02ab7e39da5155004a16c76ffc213fac344ab54233fea3
+9aee3787228c9fc34667a8d9881288cd447ecc8949acba865febdf4ce5e32afe
 """
 # sha256 of what scripts/guarantee_audit.py --count 25 prints
 GUARANTEE_AUDIT_DIGEST = "0b4c81797ae0eed4a11b9f2d379c2ad8869094900d78d79e60a9695698d8b2ae"
@@ -46,6 +49,12 @@ def test_artifact_digests_are_pinned():
 def test_guarantee_audit_output_is_pinned():
     out = subprocess.run([sys.executable, str(ROOT / "scripts" / "guarantee_audit.py"),
                           "--count", "25"],
-                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
-                         capture_output=True, timeout=300, check=True)
+                         env=SCRIPT_ENV, capture_output=True, timeout=300, check=True)
     assert hashlib.sha256(out.stdout).hexdigest() == GUARANTEE_AUDIT_DIGEST
+
+
+def test_recovery_sweep_help_runs():
+    out = subprocess.run([sys.executable, str(ROOT / "scripts" / "recovery_sweep.py"),
+                          "--help"],
+                         env=SCRIPT_ENV, capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.startswith("usage: recovery_sweep.py")
