@@ -140,7 +140,7 @@ def psd_floor(cache: ForwardCache, spec: ProblemSpec, X) -> PsdReport:
     R = effective_bound_constant(spec, X)
     H = hessian.hessian_L(cache, base, X)
     try:
-        lam_min = float(np.linalg.eigvalsh(0.5 * (H + H.T)).min())
+        lam_min = float(np.linalg.eigvalsh(H).min())
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"eigensolve failed: {exc}") from exc
     floor = -2.0 * PSD_FLOOR_CONSTANT * spec.n * spec.d * R**8

@@ -58,8 +58,8 @@ def rescale_spectral(M: np.ndarray, limit: float) -> np.ndarray:
     return M
 
 
-def make_instance(seed: int, n: int, d: int, r_target: float = 1.2,
-                  gamma: float = 0.0) -> tuple[ProblemSpec, np.ndarray]:
+def make_instance(seed: int, n: int, d: int,
+                  r_target: float = 1.2) -> tuple[ProblemSpec, np.ndarray]:
     """Synthesized recovery instance: returns (spec, X_true).
 
     Draw order is fixed (X_true, then W, then V, each row-major); every
@@ -70,7 +70,7 @@ def make_instance(seed: int, n: int, d: int, r_target: float = 1.2,
     X_true = rescale_spectral(random_matrix(gen, d, n), r_target)
     W = rescale_spectral(random_matrix(gen, d, d), r_target)
     V = rescale_spectral(random_matrix(gen, d, d), r_target)
-    return synthesize_target(W, V, X_true, gamma), X_true
+    return synthesize_target(W, V, X_true), X_true
 
 
 def bounded_instance(seed: int, n: int, d: int,

@@ -31,10 +31,15 @@ class GradEntryTerms:
 
     @property
     def total(self) -> float:
-        acc = 0.0
-        for _, value in self.terms:
-            acc += value
-        return acc
+        return _term_sum(value for _, value in self.terms)
+
+
+def _term_sum(terms):
+    """Left to right, acc = acc + t from 0.0: every term table's one order."""
+    acc = 0.0
+    for t in terms:
+        acc = acc + t
+    return acc
 
 
 def _check_index(limit: int, **indices: int) -> None:

@@ -16,7 +16,7 @@ certify the closed form:
   * the scalar term tables (D terms for case 1, E for case 2, F for
     case 4, G for case 5; case 3 is case 2 with the derivative pair
     swapped), one set of terms shared by d2c_entry, which evaluates one
-    entry, and d2c_table, which evaluates each case once on a broadcast
+    entry, and d2c_table, which evaluates each table once on a broadcast
     index grid for the whole nd x nd Hessian of one residual;
   * block_case1..block_case5 build the same d x d blocks from outer
     products of cached vectors; hessian_c evaluates each case block once
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gradient import _check_index, jacobian_c
+from .gradient import _check_index, _term_sum, jacobian_c
 from .model import ForwardCache, ProblemSpec, check_dense_cap, check_input
 
 
@@ -90,10 +90,7 @@ def _d2c_case1(cache: ForwardCache, spec: ProblemSpec, i0: int, j0: int, j1, j2)
         (f * g2 * g1 * h).sum(-1),                                      # D20
         f00 * (t2 * V[j1, j0] + t1 * V[j2, j0]),                        # D21
     )
-    acc = 0.0
-    for t in terms:
-        acc = acc + t
-    return acc
+    return _term_sum(terms)
 
 
 def _d2c_case2(cache: ForwardCache, spec: ProblemSpec, i0: int, j0: int, j1, i2, j2):
@@ -132,10 +129,7 @@ def _d2c_case2(cache: ForwardCache, spec: ProblemSpec, i0: int, j0: int, j1, i2,
         f02 * t21 * V[j2, j0],                                          # E14
         -f00 * f02 * w2 * V[j1, j0],                                    # E15
     )
-    acc = 0.0
-    for t in terms:
-        acc = acc + t
-    return acc
+    return _term_sum(terms)
 
 
 def _d2c_case4(cache: ForwardCache, spec: ProblemSpec, i0: int, j0: int, i1, j1, j2):
@@ -154,10 +148,7 @@ def _d2c_case4(cache: ForwardCache, spec: ProblemSpec, i0: int, j0: int, i1, j1,
         f01 * w1 * w2 * h01,                                            # F5
         V[j2, j0] * f01 * w1 + V[j1, j0] * f01 * w2,                    # F6
     )
-    acc = 0.0
-    for t in terms:
-        acc = acc + t
-    return acc
+    return _term_sum(terms)
 
 
 def _d2c_case5(cache: ForwardCache, spec: ProblemSpec, i0: int, j0: int, i1, j1, i2, j2):
@@ -169,10 +160,7 @@ def _d2c_case5(cache: ForwardCache, spec: ProblemSpec, i0: int, j0: int, i1, j1,
         -f01 * f02 * w2 * w1 * (cache.H[i2, j0] + cache.H[i1, j0]),     # G2
         -f01 * f02 * (spec.V[j2, j0] * w1 + spec.V[j1, j0] * w2),       # G3
     )
-    acc = 0.0
-    for t in terms:
-        acc = acc + t
-    return acc
+    return _term_sum(terms)
 
 
 def d2c_entry(cache: ForwardCache, spec: ProblemSpec, i0: int, j0: int,
@@ -197,8 +185,9 @@ def d2c_entry(cache: ForwardCache, spec: ProblemSpec, i0: int, j0: int,
 
 def d2c_table(cache: ForwardCache, spec: ProblemSpec, i0: int, j0: int) -> np.ndarray:
     """nd x nd Hessian of c[i0, j0] from the term tables, entry for entry
-    d2c_entry: each case table is evaluated once on a broadcast (i1, j1,
-    i2, j2) grid and placed in the classify_case layout."""
+    d2c_entry: the case 1, 2, 4 and 5 tables are evaluated once each on a
+    broadcast (i1, j1, i2, j2) grid and placed in the classify_case
+    layout; case 3 is placed as the transpose of the case-2 evaluation."""
     _check_index(spec.n, i0=i0)
     _check_index(spec.d, j0=j0)
     n, d = spec.n, spec.d
@@ -206,8 +195,9 @@ def d2c_table(cache: ForwardCache, spec: ProblemSpec, i0: int, j0: int) -> np.nd
     T = _d2c_case5(cache, spec, i0, j0, i1, j1, i2, j2)     # every index varies
     tok = np.arange(n)
     T[tok, :, tok] = _d2c_case4(cache, spec, i0, j0, i1, j1, j2)[:, :, 0]
-    T[i0] = _d2c_case2(cache, spec, i0, j0, j1, i2, j2)[0]
-    T[:, :, i0] = _d2c_case2(cache, spec, i0, j0, j2, i1, j1)[:, :, 0]
+    E = _d2c_case2(cache, spec, i0, j0, j1, i2, j2)[0]
+    T[i0] = E
+    T[:, :, i0] = E.transpose(1, 2, 0)                      # case 3
     T[i0, :, i0] = _d2c_case1(cache, spec, i0, j0, j1, j2)[0, :, 0]
     return T.reshape(n * d, n * d)
 
@@ -323,8 +313,7 @@ def _block_case4(cache: ForwardCache, spec: ProblemSpec, i0: int, j0: int, i1):
     s = cache.S[i0, j0]
     f01 = cache.F[i1, i0][..., None, None]
     h01 = cache.H[i1, j0][..., None, None]
-    wv = cache.Wsc[i0, :]
-    vc = spec.V[:, j0]
+    _, _, wv, _, _, vc = _case1_vectors(cache, spec, i0, j0)
     ww = np.outer(wv, wv)
     wvvc = np.outer(wv, vc)
     K = 2.0 * s * f01 * f01 * ww                            # K1
@@ -350,8 +339,7 @@ def _block_case5(cache: ForwardCache, spec: ProblemSpec, i0: int, j0: int, i1, i
     s = cache.S[i0, j0]
     f01 = cache.F[i1, i0][..., None, None]
     f02 = cache.F[i2, i0][..., None, None]
-    wv = cache.Wsc[i0, :]
-    vc = spec.V[:, j0]
+    _, _, wv, _, _, vc = _case1_vectors(cache, spec, i0, j0)
     ww = np.outer(wv, wv)
     wvvc = np.outer(wv, vc)
     N = 2.0 * s * f01 * f02 * ww                            # N1

@@ -197,10 +197,10 @@ def loss_frobenius(spec: ProblemSpec, X) -> float:
     return float(np.sum(R * R) + spec.gamma * np.sum(X * X))
 
 
-def synthesize_target(W, V, X_true, gamma: float = 0.0) -> ProblemSpec:
+def synthesize_target(W, V, X_true) -> ProblemSpec:
     """Build a realizable instance: set B to the model output at X_true.
 
-    With gamma = 0 the returned spec has loss(spec, X_true) = 0, making
+    The returned spec has gamma = 0 and loss(spec, X_true) = 0, making
     X_true a global minimizer.
     """
     X_true = np.asarray(X_true, dtype=float)
@@ -209,4 +209,4 @@ def synthesize_target(W, V, X_true, gamma: float = 0.0) -> ProblemSpec:
     d, n = X_true.shape
     zero_target = ProblemSpec(n, d, W, V, np.zeros((n, d)), 0.0)
     cache = forward_cache(zero_target, X_true)
-    return ProblemSpec(n, d, W, V, cache.S.copy(), gamma)
+    return ProblemSpec(n, d, W, V, cache.S.copy(), 0.0)

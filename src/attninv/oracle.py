@@ -25,7 +25,6 @@ STEP2 = 1e-4
 
 @dataclass(frozen=True)
 class CheckReport:
-    target: str
     max_abs_err: float
     max_rel_err: float
     worst_index: tuple[int, ...]
@@ -84,7 +83,8 @@ def fd_jacobian(vector_fn, X) -> np.ndarray:
 
 
 def fd_hessian(scalar_fn, X) -> np.ndarray:
-    """Dense central-difference Hessian, symmetrized by averaging.
+    """Dense central-difference Hessian, exactly symmetric: the entries of
+    row k right of the diagonal are mirrored into column k.
 
     Diagonal entries use the 3-point stencil, off-diagonals the 4-point
     mixed stencil, with per-coordinate steps STEP2 * (1 + |x_k|).  Row k
@@ -110,7 +110,7 @@ def fd_hessian(scalar_fn, X) -> np.ndarray:
         pp, pm, mp, mm = v[2:].reshape(-1, 4).T
         H[k, k + 1:] = (pp - pm - mp + mm) / (4.0 * hk * steps[k + 1:])
         H[k + 1:, k] = H[k, k + 1:]
-    return 0.5 * (H + H.T)
+    return H
 
 
 def check(analytic_value, oracle_value, tol: float,
@@ -124,7 +124,7 @@ def check(analytic_value, oracle_value, tol: float,
     if a.shape != o.shape:
         raise ValueError(f"shape mismatch for {target}: {a.shape} vs {o.shape}")
     if a.size == 0:
-        return CheckReport(target, 0.0, 0.0, (), True)
+        return CheckReport(0.0, 0.0, (), True)
     err = np.abs(a - o)
     scale = np.maximum(np.abs(a), np.abs(o))
     allowance = tol + tol * scale
@@ -134,7 +134,6 @@ def check(analytic_value, oracle_value, tol: float,
     with np.errstate(invalid="ignore", divide="ignore"):
         rel = np.where(scale > 0, err / np.maximum(scale, np.finfo(float).tiny), 0.0)
     return CheckReport(
-        target=target,
         max_abs_err=float(err.max()),
         max_rel_err=float(rel.max()),
         worst_index=tuple(int(i) for i in np.atleast_1d(worst)),

@@ -183,8 +183,3 @@ def gd_solve(spec: ProblemSpec, X0, eta: float, max_iter: int,
         X = X - step.reshape(spec.n, spec.d).T
         prev = cur
     return X, records, status
-
-
-def distance_to(X, X_ref) -> float:
-    """Frobenius distance; reporting helper for recovery experiments."""
-    return float(np.linalg.norm(np.asarray(X, float) - np.asarray(X_ref, float)))

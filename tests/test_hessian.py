@@ -213,7 +213,7 @@ def _three_points(seed, n, d, gamma=0.0):
     """(spec, X) at an independent-B point, at the truth and off it."""
     spec, X = bounded_instance(seed, n, d)
     spec = spec.with_gamma(gamma)
-    made = synthesize_target(spec.W, spec.V, X, gamma)
+    made = synthesize_target(spec.W, spec.V, X).with_gamma(gamma)
     return ((spec, X), (made, X), (made, X + 0.3 * np.sin(X)))
 
 
@@ -410,6 +410,23 @@ def test_hessian_c_makes_one_call_per_case(monkeypatch):
         spec, X = bounded_instance(1, n, 2)
         counts.update(dict.fromkeys(names, 0))
         hessian_c(forward_cache(spec, X), spec, 1, 1)
+        assert counts == dict.fromkeys(names, 1), n
+
+
+def test_d2c_table_makes_one_call_per_case(monkeypatch):
+    # one term-table evaluation per index case: case 3 is placed as the
+    # transpose of the case-2 evaluation, not evaluated again
+    names = ("_d2c_case1", "_d2c_case2", "_d2c_case4", "_d2c_case5")
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _fn=getattr(hessian, name), _name=name):
+            counts[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(hessian, name, counted)
+    for n in (3, 8):
+        spec, X = bounded_instance(1, n, 2)
+        counts.update(dict.fromkeys(names, 0))
+        d2c_table(forward_cache(spec, X), spec, 1, 1)
         assert counts == dict.fromkeys(names, 1), n
 
 

@@ -98,7 +98,8 @@ def test_matrix_roundtrip_bit_exact(seed):
 
 
 def test_problem_file_roundtrip(tmp_path):
-    spec, x = make_instance(0, 3, 2, gamma=0.25)
+    spec, x = make_instance(0, 3, 2)
+    spec = spec.with_gamma(0.25)
     p = tmp_path / "problem.json"
     write_problem(spec, p)
     loaded = read_problem(p)

@@ -237,7 +237,7 @@ def test_loss_dominates_regularizer(seed):
 
 def test_loss_equals_regularizer_only_at_zero_residual():
     spec, X = bounded_instance(8, 3, 2)
-    made = synthesize_target(spec.W, spec.V, X, gamma=0.5)
+    made = synthesize_target(spec.W, spec.V, X).with_gamma(0.5)
     assert loss(made, X) == pytest.approx(0.5 * np.sum(X * X), rel=1e-14)
 
 

@@ -1,6 +1,6 @@
 """Checks on the repository's tooling: the benchmark's trace targets, the
-artifact digests, the guarantee audit's output and the recovery sweep's
-command line."""
+artifact digests, the check reports on the benchmark's certify instances,
+the guarantee audit's output and the recovery sweep's command line."""
 import hashlib
 import importlib
 import importlib.util
@@ -8,6 +8,10 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from attninv import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH_RUN = ROOT / "bench" / "run.py"
@@ -26,6 +30,14 @@ report       7a0b2a11fe1d840309be1c2cecc05d277bf1421c8e74c5a877c8293fa4cab9bf
 """
 # sha256 of what scripts/guarantee_audit.py --count 25 prints
 GUARANTEE_AUDIT_DIGEST = "0b4c81797ae0eed4a11b9f2d379c2ad8869094900d78d79e60a9695698d8b2ae"
+# sha256 of what `check --level all --seed S` prints on the benchmark's
+# certify instances (generate --seed S --n n --d d, S = 100*n + d), beyond
+# the acceptance family's nd <= 16
+CERTIFY_CHECK_DIGESTS = {
+    (4, 3): "dd5f78c76ba610ca78479b365c26d110c47439a5ad39a34c3f9635dac221804a",
+    (6, 4): "c7d63a205cf0929c798617c4b3644ce7b1c7d96d952c72cecc1909fde5577fec",
+    (8, 4): "03d5a9f0462d1dbc446f29c7eb69e22f15c0a166077bf66ef37bc44805c6eeee",
+}
 
 
 def test_bench_trace_targets_resolve(monkeypatch):
@@ -44,6 +56,21 @@ def test_artifact_digests_are_pinned():
     out = subprocess.run([sys.executable, str(ROOT / "scripts" / "artifact_digest.py")],
                          capture_output=True, text=True, timeout=300, check=True)
     assert out.stdout == ARTIFACT_DIGESTS
+
+
+@pytest.mark.parametrize("n,d", sorted(CERTIFY_CHECK_DIGESTS))
+def test_certify_check_output_is_pinned(n, d, tmp_path, monkeypatch, capsys):
+    # relative paths from a fresh directory, as in artifact_digest.py, so
+    # the problem path recorded in the report's meta is fixed
+    monkeypatch.chdir(tmp_path)
+    seed = str(100 * n + d)
+    assert cli.main(["generate", "--seed", seed, "--n", str(n), "--d", str(d),
+                     "--out", "inst"]) == 0
+    capsys.readouterr()
+    assert cli.main(["check", "--problem", "inst/problem.json", "--level", "all",
+                     "--seed", seed]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == CERTIFY_CHECK_DIGESTS[(n, d)]
 
 
 def test_guarantee_audit_output_is_pinned():
