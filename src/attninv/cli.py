@@ -5,6 +5,7 @@ Exit codes: 0 success, 1 check or solve failure, 2 usage or I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -204,8 +205,8 @@ def _parse_init(text: str):
 
 
 def _check_solve_args(args) -> None:
-    if not args.eps > 0:
-        raise UsageError(f"--eps must be positive, got {args.eps!r}")
+    if not 0.0 < args.eps < float("inf"):
+        raise UsageError(f"--eps must be finite and positive, got {args.eps!r}")
     if args.max_iter < 1:
         raise UsageError(f"--max-iter must be at least 1, got {args.max_iter}")
     if args.solver == "gd" and not 0.0 < args.eta < float("inf"):
@@ -317,7 +318,10 @@ def cmd_report(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing keeps no
+    state in it between calls."""
     p = argparse.ArgumentParser(prog="attninv",
                                 description="attention-input recovery harness")
     sub = p.add_subparsers(dest="command", required=True)

@@ -116,10 +116,14 @@ def grad_L(cache: ForwardCache, spec: ProblemSpec, X) -> np.ndarray:
     """Loss gradient 2 * J^T vec(C) + 2*gamma*vec(X) by reverse mode:
     G_F = H C^T, G_A = F o (G_F - 1^T (F o G_F)), and
     J^T vec(C) = vec(W X G_A^T + W^T X G_A + V (F C)^T)."""
-    X = check_input(spec, X)
+    return _grad_L(cache, spec, check_input(spec, X))
+
+
+def _grad_L(cache: ForwardCache, spec: ProblemSpec, X: np.ndarray) -> np.ndarray:
+    """grad_L at an X that check_input has accepted."""
     F = cache.F
     G_F = cache.H @ cache.C.T
-    G_A = F * (G_F - (F * G_F).sum(axis=0, keepdims=True))
+    G_A = F * (G_F - np.add.reduce(F * G_F, axis=0, keepdims=True))
     # W X = Wsc^T and W^T X = XW^T
     G_X = cache.Wsc.T @ G_A.T + cache.XW.T @ G_A + spec.V @ (F @ cache.C).T
-    return 2.0 * flatten_input(G_X) + 2.0 * spec.gamma * flatten_input(X)
+    return flatten_input(2.0 * G_X + 2.0 * spec.gamma * X)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -127,9 +128,10 @@ class ForwardCache:
     S    : (n, d) model output, S[i0, j0] = <F[:, i0], H[:, j0]>
     C    : (n, d) residuals, C = S - B
     Wsc  : (n, d) score coefficients, Wsc[i0, j] = <W[j, :], X[:, i0]>
-    Zsc  : (n, d) softmax-averaged scores, Zsc[i0, j] = <F[:, i0], XW[:, j]>
     XW   : (n, d) X^T W; column j is the vector paired with F in Zsc, and
            row i0 is W^T X[:, i0]
+    Zsc  : (n, d) softmax-averaged scores, Zsc[i0, j] = <F[:, i0], XW[:, j]>,
+           formed on first use: only the derivative code reads it
     """
 
     F: np.ndarray
@@ -137,8 +139,11 @@ class ForwardCache:
     S: np.ndarray
     C: np.ndarray
     Wsc: np.ndarray
-    Zsc: np.ndarray
     XW: np.ndarray
+
+    @cached_property
+    def Zsc(self) -> np.ndarray:
+        return self.F.mT @ self.XW
 
 
 def forward_cache(spec: ProblemSpec, X) -> ForwardCache:
@@ -151,34 +156,43 @@ def forward_cache(spec: ProblemSpec, X) -> ForwardCache:
     decide this are also the shifts of the max-shifted softmax, which keeps
     F finite whenever the scores are.
     """
-    X = _check_points(spec, X)
+    return _forward(spec, _check_points(spec, X))
+
+
+def _forward(spec: ProblemSpec, X: np.ndarray) -> ForwardCache:
+    """forward_cache at an X that _check_points has accepted."""
     XW = X.mT @ spec.W
     scores = XW @ X
-    top = scores.max(axis=-2, keepdims=True)
+    top = np.maximum.reduce(scores, axis=-2, keepdims=True)
     in_range = top <= EXP_MAX
-    if not in_range.all():
+    if not np.logical_and.reduce(in_range, axis=None):
         bad = int(np.flatnonzero(~in_range)[0] % spec.n)
         raise NumericalRangeError(
             f"exp overflow in score column {bad}; inputs exceed the bounded regime"
         )
     shifted = np.exp(scores - top)
-    F = shifted / shifted.sum(axis=-2, keepdims=True)
+    F = shifted / np.add.reduce(shifted, axis=-2, keepdims=True)
     H = X.mT @ spec.V
     S = F.mT @ H
     C = S - spec.B
     Wsc = (spec.W @ X).mT
-    Zsc = F.mT @ XW
-    return ForwardCache(F=F, H=H, S=S, C=C, Wsc=Wsc, Zsc=Zsc, XW=XW)
+    return ForwardCache(F=F, H=H, S=S, C=C, Wsc=Wsc, XW=XW)
 
 
 def loss(spec: ProblemSpec, X, cache: ForwardCache | None = None) -> float | np.ndarray:
     """Sum of squared residuals plus gamma * ||vec(X)||^2: a float for one
     (d, n) matrix, a (p,) array for a (p, d, n) stack."""
-    X = _check_points(spec, X)
+    return _loss(spec, _check_points(spec, X), cache)
+
+
+def _loss(spec: ProblemSpec, X: np.ndarray,
+          cache: ForwardCache | None = None) -> float | np.ndarray:
+    """loss at an X that _check_points has accepted."""
     if cache is None:
-        cache = forward_cache(spec, X)
-    value = ((cache.C * cache.C).sum(axis=(-2, -1))
-             + spec.gamma * (X * X).sum(axis=(-2, -1)))
+        cache = _forward(spec, X)
+    C = cache.C
+    value = (np.add.reduce(C * C, axis=(-2, -1))
+             + spec.gamma * np.add.reduce(X * X, axis=(-2, -1)))
     return value if X.ndim == 3 else float(value)
 
 

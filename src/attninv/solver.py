@@ -9,15 +9,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gradient import grad_L
+from .gradient import _grad_L
 from .hessian import hessian_L
 from .model import (
     NumericalRangeError,
     ProblemSpec,
+    _forward,
+    _loss,
     check_dense_cap,
     check_input,
-    forward_cache,
-    loss,
     unflatten_input,
 )
 
@@ -55,10 +55,15 @@ def _relax(lam: float) -> float:
 def evaluate(spec: ProblemSpec, X):
     """(cache, loss, gradient, gradient norm) at X from one forward pass;
     None when X is outside the representable regime."""
+    return _evaluate(spec, check_input(spec, X))
+
+
+def _evaluate(spec: ProblemSpec, X: np.ndarray):
+    """evaluate at an X that check_input has accepted."""
     try:
-        cache = forward_cache(spec, X)
-        cur = loss(spec, X, cache)
-        g = grad_L(cache, spec, X)
+        cache = _forward(spec, X)
+        cur = _loss(spec, X, cache)
+        g = _grad_L(cache, spec, X)
     except NumericalRangeError:
         return None
     gn = math.sqrt(g.dot(g))
@@ -87,8 +92,8 @@ def newton_solve(spec: ProblemSpec, X0, eps: float = 1e-8, max_iter: int = 100):
     positive definite or the step fails the descent test, and shrinks
     tenfold after every accepted step.
     """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
+    if not 0.0 < eps < math.inf:
+        raise ValueError("eps must be finite and positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     X = check_input(spec, X0).copy()
@@ -97,7 +102,7 @@ def newton_solve(spec: ProblemSpec, X0, eps: float = 1e-8, max_iter: int = 100):
     records: list[RunRecord] = []
     status = MAX_ITER
     for it in range(max_iter):
-        point = evaluate(spec, X)
+        point = _evaluate(spec, X)
         if point is None:
             status = NUMERICAL_FAILURE
             break
@@ -122,7 +127,7 @@ def newton_solve(spec: ProblemSpec, X0, eps: float = 1e-8, max_iter: int = 100):
             ok = False
             for _ in range(_MAX_BACKTRACKS):
                 try:
-                    trial = loss(spec, X + t * direction)
+                    trial = _loss(spec, X + t * direction)
                 except NumericalRangeError:
                     trial = np.inf
                 if np.isfinite(trial) and trial <= cur + _ARMIJO_C * t * slope:
@@ -153,8 +158,8 @@ def gd_solve(spec: ProblemSpec, X0, eta: float, max_iter: int,
     """
     if not eta > 0:
         raise ValueError("eta must be positive")
-    if not eps > 0:
-        raise ValueError("eps must be positive")
+    if not 0.0 < eps < math.inf:
+        raise ValueError("eps must be finite and positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     X = check_input(spec, X0).copy()
@@ -163,7 +168,7 @@ def gd_solve(spec: ProblemSpec, X0, eta: float, max_iter: int,
     increases = 0
     prev = np.inf
     for it in range(max_iter):
-        point = evaluate(spec, X)
+        point = _evaluate(spec, X)
         if point is None:
             status = NUMERICAL_FAILURE
             break

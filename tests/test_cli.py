@@ -232,6 +232,8 @@ def test_solve_gd_divergence_writes_artifacts(tmp_path, capsys):
 @pytest.mark.parametrize("extra", [
     ["--eps", "-1"],
     ["--eps", "nan"],
+    ["--eps", "inf"],
+    ["--solver", "gd", "--eps", "inf"],
     ["--solver", "gd", "--eta", "0"],
     ["--max-iter", "0"],
     ["--gamma", "-1"],
@@ -248,6 +250,36 @@ def test_solve_invalid_arguments_are_usage_errors(tmp_path, capsys, extra):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "run").exists()
+
+
+def test_one_parser_per_process_answers_like_fresh_ones(tmp_path, monkeypatch, capsys):
+    # the parser is built once per process; a usage error, then generate,
+    # solve, --help and check must answer as they do from a fresh parser
+    monkeypatch.chdir(tmp_path)
+    sequence = [
+        ["solve", "--problem", "inst/problem.json", "--init", "perturb:0.01",
+         "--eps", "abc"],
+        ["generate", "--seed", "4", "--n", "3", "--d", "2", "--out", "inst"],
+        ["solve", "--problem", "inst/problem.json", "--init", "perturb:0.01",
+         "--max-iter", "3", "--out", "run"],
+        ["--help"],
+        ["check", "--problem", "inst/problem.json", "--level", "grad"],
+    ]
+
+    def answers(fresh):
+        out = []
+        for argv in sequence:
+            if fresh:
+                cli.build_parser.cache_clear()
+            code = cli.main(argv)
+            out.append((code, *capsys.readouterr()))
+        return out
+
+    once = answers(fresh=False)
+    assert cli.build_parser.cache_info().currsize == 1
+    assert [code for code, _, _ in once] == [2, 0, 1, 0, 0]
+    assert once[0][2].startswith("usage: ") and once[3][1].startswith("usage: ")
+    assert answers(fresh=True) == once
 
 
 def test_generate_zero_tokens_is_usage_error(tmp_path, capsys):

@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 from attninv.generate import (SplitMix64, bounded_instance, make_instance, perturbed_start,
                               random_matrix, rescale_spectral)
 from attninv.iojson import (
+    format_float,
     matrix_from_obj,
     matrix_to_json,
     problem_to_json,
     read_matrix,
     read_problem,
     read_run_log,
+    record_to_json,
     write_matrix,
     write_problem,
     write_run_log,
@@ -135,6 +137,29 @@ def test_run_log_roundtrip_and_malformed_lines(tmp_path):
     assert set(records[0]) == {"iter", "loss", "grad_norm", "step_norm",
                                "damping_used"}
     assert records[1]["loss"] == 0.25
+
+
+@pytest.mark.parametrize("rec", [
+    RunRecord(0, 1.0, 0.5, 0.1, 0.0),
+    RunRecord(17, 1.0709265864744628e-23, -0.0, 5e-324, 1e8),
+    RunRecord(3, np.float64(0.1), np.float64(1e300), 2.0 / 3.0, 1e-4),
+])
+def test_record_line_writes_each_float_as_format_float(rec):
+    fields = ("iter", "loss", "grad_norm", "step_norm", "damping_used")
+    expected = "{" + ", ".join(
+        f'"{name}": {rec.iter if name == "iter" else format_float(getattr(rec, name))}'
+        for name in fields) + "}"
+    assert record_to_json(rec) == expected
+    assert json.loads(expected) == {name: getattr(rec, name) for name in fields}
+
+
+@pytest.mark.parametrize("field", ["loss", "grad_norm", "step_norm", "damping_used"])
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+def test_record_line_refuses_non_finite_fields(field, bad):
+    values = {"iter": 2, "loss": 1.0, "grad_norm": 0.5, "step_norm": 0.1,
+              "damping_used": 0.0, field: bad}
+    with pytest.raises(ValueError, match="finite"):
+        record_to_json(RunRecord(**values))
 
 
 def test_run_log_non_objects_are_malformed(tmp_path):

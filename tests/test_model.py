@@ -178,6 +178,14 @@ def test_stacked_forward_and_loss_equal_per_matrix_bitwise(n, d):
     assert isinstance(loss(spec, X), float)
 
 
+def test_zsc_is_formed_on_first_read_only():
+    spec, X = bounded_instance(5, 4, 3)
+    cache = forward_cache(spec, X)
+    assert "Zsc" not in vars(cache)
+    Z = cache.Zsc
+    assert cache.Zsc is Z and np.array_equal(Z, cache.F.mT @ cache.XW)
+
+
 def test_stacked_overflow_names_first_column_of_first_bad_matrix():
     # matrix 1 overflows in column 2, matrix 2 in column 0: name column 2
     spec = ProblemSpec(3, 1, [[1.0]], [[1.0]], np.zeros((3, 1)))

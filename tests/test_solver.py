@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from attninv import solver
+from attninv import gradient, model, solver
 from attninv.generate import make_instance, perturbed_start
-from attninv.model import ProblemSpec, loss
+from attninv.gradient import grad_L
+from attninv.model import ProblemSpec, check_input, forward_cache, loss
 from attninv.solver import (
     CONVERGED,
     MAX_ITER,
@@ -11,6 +12,7 @@ from attninv.solver import (
     gd_solve,
     newton_solve,
 )
+from conftest import ACCEPTANCE_SHAPES
 
 
 def scalar_spec():
@@ -123,6 +125,8 @@ def test_gd_validation():
         gd_solve(spec, [[0.0]], eta=float("nan"), max_iter=10)
     with pytest.raises(ValueError, match="eps"):
         gd_solve(spec, [[0.0]], eta=0.1, max_iter=10, eps=float("nan"))
+    with pytest.raises(ValueError, match="eps"):
+        gd_solve(spec, [[0.0]], eta=0.1, max_iter=10, eps=float("inf"))
     with pytest.raises(ValueError):
         gd_solve(spec, [[0.0]], eta=0.1, max_iter=0)
 
@@ -133,6 +137,8 @@ def test_newton_config_validation():
         newton_solve(spec, [[0.0]], eps=0.0)
     with pytest.raises(ValueError, match="eps"):
         newton_solve(spec, [[0.0]], eps=float("nan"))
+    with pytest.raises(ValueError, match="eps"):
+        newton_solve(spec, [[0.0]], eps=float("inf"))
     with pytest.raises(ValueError, match="max_iter"):
         newton_solve(spec, [[0.0]], max_iter=0)
 
@@ -140,8 +146,53 @@ def test_newton_config_validation():
 def test_newton_refuses_over_dense_cap(monkeypatch):
     # the CLI's refusal, raised before the first iteration evaluates X
     monkeypatch.setenv("ATTNINV_DENSE_CAP", "8")
-    monkeypatch.setattr(solver, "evaluate", lambda *a: pytest.fail("iterated"))
+    monkeypatch.setattr(solver, "_evaluate", lambda *a: pytest.fail("iterated"))
     spec, x_true = make_instance(0, 3, 3)
     with pytest.raises(ValueError) as exc:
         newton_solve(spec, x_true)
     assert str(exc.value) == "n*d = 9 exceeds the dense cap 8"
+
+
+# the acceptance shapes and the benchmark's newton_recover shapes
+@pytest.mark.parametrize("gamma", [0.0, 0.3])
+@pytest.mark.parametrize("n,d", ACCEPTANCE_SHAPES + [(8, 4), (12, 6), (16, 8), (8, 16)])
+def test_evaluate_equals_the_public_entry_points(n, d, gamma):
+    spec, x_true = make_instance(n + 10 * d, n, d)
+    spec = spec.with_gamma(gamma)
+    X = perturbed_start(x_true, 0.05, n * d)
+    _, cur, g, gn = solver.evaluate(spec, X)
+    assert cur == loss(spec, X)
+    assert np.array_equal(g, grad_L(forward_cache(spec, X), spec, X))
+    assert gn == np.sqrt(g.dot(g))
+
+
+def test_solvers_check_the_start_once(monkeypatch):
+    # every binding that forward_cache, loss, grad_L and evaluate check
+    # through; hessian_L keeps its own check as a public entry point
+    calls = []
+
+    def counted(spec, X):
+        calls.append(1)
+        return check_input(spec, X)
+
+    spec, x_true = make_instance(5, 3, 2)
+    X0 = perturbed_start(x_true, 0.5, 1)
+    for module in (model, gradient, solver):
+        monkeypatch.setattr(module, "check_input", counted)
+    _, recs, _ = gd_solve(spec, X0, eta=0.1, max_iter=50)
+    assert len(recs) == 50 and len(calls) == 1
+    calls.clear()
+    # from this start the Armijo search backtracks (20 probes, 17 steps)
+    _, recs, status = newton_solve(spec, X0, eps=1e-12, max_iter=60)
+    assert status == CONVERGED and len(recs) > 3 and len(calls) == 1
+
+
+def test_out_of_range_iterates_end_as_numerical_failure():
+    # the loop checks X only at entry, so an iterate whose scores overflow
+    # must still end the run as NumericalFailure: x -> -1.1 x, and the
+    # score x^2 passes EXP_MAX at the second iterate
+    spec = ProblemSpec(1, 1, [[1.0]], [[1.0]], [[0.0]])
+    X, recs, status = gd_solve(spec, [[26.0]], eta=1.05, max_iter=5)
+    assert status == NUMERICAL_FAILURE and len(recs) == 1
+    assert X[0, 0] == pytest.approx(-28.6)
+    assert solver.evaluate(spec, [[27.0]]) is None
