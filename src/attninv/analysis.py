@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gradient, hessian
-from .model import ForwardCache, ProblemSpec, check_input, forward_cache
+from .model import ForwardCache, NumericalRangeError, ProblemSpec, check_input, forward_cache
 
 BIG_O_CONSTANT = 200.0
 PSD_FLOOR_CONSTANT = 72.0
@@ -130,6 +130,17 @@ class PsdReport:
     hessian_c_passed: bool
 
 
+def min_eigenvalue(H) -> float:
+    """Smallest eigenvalue of the symmetric matrix H; NumericalRangeError
+    when H is not finite or the eigensolve does not converge."""
+    if not np.isfinite(H).all():
+        raise NumericalRangeError("the Hessian is not finite")
+    try:
+        return float(np.linalg.eigvalsh(H).min())
+    except np.linalg.LinAlgError as exc:
+        raise NumericalRangeError(f"eigensolve failed: {exc}") from exc
+
+
 def psd_floor(cache: ForwardCache, spec: ProblemSpec, X) -> PsdReport:
     """Lower spectral bound check for the unregularized loss Hessian, plus
     the per-residual Hessian norm check at twice the single-entry bound
@@ -138,11 +149,7 @@ def psd_floor(cache: ForwardCache, spec: ProblemSpec, X) -> PsdReport:
     X = check_input(spec, X)
     base = spec.with_gamma(0.0)
     R = effective_bound_constant(spec, X)
-    H = hessian.hessian_L(cache, base, X)
-    try:
-        lam_min = float(np.linalg.eigvalsh(H).min())
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"eigensolve failed: {exc}") from exc
+    lam_min = min_eigenvalue(hessian.hessian_L(cache, base, X))
     floor = -2.0 * PSD_FLOOR_CONSTANT * spec.n * spec.d * R**8
     worst_c = max(float(np.linalg.norm(hessian.residual_hessians(cache, base, i0),
                                        2, axis=(1, 2)).max())

@@ -23,11 +23,17 @@ certify the closed form:
     on the (i1, i2) token grid of one residual and places it in the
     classify_case layout.
 
-Tests pin the two realizations against each other at 1e-10 (check's
-block/entry record compares d2c_table with hessian_c), both against
-finite differences, and hessian_L and residual_hessians against the case
-blocks.  A handful of terms carry factors that are easy to mistranscribe
-(softmax entries at the probe token versus the derivative token, paired
+d2c_table and hessian_c take j0 as one feature or as a 1-D array of k
+features of the same probe token i0; a stack broadcasts the same terms
+over a leading feature axis (one body, no per-feature loop) and returns
+(k, nd, nd), each Hessian bit for bit its own call's.  Tests pin the two
+realizations against each other at 1e-10 (check's block/entry record
+compares d2c_table with hessian_c, one call each per probe token and
+feature chunk), both against finite differences, and hessian_L and
+residual_hessians against the case blocks.
+
+A handful of terms carry factors that are easy to mistranscribe (softmax
+entries at the probe token versus the derivative token, paired
 coefficients, a symmetric weight combination); comments keyed to the term
 index record the algebraic constraint that fixes each one, and the
 finite-difference suite is the arbiter.
@@ -49,12 +55,12 @@ def classify_case(i0, i1, i2):
                     np.where(i0 == i2, 3, np.where(i1 == i2, 4, 5)))
 
 
-# The indices after j0 are ints or broadcast integer arrays; token sums run
-# over a trailing axis.
-def _d2c_case1(cache: ForwardCache, spec: ProblemSpec, i0: int, j0: int, j1, j2):
+# j0 and the indices after it are ints or broadcast integer arrays; token
+# sums run over a trailing axis.
+def _d2c_case1(cache: ForwardCache, spec: ProblemSpec, i0: int, j0, j1, j2):
     F, H, V = cache.F, cache.H, spec.V
     f = F[:, i0]
-    h = H[:, j0]
+    h = H.T[j0]
     s = cache.S[i0, j0]
     f00 = F[i0, i0]
     h00 = H[i0, j0]
@@ -93,10 +99,10 @@ def _d2c_case1(cache: ForwardCache, spec: ProblemSpec, i0: int, j0: int, j1, j2)
     return _term_sum(terms)
 
 
-def _d2c_case2(cache: ForwardCache, spec: ProblemSpec, i0: int, j0: int, j1, i2, j2):
+def _d2c_case2(cache: ForwardCache, spec: ProblemSpec, i0: int, j0, j1, i2, j2):
     F, H, V = cache.F, cache.H, spec.V
     f = F[:, i0]
-    h = H[:, j0]
+    h = H.T[j0]
     s = cache.S[i0, j0]
     f00 = F[i0, i0]
     h00 = H[i0, j0]
@@ -132,7 +138,7 @@ def _d2c_case2(cache: ForwardCache, spec: ProblemSpec, i0: int, j0: int, j1, i2,
     return _term_sum(terms)
 
 
-def _d2c_case4(cache: ForwardCache, spec: ProblemSpec, i0: int, j0: int, i1, j1, j2):
+def _d2c_case4(cache: ForwardCache, spec: ProblemSpec, i0: int, j0, i1, j1, j2):
     V = spec.V
     s = cache.S[i0, j0]
     f01 = cache.F[i1, i0]
@@ -151,7 +157,7 @@ def _d2c_case4(cache: ForwardCache, spec: ProblemSpec, i0: int, j0: int, i1, j1,
     return _term_sum(terms)
 
 
-def _d2c_case5(cache: ForwardCache, spec: ProblemSpec, i0: int, j0: int, i1, j1, i2, j2):
+def _d2c_case5(cache: ForwardCache, spec: ProblemSpec, i0: int, j0, i1, j1, i2, j2):
     s = cache.S[i0, j0]
     f01, f02 = cache.F[i1, i0], cache.F[i2, i0]
     w1, w2 = cache.Wsc[i0, j1], cache.Wsc[i0, j2]
@@ -183,107 +189,128 @@ def d2c_entry(cache: ForwardCache, spec: ProblemSpec, i0: int, j0: int,
     return float(value)
 
 
-def d2c_table(cache: ForwardCache, spec: ProblemSpec, i0: int, j0: int) -> np.ndarray:
+def _features(d: int, j0) -> np.ndarray:
+    """j0 as an integer index array: 0-d for one feature, (k,) for a stack
+    of k features; IndexError unless every feature is in [0, d)."""
+    j = np.asarray(j0)
+    if j.ndim > 1 or j.dtype.kind not in "iu" or not ((0 <= j) & (j < d)).all():
+        raise IndexError(f"j0={j0!r} is not a feature in [0, {d}) or a 1-D array of them")
+    return j
+
+
+def d2c_table(cache: ForwardCache, spec: ProblemSpec, i0: int, j0) -> np.ndarray:
     """nd x nd Hessian of c[i0, j0] from the term tables, entry for entry
     d2c_entry: the case 1, 2, 4 and 5 tables are evaluated once each on a
     broadcast (i1, j1, i2, j2) grid and placed in the classify_case
-    layout; case 3 is placed as the transpose of the case-2 evaluation."""
+    layout; case 3 is placed as the transpose of the case-2 evaluation.
+    j0 is a feature or a 1-D array of k features; a stack returns the
+    (k, nd, nd) Hessians of c[i0, j0[0]], ..., each equal to its own call."""
     _check_index(spec.n, i0=i0)
-    _check_index(spec.d, j0=j0)
+    j = _features(spec.d, j0)
     n, d = spec.n, spec.d
     i1, j1, i2, j2 = np.ix_(range(n), range(d), range(n), range(d))
-    T = _d2c_case5(cache, spec, i0, j0, i1, j1, i2, j2)     # every index varies
-    tok = np.arange(n)
-    T[tok, :, tok] = _d2c_case4(cache, spec, i0, j0, i1, j1, j2)[:, :, 0]
-    E = _d2c_case2(cache, spec, i0, j0, j1, i2, j2)[0]
-    T[i0] = E
-    T[:, :, i0] = E.transpose(1, 2, 0)                      # case 3
-    T[i0, :, i0] = _d2c_case1(cache, spec, i0, j0, j1, j2)[0, :, 0]
-    return T.reshape(n * d, n * d)
+    jg = j[..., None, None, None, None]    # the feature axis leads the grid
+    T = _d2c_case5(cache, spec, i0, jg, i1, j1, i2, j2)     # every index varies
+    T[..., i1, j1, i1, j2] = _d2c_case4(cache, spec, i0, jg, i1, j1, j2)
+    E = _d2c_case2(cache, spec, i0, jg, j1, i2, j2)[..., 0, :, :, :]
+    T[..., i0, :, :, :] = E
+    T[..., :, :, i0, :] = np.moveaxis(E, -3, -1)            # case 3
+    T[..., i0, :, i0, :] = _d2c_case1(cache, spec, i0, jg, j1, j2)[..., 0, :, 0, :]
+    return T.reshape(*j.shape, n * d, n * d)
 
 
-def _case1_vectors(cache: ForwardCache, spec: ProblemSpec, i0: int, j0: int):
+def _outer(a, b):
+    """Outer products of the trailing vectors of two stacks."""
+    return a[..., :, None] * b[..., None, :]
+
+
+# j0 and the token indices after it are ints or broadcast integer arrays;
+# the blocks carry the feature and token axes first and (d, d) last.
+def _case1_vectors(cache: ForwardCache, spec: ProblemSpec, i0: int, j0):
     f = cache.F[:, i0]
-    h = cache.H[:, j0]
+    h = cache.H.T[j0]
     wv = cache.Wsc[i0, :]          # W X[:, i0]
     zv = cache.Zsc[i0, :]          # W^T X f
     tv = cache.XW[i0, :]           # W^T X[:, i0]
-    vc = spec.V[:, j0]
+    vc = spec.V.T[j0]
     return f, h, wv, zv, tv, vc
+
+
+def _block_case1(cache: ForwardCache, spec: ProblemSpec, i0: int, j0):
+    f, h, wv, zv, tv, vc = _case1_vectors(cache, spec, i0, j0)
+    s = cache.S[i0, j0][..., None, None]
+    f00 = cache.F[i0, i0]
+    h00 = cache.H[i0, j0][..., None, None]
+    W = spec.W
+    Gm = cache.XW                  # columns are X^T W[:, j]
+    m = np.matmul(Gm.T, (f * h)[..., None])[..., 0]  # m[j] = <f o XW[:, j], h>
+    ww = _outer(wv, wv)
+    wz = _outer(wv, zv)
+    B = 2.0 * s * f00 * f00 * ww                            # B1
+    B += 2.0 * f00 * s * (wz + wz.T)                        # B2
+    B += -(f00 * f00) * h00 * ww                            # B3
+    B += -f00 * (_outer(m, wv) + _outer(wv, m))             # B4
+    B += -(f00 * f00) * (_outer(wv, vc) + _outer(vc, wv))   # B5
+    B += -s * f00 * ww                                      # B6
+    B += -s * f00 * (_outer(wv, tv) + _outer(tv, wv))       # B7
+    B += -s * f00 * (W + W.T)      # B8: symmetric combination; an
+                                   # antisymmetric W form cannot match
+                                   # the symmetric D8 entries
+    B += s * _outer(zv, zv)                                 # B9
+    B += -f00 * h00 * (wz.T + wz)                           # B10
+    B += -(_outer(zv, m) + _outer(m, zv))  # B11: both summands carry
+                                   # minus, matching D11
+    B += -f00 * (_outer(zv, vc) + _outer(vc, zv))  # B12: both summands
+                                   # carry minus, matching D12
+    B += s * _outer(zv, zv)        # B13: no softmax factor, mirroring D13
+    B += -s * (Gm.T * f) @ Gm                               # B14
+    B += -(f00 * f00) * h00 * ww                            # B15
+    B += f00 * h00 * ww                                     # B16
+    B += f00 * h00 * (_outer(wv, tv) + _outer(tv, wv))      # B17
+    B += f00 * (_outer(wv, vc) + _outer(vc, wv))  # B18: value COLUMN
+                                   # j0 on both sides, matching D18
+    B += f00 * h00 * (W + W.T)                              # B19
+    B += (Gm.T * (f * h)[..., None, :]) @ Gm  # B20: weight factor on
+                                   # both sides (entry = <f o g_j1 o g_j2,
+                                   # h>, D20)
+    B += f00 * (_outer(tv, vc) + _outer(vc, tv))            # B21
+    return B
 
 
 def block_case1(cache: ForwardCache, spec: ProblemSpec, i0: int, j0: int) -> np.ndarray:
     """Diagonal probe block: all three indices on token i0."""
     _check_index(spec.n, i0=i0)
     _check_index(spec.d, j0=j0)
-    f, h, wv, zv, tv, vc = _case1_vectors(cache, spec, i0, j0)
-    s = cache.S[i0, j0]
-    f00 = cache.F[i0, i0]
-    h00 = cache.H[i0, j0]
-    W = spec.W
-    Gm = cache.XW                  # columns are X^T W[:, j]
-    m = Gm.T @ (f * h)             # m[j] = <f o XW[:, j], h>
-    ww = np.outer(wv, wv)
-    wz = np.outer(wv, zv)
-    B = 2.0 * s * f00 * f00 * ww                            # B1
-    B += 2.0 * f00 * s * (wz + wz.T)                        # B2
-    B += -(f00 * f00) * h00 * ww                            # B3
-    B += -f00 * (np.outer(m, wv) + np.outer(wv, m))         # B4
-    B += -(f00 * f00) * (np.outer(wv, vc) + np.outer(vc, wv))  # B5
-    B += -s * f00 * ww                                      # B6
-    B += -s * f00 * (np.outer(wv, tv) + np.outer(tv, wv))   # B7
-    B += -s * f00 * (W + W.T)      # B8: symmetric combination; an
-                                   # antisymmetric W form cannot match
-                                   # the symmetric D8 entries
-    B += s * np.outer(zv, zv)                               # B9
-    B += -f00 * h00 * (wz.T + wz)                           # B10
-    B += -(np.outer(zv, m) + np.outer(m, zv))  # B11: both summands carry
-                                   # minus, matching D11
-    B += -f00 * (np.outer(zv, vc) + np.outer(vc, zv))  # B12: both
-                                   # summands carry minus, matching D12
-    B += s * np.outer(zv, zv)      # B13: no softmax factor, mirroring D13
-    B += -s * (Gm.T * f) @ Gm                               # B14
-    B += -(f00 * f00) * h00 * ww                            # B15
-    B += f00 * h00 * ww                                     # B16
-    B += f00 * h00 * (np.outer(wv, tv) + np.outer(tv, wv))  # B17
-    B += f00 * (np.outer(wv, vc) + np.outer(vc, wv))  # B18: value COLUMN
-                                   # j0 on both sides, matching D18
-    B += f00 * h00 * (W + W.T)                              # B19
-    B += (Gm.T * (f * h)) @ Gm     # B20: weight factor on both sides
-                                   # (entry = <f o g_j1 o g_j2, h>, D20)
-    B += f00 * (np.outer(tv, vc) + np.outer(vc, tv))        # B21
-    return B
+    return _block_case1(cache, spec, i0, j0)
 
 
-# The token indices after j0 are ints or broadcast integer arrays; the
-# blocks carry the token axes first and (d, d) last.
-def _block_case2(cache: ForwardCache, spec: ProblemSpec, i0: int, j0: int, i2):
+def _block_case2(cache: ForwardCache, spec: ProblemSpec, i0: int, j0, i2):
     f, h, wv, zv, _, vc = _case1_vectors(cache, spec, i0, j0)
-    s = cache.S[i0, j0]
+    s = cache.S[i0, j0][..., None, None]
     f00 = cache.F[i0, i0]
-    h00 = cache.H[i0, j0]
+    h00 = cache.H[i0, j0][..., None, None]
     f02 = cache.F[i2, i0][..., None, None]
     h02 = cache.H[i2, j0][..., None, None]
     t2v = cache.XW[i2][..., None]  # W^T X[:, i2]
-    m = cache.XW.T @ (f * h)
-    ww = np.outer(wv, wv)
-    zw = np.outer(zv, wv)
+    m = np.matmul(cache.XW.T, (f * h)[..., None])[..., 0]
+    ww = _outer(wv, wv)
+    zw = _outer(zv, wv)
     J = 2.0 * s * f02 * f00 * ww                            # J1
     J += -f02 * h02 * f00 * ww     # J2: coefficient 1, as in E2
-    J += -f02 * f00 * np.outer(wv, vc)                      # J3
+    J += -f02 * f00 * _outer(wv, vc)                        # J3
     J += s * f02 * zw                                       # J4
     J += -f02 * h02 * zw                                    # J5
-    J += -f02 * np.outer(zv, vc)                            # J6
+    J += -f02 * _outer(zv, vc)                              # J6
     J += s * f02 * zw              # J7: softmax entry i2, as in E7
     J += -s * f02 * (t2v * wv)     # J8: W^T X[:, i2] against wv,
                                    # matching E8's token-i2 factors
     J += -s * f02 * spec.W.T       # J9: softmax entry i2, as in E9
     J += -f00 * f02 * h00 * ww                              # J10
-    J += -f02 * np.outer(m, wv)                             # J11
+    J += -f02 * _outer(m, wv)                               # J11
     J += f02 * h02 * (t2v * wv)                             # J12
     J += f02 * h02 * spec.W.T                               # J13
-    J += f02 * (t2v * vc)                                   # J14
-    J += -f00 * f02 * np.outer(vc, wv)                      # J15
+    J += f02 * (t2v * vc[..., None, :])                     # J14
+    J += -f00 * f02 * _outer(vc, wv)                        # J15
     return J
 
 
@@ -309,19 +336,19 @@ def block_case3(cache: ForwardCache, spec: ProblemSpec,
     return block_case2(cache, spec, i0, j0, i1).T
 
 
-def _block_case4(cache: ForwardCache, spec: ProblemSpec, i0: int, j0: int, i1):
-    s = cache.S[i0, j0]
+def _block_case4(cache: ForwardCache, spec: ProblemSpec, i0: int, j0, i1):
+    s = cache.S[i0, j0][..., None, None]
     f01 = cache.F[i1, i0][..., None, None]
     h01 = cache.H[i1, j0][..., None, None]
     _, _, wv, _, _, vc = _case1_vectors(cache, spec, i0, j0)
-    ww = np.outer(wv, wv)
-    wvvc = np.outer(wv, vc)
+    ww = _outer(wv, wv)
+    wvvc = _outer(wv, vc)
     K = 2.0 * s * f01 * f01 * ww                            # K1
     K += -2.0 * f01 * f01 * h01 * ww  # K2: coefficient 2, as in F2
-    K += -f01 * f01 * (wvvc + wvvc.T)                       # K3
+    K += -f01 * f01 * (wvvc + wvvc.mT)                      # K3
     K += -s * f01 * ww                                      # K4
     K += f01 * h01 * ww                                     # K5
-    K += f01 * (wvvc + wvvc.T)                              # K6
+    K += f01 * (wvvc + wvvc.mT)                             # K6
     return K
 
 
@@ -335,16 +362,16 @@ def block_case4(cache: ForwardCache, spec: ProblemSpec,
     return _block_case4(cache, spec, i0, j0, i1)
 
 
-def _block_case5(cache: ForwardCache, spec: ProblemSpec, i0: int, j0: int, i1, i2):
-    s = cache.S[i0, j0]
+def _block_case5(cache: ForwardCache, spec: ProblemSpec, i0: int, j0, i1, i2):
+    s = cache.S[i0, j0][..., None, None]
     f01 = cache.F[i1, i0][..., None, None]
     f02 = cache.F[i2, i0][..., None, None]
     _, _, wv, _, _, vc = _case1_vectors(cache, spec, i0, j0)
-    ww = np.outer(wv, wv)
-    wvvc = np.outer(wv, vc)
+    ww = _outer(wv, wv)
+    wvvc = _outer(wv, vc)
     N = 2.0 * s * f01 * f02 * ww                            # N1
     N += -f01 * f02 * (cache.H[i2, j0] + cache.H[i1, j0])[..., None, None] * ww  # N2
-    N += -f01 * f02 * (wvvc + wvvc.T)  # N3: same w vector on both sides,
+    N += -f01 * f02 * (wvvc + wvvc.mT)  # N3: same w vector on both sides,
                                    # matching G3
     return N
 
@@ -359,21 +386,24 @@ def block_case5(cache: ForwardCache, spec: ProblemSpec,
     return _block_case5(cache, spec, i0, j0, i1, i2)
 
 
-def hessian_c(cache: ForwardCache, spec: ProblemSpec, i0: int, j0: int) -> np.ndarray:
+def hessian_c(cache: ForwardCache, spec: ProblemSpec, i0: int, j0) -> np.ndarray:
     """nd x nd Hessian of one residual entry from the case blocks: each
     case is evaluated once on the (i1, i2) token grid and placed in the
-    classify_case layout."""
+    classify_case layout.  j0 is a feature or a 1-D array of k features;
+    a stack returns the (k, nd, nd) Hessians of c[i0, j0[0]], ..., each
+    equal to its own call."""
     _check_index(spec.n, i0=i0)
-    _check_index(spec.d, j0=j0)
+    j = _features(spec.d, j0)
     n, nd = spec.n, spec.n * spec.d
     tok = np.arange(n)
-    T = _block_case5(cache, spec, i0, j0, tok[:, None], tok)   # (n, n, d, d)
-    T[tok, tok] = _block_case4(cache, spec, i0, j0, tok)
-    J = _block_case2(cache, spec, i0, j0, tok)
-    T[i0] = J
-    T[:, i0] = J.transpose(0, 2, 1)                            # case 3
-    T[i0, i0] = block_case1(cache, spec, i0, j0)
-    return T.transpose(0, 2, 1, 3).reshape(nd, nd)
+    jt = j[..., None]              # the feature axis leads a token axis
+    T = _block_case5(cache, spec, i0, jt[..., None], tok[:, None], tok)  # (..., n, n, d, d)
+    T[..., tok, tok, :, :] = _block_case4(cache, spec, i0, jt, tok)
+    J = _block_case2(cache, spec, i0, jt, tok)
+    T[..., i0, :, :, :] = J
+    T[..., :, i0, :, :] = J.mT                                 # case 3
+    T[..., i0, i0, :, :] = _block_case1(cache, spec, i0, j)
+    return T.swapaxes(-3, -2).reshape(*j.shape, nd, nd)
 
 
 def residual_hessians(cache: ForwardCache, spec: ProblemSpec, i0: int) -> np.ndarray:

@@ -41,7 +41,8 @@ def check_dense_cap(nd: int) -> None:
 
 
 class NumericalRangeError(ValueError):
-    """exp() overflowed: the input is outside the bounded-parameter regime."""
+    """A value left the finite range (exp overflow, a non-finite loss, FD
+    probe or Hessian): the input is outside the bounded-parameter regime."""
 
 
 def _as_float_matrix(M, name: str, shape: tuple[int, ...]) -> np.ndarray:

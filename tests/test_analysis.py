@@ -6,12 +6,13 @@ from attninv.analysis import (
     choose_gamma,
     effective_bound_constant,
     lipschitz_probe,
+    min_eigenvalue,
     psd_floor,
 )
 from attninv import hessian
 from attninv.gradient import jacobian_c
 from attninv.hessian import hessian_L
-from attninv.model import ProblemSpec, forward_cache, synthesize_target
+from attninv.model import NumericalRangeError, ProblemSpec, forward_cache, synthesize_target
 from conftest import (
     block_loop_hessian_c,
     bounded_instance,
@@ -113,6 +114,22 @@ def test_psd_floor_seeded():
     spec, X = bounded_instance(0, 3, 2)
     rep = psd_floor(forward_cache(spec, X), spec, X)
     assert rep.passed and rep.hessian_c_passed
+
+
+def test_min_eigenvalue_out_of_range_is_numerical_range_error(monkeypatch):
+    assert min_eigenvalue(np.diag([2.0, -1.0])) == -1.0
+    for bad in (np.inf, np.nan):
+        with pytest.raises(NumericalRangeError, match="not finite"):
+            min_eigenvalue(np.diag([1.0, bad]))
+
+    def no_convergence(H):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    # psd_floor's eigensolve ends the same way
+    spec, X = bounded_instance(0, 3, 2)
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+    with pytest.raises(NumericalRangeError, match="eigensolve failed"):
+        psd_floor(forward_cache(spec, X), spec, X)
 
 
 def test_choose_gamma_formula_and_positivity():

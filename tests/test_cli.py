@@ -428,6 +428,60 @@ def test_check_at_exp_overflow_is_a_failing_record(tmp_path, capsys):
                                            "bounded regime"}]
 
 
+@pytest.mark.parametrize("level", ["psd", "all"])
+def test_check_with_infinite_auto_gamma_is_a_failing_record(tmp_path, capsys, level):
+    # V scaled by 1e39: the loss and psd_floor's Hessian stay finite, but
+    # the auto gamma is 1.2e308, so 2 * gamma on the diagonal is inf
+    out = tmp_path / "inst"
+    run_cli("generate", "--seed", "1", "--n", "3", "--d", "2", "--out", str(out))
+    problem = json.loads((out / "problem.json").read_text())
+    problem["V"]["data"] = [v * 1e39 for v in problem["V"]["data"]]
+    (out / "problem.json").write_text(json.dumps(problem))
+    capsys.readouterr()
+    code = run_cli("check", "--problem", str(out / "problem.json"), "--level", level)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in captured.err
+    assert json.loads(captured.out)["results"] == [
+        {"check": "numerical_range", "pass": False,
+         "error": "NumericalRangeError: the Hessian is not finite"}]
+
+
+def _sweep_calls(monkeypatch, n, d):
+    """The (name, i0, features) of each term-table and case-block call that
+    check's hessian_block_entry_equiv record makes on an n x d instance,
+    with stand-ins for the dense Hessian and its FD oracle."""
+    spec, X = make_instance(0, n, d)
+    nd = n * d
+    calls = []
+
+    def record(name):
+        def fn(cache, spec, i0, j0):
+            calls.append((name, i0, tuple(int(j) for j in j0)))
+            return np.zeros((len(j0), nd, nd))
+        return fn
+
+    monkeypatch.setattr(cli.hessian, "d2c_table", record("d2c_table"))
+    monkeypatch.setattr(cli.hessian, "hessian_c", record("hessian_c"))
+    monkeypatch.setattr(cli.hessian, "hessian_L", lambda cache, spec, X: np.zeros((nd, nd)))
+    monkeypatch.setattr(cli.oracle, "fd_hessian", lambda fn, X: np.zeros((nd, nd)))
+    records = cli._check_entries(spec, X + 0.05, "hessian", 0)
+    assert records[-1] == {"check": "hessian_block_entry_equiv", "pass": True,
+                           "max_abs_diff": 0.0}
+    return calls
+
+
+@pytest.mark.parametrize("n,d,chunk", [(4, 3, 3), (8, 4, 4), (16, 8, 4), (32, 16, 1)])
+def test_check_sweeps_each_probe_token_in_feature_chunks(monkeypatch, n, d, chunk):
+    # one d2c_table and one hessian_c call per (i0, chunk), chunks of
+    # max(1, 2**16 // (nd)^2) features: every d at once on the certify
+    # shapes, one feature at a time at 32 x 16
+    chunks = [tuple(range(lo, min(lo + chunk, d))) for lo in range(0, d, chunk)]
+    assert _sweep_calls(monkeypatch, n, d) == [
+        (name, i0, js) for i0 in range(n) for js in chunks
+        for name in ("d2c_table", "hessian_c")]
+
+
 def test_check_hessian_records_exact_symmetry(tmp_path, capsys):
     # hessian_L assembles K as A + A^T, so H equals H^T bit for bit
     out = tmp_path / "inst"

@@ -397,9 +397,9 @@ def test_hessian_c_equals_block_loop_bitwise(seed, shape):
 
 
 def test_hessian_c_makes_one_call_per_case(monkeypatch):
-    # one call per index case at every n; one call per block would scale
-    # the counts with n^2
-    names = ("block_case1", "_block_case2", "_block_case4", "_block_case5")
+    # one call per index case at every n and for a feature stack; one call
+    # per block would scale the counts with n^2, one per feature with k
+    names = ("_block_case1", "_block_case2", "_block_case4", "_block_case5")
     counts = dict.fromkeys(names, 0)
     for name in names:
         def counted(*args, _fn=getattr(hessian, name), _name=name):
@@ -408,14 +408,16 @@ def test_hessian_c_makes_one_call_per_case(monkeypatch):
         monkeypatch.setattr(hessian, name, counted)
     for n in (3, 8):
         spec, X = bounded_instance(1, n, 2)
-        counts.update(dict.fromkeys(names, 0))
-        hessian_c(forward_cache(spec, X), spec, 1, 1)
-        assert counts == dict.fromkeys(names, 1), n
+        for j0 in (1, np.arange(2)):
+            counts.update(dict.fromkeys(names, 0))
+            hessian_c(forward_cache(spec, X), spec, 1, j0)
+            assert counts == dict.fromkeys(names, 1), (n, j0)
 
 
 def test_d2c_table_makes_one_call_per_case(monkeypatch):
-    # one term-table evaluation per index case: case 3 is placed as the
-    # transpose of the case-2 evaluation, not evaluated again
+    # one term-table evaluation per index case, also for a feature stack:
+    # case 3 is placed as the transpose of the case-2 evaluation, not
+    # evaluated again
     names = ("_d2c_case1", "_d2c_case2", "_d2c_case4", "_d2c_case5")
     counts = dict.fromkeys(names, 0)
     for name in names:
@@ -425,9 +427,10 @@ def test_d2c_table_makes_one_call_per_case(monkeypatch):
         monkeypatch.setattr(hessian, name, counted)
     for n in (3, 8):
         spec, X = bounded_instance(1, n, 2)
-        counts.update(dict.fromkeys(names, 0))
-        d2c_table(forward_cache(spec, X), spec, 1, 1)
-        assert counts == dict.fromkeys(names, 1), n
+        for j0 in (1, np.arange(2)):
+            counts.update(dict.fromkeys(names, 0))
+            d2c_table(forward_cache(spec, X), spec, 1, j0)
+            assert counts == dict.fromkeys(names, 1), (n, j0)
 
 
 @pytest.mark.parametrize("i0,j0", [(3, 0), (-1, 0), (0, 2), (0, -1)])
@@ -435,3 +438,59 @@ def test_hessian_c_index_error(i0, j0):
     spec, X = bounded_instance(0, 3, 2)
     with pytest.raises(IndexError):
         hessian_c(forward_cache(spec, X), spec, i0, j0)
+
+
+# the acceptance family, the benchmark's certify shapes and two larger ones
+STACK_SHAPES = ACCEPTANCE_SHAPES + [(4, 3), (6, 4), (8, 4), (12, 6), (16, 8)]
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.3])
+@pytest.mark.parametrize("seed,shape", list(enumerate(STACK_SHAPES)))
+def test_feature_stacks_equal_per_feature_calls_bitwise(seed, shape, gamma):
+    # a stack over j0 is the same arithmetic broadcast over a leading
+    # feature axis: every Hessian is its own call's, float for float, and
+    # the per-feature calls are the term-table entries and the block tiling
+    n, d = shape
+    nd = n * d
+    # 12 x 6 and 16 x 8: the first, a middle and the last probe token
+    probes = range(n) if n <= 8 else (0, n // 2, n - 1)
+    for point, (spec, Y) in enumerate(_three_points(9500 + seed, n, d, gamma)):
+        cache = forward_cache(spec, Y)
+        for i0 in probes:
+            T = d2c_table(cache, spec, i0, np.arange(d))
+            H = hessian_c(cache, spec, i0, np.arange(d))
+            assert T.shape == H.shape == (d, nd, nd)
+            for j0 in range(d):
+                assert np.array_equal(T[j0], d2c_table(cache, spec, i0, j0))
+                assert np.array_equal(H[j0], hessian_c(cache, spec, i0, j0))
+        # one residual against the per-residual references (the tests above
+        # cover every residual at gamma 0); d2c_entry makes (nd)^2 calls,
+        # so beyond nd = 32 at the first point only
+        i0, j0 = n // 2, d - 1
+        H = hessian_c(cache, spec, i0, np.array([j0]))[0]
+        assert np.array_equal(H, block_loop_hessian_c(cache, spec, i0, j0))
+        if nd <= 32 or point == 0:
+            T = d2c_table(cache, spec, i0, np.array([j0]))[0]
+            assert np.array_equal(T, _entry_table(cache, spec, i0, j0))
+
+
+def test_feature_stacks_take_any_feature_order():
+    # chunks, repeats and reversed order: row r is feature j0[r]
+    spec, X = bounded_instance(5, 4, 3)
+    cache = forward_cache(spec, X)
+    for j0 in ([2, 0], [1, 1, 2], [1], np.arange(3)[::-1]):
+        for fn in (d2c_table, hessian_c):
+            stack = fn(cache, spec, 2, np.asarray(j0))
+            assert stack.shape == (len(j0), 12, 12)
+            for row, j in zip(stack, j0):
+                assert np.array_equal(row, fn(cache, spec, 2, int(j)))
+
+
+@pytest.mark.parametrize("j0", [np.array([0, 2]), np.array([-1]), np.zeros((1, 1), int),
+                                np.array([0.0, 1.0]), np.array([True])])
+def test_feature_stack_index_error(j0):
+    spec, X = bounded_instance(0, 3, 2)
+    cache = forward_cache(spec, X)
+    for fn in (d2c_table, hessian_c):
+        with pytest.raises(IndexError):
+            fn(cache, spec, 0, j0)

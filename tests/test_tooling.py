@@ -73,6 +73,20 @@ def test_certify_check_output_is_pinned(n, d, tmp_path, monkeypatch, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == CERTIFY_CHECK_DIGESTS[(n, d)]
 
 
+def test_certify_check_output_is_pinned_with_two_blas_threads(tmp_path):
+    # from the shell under two BLAS threads: the feature-stacked sweep's
+    # batched products print the same report as the in-process run
+    env = {**SCRIPT_ENV, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "2"}
+
+    def shell(*argv):
+        return subprocess.run([sys.executable, "-m", "attninv", *argv], env=env,
+                              cwd=tmp_path, capture_output=True, timeout=300, check=True)
+
+    shell("generate", "--seed", "804", "--n", "8", "--d", "4", "--out", "inst")
+    out = shell("check", "--problem", "inst/problem.json", "--level", "all", "--seed", "804")
+    assert hashlib.sha256(out.stdout).hexdigest() == CERTIFY_CHECK_DIGESTS[(8, 4)]
+
+
 def test_guarantee_audit_output_is_pinned():
     out = subprocess.run([sys.executable, str(ROOT / "scripts" / "guarantee_audit.py"),
                           "--count", "25"],
