@@ -18,6 +18,9 @@ from .model import ForwardCache, NumericalRangeError, ProblemSpec, check_input, 
 
 BIG_O_CONSTANT = 200.0
 PSD_FLOOR_CONSTANT = 72.0
+# Hessian entries per residual_hessians call (one token at least): the checks
+# take the probe tokens in chunks, so they peak below the FD Hessian oracle.
+_TOKEN_CHUNK_ENTRIES = 2**13
 
 
 @dataclass(frozen=True)
@@ -44,15 +47,15 @@ class BoundReport:
 
 def effective_bound_constant(spec: ProblemSpec, X) -> float:
     """Measured stand-in for the bound constant: the largest of 1, the
-    spectral norms of W, V, X, and sqrt(max |B|)."""
+    spectral norms of W, V, X, and sqrt(max |B|), all but X's from r_spec."""
     X = check_input(spec, X)
-    return float(max(
-        1.0,
-        np.linalg.norm(spec.W, 2),
-        np.linalg.norm(spec.V, 2),
-        np.linalg.norm(X, 2),
-        float(np.sqrt(np.abs(spec.B).max())) if spec.B.size else 1.0,
-    ))
+    return float(max(spec.r_spec, np.linalg.norm(X, 2)))
+
+
+def _token_chunks(spec: ProblemSpec):
+    """The probe tokens 0..n-1 as consecutive 1-D arrays of that budget."""
+    step = max(1, _TOKEN_CHUNK_ENTRIES // (spec.d * (spec.n * spec.d) ** 2))
+    return np.split(np.arange(spec.n), range(step, spec.n, step))
 
 
 def _mk(name: str, lhs: float, rhs: float, kind: str = "theorem") -> BoundCheck:
@@ -98,20 +101,17 @@ def bound_suite(cache: ForwardCache, spec: ProblemSpec, X) -> BoundReport:
     checks.append(_mk("residual_grad_norm",
                       np.sqrt((J[:, None] @ J[..., None]).max()), 5.0 * sqrt_nd * R**4))
 
-    # per probe token i0, the ord-2 norm of every d x d block (i1, i2) of
-    # the d residual Hessians, worst over j0; then the worst in each case
-    # that occurs (n = 1 has only case 1, n = 2 no case 5)
-    norms = np.stack([np.linalg.norm(
-        hessian.residual_hessians(cache, spec, i0).reshape(d, n, d, n, d)
-        .transpose(0, 1, 3, 2, 4), 2, axis=(3, 4)).max(axis=0) for i0 in range(n)])
+    # per probe token i0, one token chunk at a time, the ord-2 norm of every
+    # d x d block (i1, i2) of the d residual Hessians, worst over j0; then the
+    # worst in each case that occurs (n = 1 has only case 1, n = 2 no case 5)
+    norms = np.concatenate([np.linalg.norm(
+        hessian.residual_hessians(cache, spec, i0).reshape(-1, d, n, d, n, d)
+        .transpose(0, 1, 2, 4, 3, 5), 2, axis=(4, 5)).max(axis=1)
+        for i0 in _token_chunks(spec)])
     case_of = hessian.classify_case(*np.ix_(range(n), range(n), range(n)))
-    block_bounds = {
-        1: 23.0 * R**6 + R**5 + 12.0 * R**3,
-        2: 11.0 * R**6 + 6.0 * R**3,
-        3: 11.0 * R**6 + 6.0 * R**3,
-        4: 5.0 * R**6 + 4.0 * R**3,
-        5: 4.0 * R**6 + 2.0 * R**3,
-    }
+    block_bounds = {1: 23.0 * R**6 + R**5 + 12.0 * R**3, 2: 11.0 * R**6 + 6.0 * R**3,
+                    3: 11.0 * R**6 + 6.0 * R**3, 4: 5.0 * R**6 + 4.0 * R**3,
+                    5: 4.0 * R**6 + 2.0 * R**3}
     for case in sorted(set(case_of.flat)):
         checks.append(_mk(f"hessian_block{case}_norm",
                           norms[case_of == case].max(), block_bounds[case]))
@@ -141,29 +141,30 @@ def min_eigenvalue(H) -> float:
         raise NumericalRangeError(f"eigensolve failed: {exc}") from exc
 
 
-def psd_floor(cache: ForwardCache, spec: ProblemSpec, X) -> PsdReport:
-    """Lower spectral bound check for the unregularized loss Hessian, plus
-    the per-residual Hessian norm check at twice the single-entry bound
-    (the doubling matches the loss convention).  cache is the forward
-    cache at X, which does not depend on gamma."""
+def psd_floor(cache: ForwardCache, spec: ProblemSpec, X, H0) -> PsdReport:
+    """Lower spectral bound check for H0, the loss Hessian at gamma = 0,
+    plus the per-residual Hessian norm check at twice the single-entry bound
+    (the doubling matches the loss convention), one token chunk at a time.
+    cache is the forward cache at X, which does not depend on gamma."""
     X = check_input(spec, X)
-    base = spec.with_gamma(0.0)
     R = effective_bound_constant(spec, X)
-    lam_min = min_eigenvalue(hessian.hessian_L(cache, base, X))
+    lam_min = min_eigenvalue(H0)
     floor = -2.0 * PSD_FLOOR_CONSTANT * spec.n * spec.d * R**8
-    worst_c = max(float(np.linalg.norm(hessian.residual_hessians(cache, base, i0),
-                                       2, axis=(1, 2)).max())
-                  for i0 in range(spec.n))
+    worst_c = float(max(m for i0 in _token_chunks(spec) for m in np.linalg.norm(
+        hessian.residual_hessians(cache, spec, i0), 2, axis=(2, 3)).max(axis=1)))
     c_bound = 2.0 * 36.0 * R**6
-    return PsdReport(
-        lambda_min=lam_min,
-        floor=floor,
-        passed=bool(lam_min >= floor),
-        r_eff=R,
-        hessian_c_norm_max=worst_c,
-        hessian_c_bound=c_bound,
-        hessian_c_passed=bool(worst_c <= c_bound),
-    )
+    return PsdReport(lambda_min=lam_min, floor=floor, passed=bool(lam_min >= floor), r_eff=R,
+                     hessian_c_norm_max=worst_c, hessian_c_bound=c_bound,
+                     hessian_c_passed=bool(worst_c <= c_bound))
+
+
+def _residual_hessian_gaps(cx: ForwardCache, cy: ForwardCache, spec: ProblemSpec):
+    """max |RHx - RHy| of each probe token's residual Hessians at two points,
+    in token order, one token chunk and one in-place difference at a time."""
+    for i0 in _token_chunks(spec):
+        diff = hessian.residual_hessians(cx, spec, i0)
+        diff -= hessian.residual_hessians(cy, spec, i0)
+        yield from np.abs(diff, out=diff).reshape(len(i0), -1).max(axis=1)
 
 
 def choose_gamma(n: int, d: int, r_eff: float) -> float:
@@ -187,45 +188,28 @@ def lipschitz_probe(spec: ProblemSpec, pairs) -> BoundReport:
     r_eff = 1.0
     base = spec.with_gamma(0.0)
     for idx, (X, Y) in enumerate(pairs):
-        X = check_input(spec, X)
-        Y = check_input(spec, Y)
-        dist = float(np.linalg.norm(X - Y))
-        R = max(effective_bound_constant(spec, X),
-                effective_bound_constant(spec, Y))
+        X, Y = check_input(spec, X), check_input(spec, Y)
+        # identical points: every ratio is zero by convention
+        dist = float(np.linalg.norm(X - Y)) or 1.0
+        R = max(effective_bound_constant(spec, X), effective_bound_constant(spec, Y))
         r_eff = max(r_eff, R)
-        if dist == 0.0:
-            # identical points: every ratio is zero by convention
-            dist = 1.0
-        cx = forward_cache(base, X)
-        cy = forward_cache(base, Y)
-        tag = f"pair{idx}"
-        checks.append(_mk(f"{tag}_softmax_ratio",
-                          np.linalg.norm(cx.F - cy.F, axis=0).max() / dist,
-                          4.0 * sqrt_nd * R**2))
-        checks.append(_mk(f"{tag}_residual_ratio",
-                          np.abs(cx.C - cy.C).max() / dist,
-                          5.0 * sqrt_nd * R**4))
-        checks.append(_mk(f"{tag}_value_ratio",
-                          np.linalg.norm(cx.H - cy.H, axis=0).max() / dist,
-                          R))
-        checks.append(_mk(f"{tag}_score_coeff_ratio",
-                          np.abs(cx.Wsc - cy.Wsc).max() / dist,
-                          R))
-        checks.append(_mk(f"{tag}_softmax_score_ratio",
-                          np.abs(cx.Zsc - cy.Zsc).max() / dist,
-                          5.0 * sqrt_nd * R**4))
-        worst_gc = float(np.abs(gradient.jacobian_c(cx, base)
-                                - gradient.jacobian_c(cy, base)).max())
-        worst_hc = max(float(np.abs(hessian.residual_hessians(cx, base, i0)
-                                    - hessian.residual_hessians(cy, base, i0)).max())
-                       for i0 in range(n))
-        checks.append(_mk(f"{tag}_residual_grad_ratio", worst_gc / dist,
-                          BIG_O_CONSTANT * sqrt_nd * R**6, kind="smoke"))
-        checks.append(_mk(f"{tag}_residual_hess_ratio", worst_hc / dist,
-                          BIG_O_CONSTANT * sqrt_nd * R**8, kind="smoke"))
-        hess_diff = np.linalg.norm(
-            hessian.hessian_L(cx, base, X) - hessian.hessian_L(cy, base, Y))
-        checks.append(_mk(f"{tag}_loss_hessian_ratio", hess_diff / dist,
-                          BIG_O_CONSTANT * float(n)**3.5 * float(d)**3.5 * R**10,
-                          kind="smoke"))
+        cx, cy = forward_cache(base, X), forward_cache(base, Y)
+        theorem = (
+            ("softmax", np.linalg.norm(cx.F - cy.F, axis=0).max(), 4.0 * sqrt_nd * R**2),
+            ("residual", np.abs(cx.C - cy.C).max(), 5.0 * sqrt_nd * R**4),
+            ("value", np.linalg.norm(cx.H - cy.H, axis=0).max(), R),
+            ("score_coeff", np.abs(cx.Wsc - cy.Wsc).max(), R),
+            ("softmax_score", np.abs(cx.Zsc - cy.Zsc).max(), 5.0 * sqrt_nd * R**4))
+        smoke = (
+            ("residual_grad", float(np.abs(gradient.jacobian_c(cx, base)
+                                           - gradient.jacobian_c(cy, base)).max()),
+             BIG_O_CONSTANT * sqrt_nd * R**6),
+            ("residual_hess", float(max(_residual_hessian_gaps(cx, cy, base))),
+             BIG_O_CONSTANT * sqrt_nd * R**8),
+            ("loss_hessian", np.linalg.norm(hessian.hessian_L(cx, base, X)
+                                            - hessian.hessian_L(cy, base, Y)),
+             BIG_O_CONSTANT * float(n)**3.5 * float(d)**3.5 * R**10))
+        for kind, rows in (("theorem", theorem), ("smoke", smoke)):
+            checks += [_mk(f"pair{idx}_{name}_ratio", gap / dist, bound, kind)
+                       for name, gap, bound in rows]
     return BoundReport(r_eff=r_eff, checks=tuple(checks))

@@ -4,33 +4,30 @@ The production paths are closed forms.  hessian_L: the Gauss-Newton part
 J^T J comes from gradient.jacobian_c, and the residual-weighted part
 K = sum c * hess_c is one closed form (no token loop) of three pieces:
 softmax curvature, bilinear scores and the softmax-value cross term, in
-O(n^3 d^2) time with O((nd)^2) temporaries.
-residual_hessians, which the analysis checks use: the Hessians of the d
-residuals of one probe token, as the forward-mode derivative of their
-jacobian_c rows along every input coordinate.
+O(n^3 d^2) time with O((nd)^2) temporaries.  residual_hessians, which the
+analysis checks use: the Hessians of the d residuals of a probe token, as
+the forward-mode derivative of their jacobian_c rows.
 
 The per-residual mixed partial d^2 c[i0, j0] / dx[i1, j1] dx[i2, j2]
-splits into five index cases.  Two independent realizations are kept to
-certify the closed form:
+splits into five index cases, with two independent realizations kept to
+certify the closed forms:
 
   * the scalar term tables (D terms for case 1, E for case 2, F for
     case 4, G for case 5; case 3 is case 2 with the derivative pair
-    swapped), one set of terms shared by d2c_entry, which evaluates one
-    entry, and d2c_table, which evaluates each table once on a broadcast
-    index grid for the whole nd x nd Hessian of one residual;
+    swapped), shared by d2c_entry (one entry) and d2c_table (each table
+    evaluated once on a broadcast index grid);
   * block_case1..block_case5 build the same d x d blocks from outer
     products of cached vectors; hessian_c evaluates each case block once
-    on the (i1, i2) token grid of one residual and places it in the
-    classify_case layout.
+    on the (i1, i2) token grid and places it in the classify_case layout.
 
-d2c_table and hessian_c take j0 as one feature or as a 1-D array of k
-features of the same probe token i0; a stack broadcasts the same terms
-over a leading feature axis (one body, no per-feature loop) and returns
-(k, nd, nd), each Hessian bit for bit its own call's.  Tests pin the two
-realizations against each other at 1e-10 (check's block/entry record
-compares d2c_table with hessian_c, one call each per probe token and
-feature chunk), both against finite differences, and hessian_L and
-residual_hessians against the case blocks.
+A stack broadcasts the same arithmetic over a leading axis, with no loop,
+and each of its Hessians is bit for bit its own call's: d2c_table and
+hessian_c take a 1-D array of k features j0 of one probe token and return
+(k, nd, nd); residual_hessians takes a 1-D array of b probe tokens i0 and
+returns (b, d, nd, nd).  Tests pin the realizations against each other at
+1e-10 (check's block/entry record compares d2c_table with hessian_c), all
+of them against finite differences, and hessian_L and residual_hessians
+against the case blocks.
 
 A handful of terms carry factors that are easy to mistranscribe (softmax
 entries at the probe token versus the derivative token, paired
@@ -189,24 +186,23 @@ def d2c_entry(cache: ForwardCache, spec: ProblemSpec, i0: int, j0: int,
     return float(value)
 
 
-def _features(d: int, j0) -> np.ndarray:
-    """j0 as an integer index array: 0-d for one feature, (k,) for a stack
-    of k features; IndexError unless every feature is in [0, d)."""
-    j = np.asarray(j0)
-    if j.ndim > 1 or j.dtype.kind not in "iu" or not ((0 <= j) & (j < d)).all():
-        raise IndexError(f"j0={j0!r} is not a feature in [0, {d}) or a 1-D array of them")
-    return j
+def _indices(limit: int, name: str, value) -> np.ndarray:
+    """value as an integer index array: 0-d for one index, (k,) for a
+    stack of k; IndexError unless every entry is in [0, limit)."""
+    a = np.asarray(value)
+    if a.ndim > 1 or a.dtype.kind not in "iu" or not ((0 <= a) & (a < limit)).all():
+        raise IndexError(f"{name}={value!r} is not in [0, {limit}) or a 1-D array of such")
+    return a
 
 
 def d2c_table(cache: ForwardCache, spec: ProblemSpec, i0: int, j0) -> np.ndarray:
     """nd x nd Hessian of c[i0, j0] from the term tables, entry for entry
     d2c_entry: the case 1, 2, 4 and 5 tables are evaluated once each on a
     broadcast (i1, j1, i2, j2) grid and placed in the classify_case
-    layout; case 3 is placed as the transpose of the case-2 evaluation.
-    j0 is a feature or a 1-D array of k features; a stack returns the
-    (k, nd, nd) Hessians of c[i0, j0[0]], ..., each equal to its own call."""
+    layout, case 3 as the transpose of case 2.  A 1-D array of k features
+    j0 returns the (k, nd, nd) stack."""
     _check_index(spec.n, i0=i0)
-    j = _features(spec.d, j0)
+    j = _indices(spec.d, "j0", j0)
     n, d = spec.n, spec.d
     i1, j1, i2, j2 = np.ix_(range(n), range(d), range(n), range(d))
     jg = j[..., None, None, None, None]    # the feature axis leads the grid
@@ -389,11 +385,10 @@ def block_case5(cache: ForwardCache, spec: ProblemSpec,
 def hessian_c(cache: ForwardCache, spec: ProblemSpec, i0: int, j0) -> np.ndarray:
     """nd x nd Hessian of one residual entry from the case blocks: each
     case is evaluated once on the (i1, i2) token grid and placed in the
-    classify_case layout.  j0 is a feature or a 1-D array of k features;
-    a stack returns the (k, nd, nd) Hessians of c[i0, j0[0]], ..., each
-    equal to its own call."""
+    classify_case layout.  A 1-D array of k features j0 returns the
+    (k, nd, nd) stack."""
     _check_index(spec.n, i0=i0)
-    j = _features(spec.d, j0)
+    j = _indices(spec.d, "j0", j0)
     n, nd = spec.n, spec.n * spec.d
     tok = np.arange(n)
     jt = j[..., None]              # the feature axis leads a token axis
@@ -406,47 +401,54 @@ def hessian_c(cache: ForwardCache, spec: ProblemSpec, i0: int, j0) -> np.ndarray
     return T.swapaxes(-3, -2).reshape(*j.shape, nd, nd)
 
 
-def residual_hessians(cache: ForwardCache, spec: ProblemSpec, i0: int) -> np.ndarray:
+def residual_hessians(cache: ForwardCache, spec: ProblemSpec, i0) -> np.ndarray:
     """(d, nd, nd) stack of the Hessians of the residuals c[i0, :], entry
-    j0 equal to hessian_c(cache, spec, i0, j0).
+    j0 equal to hessian_c(cache, spec, i0, j0); i0 a 1-D array of b probe
+    tokens returns the (b, d, nd, nd) stacks, each equal to its own call.
 
-    Differentiates the jacobian_c rows of probe token i0 along every input
-    coordinate x[t, k] at once, through the closed-form directional
+    Differentiates the jacobian_c rows of the probe tokens along every
+    input coordinate x[t, k] at once, through the closed-form directional
     derivatives dF of the softmax column, dS of the outputs and dZ of the
-    averaged scores.  The largest temporaries hold d (nd)^2 entries.
+    averaged scores, each with a leading token axis (no token loop).  The
+    largest temporaries hold b d (nd)^2 entries.
     """
-    _check_index(spec.n, i0=i0)
-    n, d = spec.n, spec.d
+    i = _indices(spec.n, "i0", i0).reshape(-1)
+    n, d, b = spec.n, spec.d, len(i)
     H, V, W, XW = cache.H, spec.V, spec.W, cache.XW
-    f, s, w, z = cache.F[:, i0], cache.S[i0], cache.Wsc[i0], cache.Zsc[i0]
-    tok = np.arange(n)
-    # leading axes (t, k): direction x[t, k]; d(score column i0) has
-    # entry t from the key side, and every entry when t is the probe
-    dA = np.zeros((n, d, n))
-    dA[tok, :, tok] = w
-    dA[i0] += XW.T
-    dF = f * (dA - (dA @ f)[..., None])
-    fV = f[:, None, None] * V      # f[t] V[k, j]: x[t, k] moves H[t, j] by V[k, j]
-    dS = dF @ H + fV
-    dZ = dF @ XW + f[:, None, None] * W
-    # T[j0, i1, j1, t, k] differentiates the Jacobian entry shared by every
-    # token, f[i1] ((H[i1, j0] - s[j0]) w[j1] + V[j1, j0]): through f[i1],
-    # through H[i1, j0] - s[j0] (dH only for i1 == t), and through w,
-    # which moves only along the probe, by W[j1, k]
-    P = (H - s)[:, :, None] * w + V.T
-    T = P.transpose(1, 0, 2)[:, :, :, None, None] * dF.transpose(2, 0, 1)[None, :, None]
-    T -= (f[:, None] * w)[None, :, :, None, None] * dS.transpose(2, 0, 1)[:, None, None]
-    T[:, tok, :, tok] += fV.transpose(0, 2, 1)[:, :, None, :] * w[:, None]
-    T[:, :, :, i0] += (f[:, None] * (H - s)).T[:, :, None, None] * W
+    f, s, w, z = cache.F.T[i], cache.S[i], cache.Wsc[i], cache.Zsc[i]
+    bb, tok = np.arange(b), np.arange(n)
+    # axes (b, t, k): direction x[t, k]; d(score column i0) has entry t
+    # from the key side, and every entry when t is the probe
+    dF = np.zeros((b, n, d, n))
+    dF[:, tok, :, tok] = w
+    dF[bb, i] += XW.T
+    dF -= dF @ f[:, None, :, None]
+    dF *= f[:, None, None]
+    fV = f[:, :, None, None] * V   # f[t] V[k, j]: x[t, k] moves H[t, j] by V[k, j]
+    dS = dF @ H
+    dS += fV
+    dZ = dF @ XW
+    dZ += f[:, :, None, None] * W
+    # T[., j0, i1, j1, t, k] differentiates the Jacobian entry shared by
+    # every token, f[i1] ((H[i1, j0] - s[j0]) w[j1] + V[j1, j0]): through
+    # f[i1], through H[i1, j0] - s[j0] (dH only for i1 == t), and through
+    # w, which moves only along the probe, by W[j1, k]
+    Hs = H - s[:, None]
+    P = Hs[..., None] * w[:, None, None] + V.T
+    T = P.transpose(0, 2, 1, 3)[..., None, None] * dF.transpose(0, 3, 1, 2)[:, None, :, None]
+    T -= ((f[:, :, None] * w[:, None])[:, None, :, :, None, None]
+          * dS.transpose(0, 3, 1, 2)[:, :, None, None])
+    T[:, :, tok, :, tok] += fV.transpose(1, 0, 3, 2)[:, :, :, None] * w[:, None, :, None]
+    T[bb, :, :, :, i] += (f[:, :, None] * Hs).transpose(0, 2, 1)[..., None, None] * W
     # the probe-token terms -s[j0] z[j1] + <f o XW[:, j1], H[:, j0]>
     # (i1 == i0), through f, s, z, H and XW
-    D = (dF @ (H[:, :, None] * XW[:, None, :]).reshape(n, d * d)).reshape(n, d, d, d)
-    D -= dS[..., None] * z
-    D -= s[:, None] * dZ[:, :, None, :]
-    D += fV[..., None] * XW[:, None, None, :]
-    D += (f[:, None] * H)[:, None, :, None] * W[None, :, None, :]
-    T[:, i0] += D.transpose(2, 3, 0, 1)
-    return T.reshape(d, n * d, n * d)
+    D = (dF @ (H[:, :, None] * XW[:, None, :]).reshape(n, d * d)).reshape(b, n, d, d, d)
+    D -= dS[..., None] * z[:, None, None, None]
+    D -= s[:, None, None, :, None] * dZ[:, :, :, None]
+    D += fV[..., None] * XW[:, None, None]
+    D += (f[:, :, None] * H)[:, :, None, :, None] * W[:, None]
+    T[bb, :, i] += D.transpose(0, 3, 4, 1, 2)
+    return T.reshape(*np.shape(i0), d, n * d, n * d)
 
 
 def hessian_L(cache: ForwardCache, spec: ProblemSpec, X) -> np.ndarray:

@@ -88,6 +88,12 @@ class ProblemSpec:
     def with_gamma(self, gamma: float) -> "ProblemSpec":
         return ProblemSpec(self.n, self.d, self.W, self.V, self.B, gamma)
 
+    @cached_property
+    def r_spec(self) -> float:
+        """max(1, ||W||_2, ||V||_2, sqrt(max |B|)), formed on first use."""
+        return max(1.0, np.linalg.norm(self.W, 2), np.linalg.norm(self.V, 2),
+                   float(np.sqrt(np.abs(self.B).max())))
+
 
 def check_input(spec: ProblemSpec, X) -> np.ndarray:
     """Validate a candidate input matrix against the instance dimensions."""

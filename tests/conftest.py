@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from attninv import hessian
+from attninv.analysis import psd_floor
 from attninv.generate import SplitMix64, make_instance, random_matrix, rescale_spectral
 from attninv.generate import bounded_instance  # noqa: F401  (tests import it from here)
 from attninv.gradient import jacobian_c
+from attninv.model import forward_cache
 
 
 @pytest.fixture
@@ -23,6 +25,13 @@ def per_point(fn):
     """A stack target for the FD oracles from a function of one (d, n)
     matrix, for functions that accept only one matrix (grad_L, jacobian_c)."""
     return lambda Ys: np.stack([fn(Y) for Y in Ys])
+
+
+def psd_floor_at(spec, X):
+    """analysis.psd_floor at X on a fresh forward cache and the loss
+    Hessian at gamma = 0, as check builds them."""
+    cache = forward_cache(spec, X)
+    return psd_floor(cache, spec, X, hessian.hessian_L(cache, spec.with_gamma(0.0), X))
 
 
 def bounded_x(seed: int, n: int, d: int, r_target: float = 1.2) -> np.ndarray:

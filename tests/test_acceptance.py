@@ -15,7 +15,6 @@ from attninv.analysis import (
     choose_gamma,
     effective_bound_constant,
     lipschitz_probe,
-    psd_floor,
 )
 from attninv.generate import make_instance, perturbed_start
 from attninv.gradient import grad_L
@@ -23,7 +22,7 @@ from attninv.hessian import d2c_entry, hessian_L, hessian_c
 from attninv.model import forward_cache, loss
 from attninv.oracle import fd_grad, fd_hessian, fd_jacobian
 from attninv.solver import CONVERGED, gd_solve, newton_solve
-from conftest import bounded_instance, bounded_x, per_point
+from conftest import bounded_instance, bounded_x, per_point, psd_floor_at
 
 # fixed recovery family for criteria 7-9: (seed, n, d), n <= 4, d <= 3
 RECOVERY_FAMILY = [
@@ -125,7 +124,7 @@ def test_criterion_5_psd_floor():
         n = (2, 3, 4)[seed % 3]
         d = (1, 2, 3)[seed % 3 - 1]
         spec, X = bounded_instance(5000 + seed, n, d)
-        rep = psd_floor(forward_cache(spec, X), spec, X)
+        rep = psd_floor_at(spec, X)
         if not (rep.passed and rep.hessian_c_passed):
             bad.append(f"seed{seed}:floor")
         gamma = choose_gamma(n, d, rep.r_eff)

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from attninv import cli
 from attninv.analysis import (
     bound_suite,
     choose_gamma,
@@ -11,13 +14,17 @@ from attninv.analysis import (
 )
 from attninv import hessian
 from attninv.gradient import jacobian_c
+from attninv.generate import make_instance
 from attninv.hessian import hessian_L
-from attninv.model import NumericalRangeError, ProblemSpec, forward_cache, synthesize_target
+from attninv.model import (NumericalRangeError, ProblemSpec, forward_cache, loss,
+                           synthesize_target)
+from attninv.oracle import fd_hessian
 from conftest import (
     block_loop_hessian_c,
     bounded_instance,
     bounded_x,
     direction_loop_softmax_grad_norms,
+    psd_floor_at,
     row_loop_residual_grad_norms,
 )
 
@@ -32,6 +39,68 @@ def test_r_eff_is_at_least_one_and_tracks_norms():
     assert R >= 1.0
     assert R >= np.linalg.norm(X, 2)
     assert R * R >= np.abs(spec.B).max()
+
+
+@pytest.mark.parametrize("winner", ["one", "W", "V", "X", "B"])
+def test_effective_bound_constant_is_the_five_way_max(winner):
+    # r_spec keeps the spec's terms; its max with ||X||_2 is the same float
+    # as one max over all five, whichever term wins
+    spec, X = bounded_instance(0, 4, 3)
+    f = {k: 30.0 if k == winner else 0.1 for k in "WVXB"}
+    spec = ProblemSpec(4, 3, f["W"] * spec.W, f["V"] * spec.V, f["B"] * spec.B)
+    X = f["X"] * X
+    terms = [1.0, np.linalg.norm(spec.W, 2), np.linalg.norm(spec.V, 2),
+             np.linalg.norm(X, 2), np.sqrt(np.abs(spec.B).max())]
+    assert effective_bound_constant(spec, X) == float(max(terms))
+    assert spec.r_spec == max(terms[:3] + terms[4:])
+
+
+def test_check_takes_the_spec_norms_once(monkeypatch):
+    # check --level all evaluates the bound constant at 8 points; the
+    # spectral norms of W and V are taken once, by ProblemSpec.r_spec
+    spec, _ = make_instance(804, 8, 4)
+    real_norm, real_r = np.linalg.norm, effective_bound_constant
+    seen, points = [], []
+
+    def norm(x, *args, **kwargs):
+        seen.extend(name for name, M in (("W", spec.W), ("V", spec.V)) if x is M)
+        return real_norm(x, *args, **kwargs)
+
+    def r_eff(spec, X):
+        points.append(X)
+        return real_r(spec, X)
+
+    monkeypatch.setattr(np.linalg, "norm", norm)
+    monkeypatch.setattr(cli.analysis, "effective_bound_constant", r_eff)
+    cli._check_entries(spec, cli._sample_x(spec, 804), "all", 804)
+    assert len(points) == 8
+    assert sorted(seen) == ["V", "W"]
+
+
+def _traced_peak(fn) -> int:
+    """Peak bytes that fn allocates, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_analysis_checks_peak_below_the_fd_hessian():
+    # at the 8 x 4 certify point the residual Hessians come in token chunks
+    # of at most 2**13 entries, so no analysis check allocates more at its
+    # peak than the FD Hessian oracle does at the same point
+    spec, _ = make_instance(804, 8, 4)
+    X = cli._sample_x(spec, 804)
+    cache = forward_cache(spec, X)
+    H0 = hessian_L(cache, spec, X)
+    pairs = [(bounded_x(2 * k, 8, 4), bounded_x(2 * k + 1, 8, 4)) for k in range(3)]
+    fd = _traced_peak(lambda: fd_hessian(lambda Ys: loss(spec, Ys), X))
+    peaks = {"bound_suite": _traced_peak(lambda: bound_suite(cache, spec, X)),
+             "psd_floor": _traced_peak(lambda: psd_floor(cache, spec, X, H0)),
+             "lipschitz_probe": _traced_peak(lambda: lipschitz_probe(spec, pairs))}
+    assert max(peaks.values()) <= fd, (fd, peaks)
 
 
 def test_bound_suite_zero_input():
@@ -97,14 +166,14 @@ def test_bound_suite_records_by_n(n, cases):
 def test_psd_floor_at_truth_is_gauss_newton():
     spec, X = bounded_instance(4, 3, 2)
     made = synthesize_target(spec.W, spec.V, X)
-    rep = psd_floor(forward_cache(made, X), made, X)
+    rep = psd_floor_at(made, X)
     assert rep.lambda_min >= -1e-8
     assert rep.passed and rep.hessian_c_passed
 
 
 def test_psd_floor_scalar_case():
     spec = ProblemSpec(1, 1, [[0.2]], [[1.5]], [[0.7]])
-    rep = psd_floor(forward_cache(spec, [[0.9]]), spec, [[0.9]])
+    rep = psd_floor_at(spec, [[0.9]])
     assert rep.lambda_min == pytest.approx(2 * 1.5**2, abs=1e-12)
     assert rep.lambda_min >= 0.0 >= rep.floor
     assert rep.passed
@@ -112,7 +181,7 @@ def test_psd_floor_scalar_case():
 
 def test_psd_floor_seeded():
     spec, X = bounded_instance(0, 3, 2)
-    rep = psd_floor(forward_cache(spec, X), spec, X)
+    rep = psd_floor_at(spec, X)
     assert rep.passed and rep.hessian_c_passed
 
 
@@ -129,7 +198,7 @@ def test_min_eigenvalue_out_of_range_is_numerical_range_error(monkeypatch):
     spec, X = bounded_instance(0, 3, 2)
     monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
     with pytest.raises(NumericalRangeError, match="eigensolve failed"):
-        psd_floor(forward_cache(spec, X), spec, X)
+        psd_floor_at(spec, X)
 
 
 def test_choose_gamma_formula_and_positivity():
@@ -237,7 +306,7 @@ def test_bound_suite_blocks_match_block_loop():
 
 def test_psd_floor_hessian_c_norm_matches_block_loop():
     for spec, X in _analysis_points():
-        rep = psd_floor(forward_cache(spec, X), spec, X)
+        rep = psd_floor_at(spec, X)
         base = spec.with_gamma(0.0)
         ref = max(np.linalg.norm(Hc, 2)
                   for Hc in looped_hessian_c(forward_cache(base, X), base))

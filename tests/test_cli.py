@@ -12,9 +12,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from attninv import cli, gradient
+from attninv.hessian import hessian_L
 from attninv.iojson import read_matrix, read_problem
 from attninv.generate import make_instance
-from attninv.model import EXP_MAX, loss
+from attninv.model import EXP_MAX, forward_cache, loss
 
 
 def run_cli(*argv):
@@ -428,17 +429,23 @@ def test_check_at_exp_overflow_is_a_failing_record(tmp_path, capsys):
                                            "bounded regime"}]
 
 
+def _v_scaled_problem(tmp_path, factor: float) -> str:
+    """The problem file of generate --seed 1 --n 3 --d 2 with V times factor."""
+    out = tmp_path / "inst"
+    run_cli("generate", "--seed", "1", "--n", "3", "--d", "2", "--out", str(out))
+    problem = json.loads((out / "problem.json").read_text())
+    problem["V"]["data"] = [v * factor for v in problem["V"]["data"]]
+    (out / "problem.json").write_text(json.dumps(problem))
+    return str(out / "problem.json")
+
+
 @pytest.mark.parametrize("level", ["psd", "all"])
 def test_check_with_infinite_auto_gamma_is_a_failing_record(tmp_path, capsys, level):
     # V scaled by 1e39: the loss and psd_floor's Hessian stay finite, but
     # the auto gamma is 1.2e308, so 2 * gamma on the diagonal is inf
-    out = tmp_path / "inst"
-    run_cli("generate", "--seed", "1", "--n", "3", "--d", "2", "--out", str(out))
-    problem = json.loads((out / "problem.json").read_text())
-    problem["V"]["data"] = [v * 1e39 for v in problem["V"]["data"]]
-    (out / "problem.json").write_text(json.dumps(problem))
+    problem = _v_scaled_problem(tmp_path, 1e39)
     capsys.readouterr()
-    code = run_cli("check", "--problem", str(out / "problem.json"), "--level", level)
+    code = run_cli("check", "--problem", problem, "--level", level)
     captured = capsys.readouterr()
     assert code == 1
     assert "Traceback" not in captured.err
@@ -490,6 +497,83 @@ def test_check_hessian_records_exact_symmetry(tmp_path, capsys):
     assert run_cli("check", "--problem", str(out / "problem.json"), "--level", "hessian") == 0
     records = {r["check"]: r for r in json.loads(capsys.readouterr().out)["results"]}
     assert records["hessian_L_symmetry"]["asymmetry"] == 0.0
+
+
+def test_check_block_entry_equiv_bound_is_mixed(tmp_path, capsys):
+    # V scaled by 1e39: the term tables and the case blocks differ by
+    # rounding alone, about 1e21 in absolute terms at entries near 1e32;
+    # the record passes on 1e-10 + 1e-10 * max(|a|, |o|), as hessian_L_vs_fd
+    # does on its own mixed bound, and keeps its one absolute field
+    problem = _v_scaled_problem(tmp_path, 1e39)
+    capsys.readouterr()
+    assert run_cli("check", "--problem", problem, "--level", "hessian") == 0
+    records = {r["check"]: r for r in json.loads(capsys.readouterr().out)["results"]}
+    record = records["hessian_block_entry_equiv"]
+    assert record["pass"] is True and record["max_abs_diff"] > 1e20
+    assert sorted(record) == ["check", "max_abs_diff", "pass"]
+
+
+@pytest.mark.parametrize("factor,bump", [(1e39, lambda x: x * (1.0 + 1e-8)),
+                                         (1.0, lambda x: x + 1e-9)],
+                         ids=["relative_1e-8_at_V_1e39", "absolute_1e-9_at_V_1"])
+def test_check_block_entry_equiv_flags_a_perturbed_entry(tmp_path, capsys, monkeypatch,
+                                                         factor, bump):
+    # the largest hessian_c entry of probe token 1, moved by 1e-8 relative
+    # at entries near 1e32, or by ten times the absolute floor at unit
+    # scale: beyond the mixed bound either way, and the only failure
+    problem = _v_scaled_problem(tmp_path, factor)
+    real = cli.hessian.hessian_c
+
+    def perturbed(cache, spec, i0, j0):
+        H = real(cache, spec, i0, j0)
+        if i0 == 1:
+            top = np.unravel_index(np.abs(H).argmax(), H.shape)
+            H[top] = bump(H[top])
+        return H
+
+    monkeypatch.setattr(cli.hessian, "hessian_c", perturbed)
+    capsys.readouterr()
+    assert run_cli("check", "--problem", problem, "--level", "hessian") == 1
+    records = {r["check"]: r for r in json.loads(capsys.readouterr().out)["results"]}
+    assert {name for name, r in records.items() if not r["pass"]} == {
+        "hessian_block_entry_equiv"}
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.37, 1234.5, 7.1e9])
+@pytest.mark.parametrize("n,d", [(1, 1), (3, 2), (2, 3), (4, 3), (6, 4), (8, 4)])
+def test_loss_hessian_at_gamma_is_the_gamma_zero_one_plus_its_diagonal(n, d, gamma):
+    # check builds hessian_L once at gamma = 0 and adds 2 gamma on the
+    # diagonal: byte for byte a fresh build at gamma, signed zeros included
+    for seed in range(3):
+        spec, x_true = make_instance(700 + seed, n, d)
+        for X in (x_true, x_true + 0.2 * np.cos(x_true)):
+            cache = forward_cache(spec, X)
+            H0 = hessian_L(cache, spec.with_gamma(0.0), X)
+            fresh = hessian_L(cache, spec.with_gamma(gamma), X)
+            assert cli._at_gamma(H0, gamma).tobytes() == fresh.tobytes()
+    # a fresh build adds 2 gamma to the diagonal only, so a -0.0 there
+    # turns +0.0 and one off it stays -0.0
+    zeros = np.full((2, 2), -0.0)
+    assert np.signbit(cli._at_gamma(zeros, gamma)).tolist() == [[False, True], [True, False]]
+
+
+def test_check_all_builds_seven_loss_hessians(tmp_path, capsys, monkeypatch):
+    # one hessian_L at gamma = 0 for the hessian, psd_floor and
+    # psd_with_auto_gamma records, and two per Lipschitz pair
+    out = tmp_path / "inst"
+    run_cli("generate", "--seed", "804", "--n", "8", "--d", "4", "--gamma", "0.37",
+            "--out", str(out))
+    real = cli.hessian.hessian_L
+    gammas = []
+
+    def counted(cache, spec, X):
+        gammas.append(spec.gamma)
+        return real(cache, spec, X)
+
+    monkeypatch.setattr(cli.hessian, "hessian_L", counted)
+    capsys.readouterr()
+    assert run_cli("check", "--problem", str(out / "problem.json"), "--level", "all") == 0
+    assert gammas == [0.0] * 7
 
 
 @pytest.mark.parametrize("level", ["grad", "hessian"])

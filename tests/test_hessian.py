@@ -325,6 +325,32 @@ def test_residual_hessians_index_error():
         residual_hessians(forward_cache(spec, X), spec, 2)
 
 
+@pytest.mark.parametrize("gamma", [0.0, 0.37])
+@pytest.mark.parametrize("seed,shape", list(enumerate(RESIDUAL_SHAPES + [(8, 4), (16, 8)])))
+def test_token_stacks_equal_per_token_calls_bitwise(seed, shape, gamma):
+    # a stack over i0 is the same arithmetic broadcast over a leading token
+    # axis: every token's (d, nd, nd) stack is its own call's, float for
+    # float, for all tokens, a consecutive chunk, a scattered subset and one
+    n, d = shape
+    for spec, Y in _three_points(9700 + seed, n, d, gamma):
+        cache = forward_cache(spec, Y)
+        single = [residual_hessians(cache, spec, i0) for i0 in range(n)]
+        for tokens in (np.arange(n), np.arange(n // 2, n), np.arange(n)[::-2],
+                       np.array([n - 1])):
+            stack = residual_hessians(cache, spec, tokens)
+            assert stack.shape == (len(tokens), d, n * d, n * d)
+            for row, i0 in zip(stack, tokens):
+                assert np.array_equal(row, single[i0])
+
+
+@pytest.mark.parametrize("i0", [np.zeros((1, 1), int), np.array([0, 3]), np.array([-1]),
+                                np.array([0.0, 1.0]), 1.0, 3, -1])
+def test_token_stack_index_error(i0):
+    spec, X = bounded_instance(0, 3, 2)
+    with pytest.raises(IndexError):
+        residual_hessians(forward_cache(spec, X), spec, i0)
+
+
 TABLE_SHAPES = RESIDUAL_SHAPES + [(8, 4)]
 
 
