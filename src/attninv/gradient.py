@@ -42,10 +42,18 @@ def _term_sum(terms):
     return acc
 
 
-def _check_index(limit: int, **indices: int) -> None:
+def _check_index(limit: int, *, stack: bool = False, **indices) -> np.ndarray:
+    """IndexError unless every index is an integer in [0, limit) or, with
+    stack, a 1-D array of such; returns the last index as an array, 0-d
+    for one index and (k,) for a stack of k."""
     for name, value in indices.items():
-        if not 0 <= value < limit:
-            raise IndexError(f"{name}={value} out of range [0, {limit})")
+        if type(value) is int and 0 <= value < limit:
+            continue               # the common case, without numpy's overhead
+        a = np.asarray(value)
+        if a.ndim > int(stack) or a.dtype.kind not in "iu" or not ((0 <= a) & (a < limit)).all():
+            raise IndexError(f"{name}={value!r} is not an index in [0, {limit})"
+                             + (" or a 1-D array of such" if stack else ""))
+    return np.asarray(value)
 
 
 def dc_entry(cache: ForwardCache, spec: ProblemSpec,

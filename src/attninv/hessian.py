@@ -186,15 +186,6 @@ def d2c_entry(cache: ForwardCache, spec: ProblemSpec, i0: int, j0: int,
     return float(value)
 
 
-def _indices(limit: int, name: str, value) -> np.ndarray:
-    """value as an integer index array: 0-d for one index, (k,) for a
-    stack of k; IndexError unless every entry is in [0, limit)."""
-    a = np.asarray(value)
-    if a.ndim > 1 or a.dtype.kind not in "iu" or not ((0 <= a) & (a < limit)).all():
-        raise IndexError(f"{name}={value!r} is not in [0, {limit}) or a 1-D array of such")
-    return a
-
-
 def d2c_table(cache: ForwardCache, spec: ProblemSpec, i0: int, j0) -> np.ndarray:
     """nd x nd Hessian of c[i0, j0] from the term tables, entry for entry
     d2c_entry: the case 1, 2, 4 and 5 tables are evaluated once each on a
@@ -202,7 +193,7 @@ def d2c_table(cache: ForwardCache, spec: ProblemSpec, i0: int, j0) -> np.ndarray
     layout, case 3 as the transpose of case 2.  A 1-D array of k features
     j0 returns the (k, nd, nd) stack."""
     _check_index(spec.n, i0=i0)
-    j = _indices(spec.d, "j0", j0)
+    j = _check_index(spec.d, stack=True, j0=j0)
     n, d = spec.n, spec.d
     i1, j1, i2, j2 = np.ix_(range(n), range(d), range(n), range(d))
     jg = j[..., None, None, None, None]    # the feature axis leads the grid
@@ -327,6 +318,7 @@ def block_case3(cache: ForwardCache, spec: ProblemSpec,
     Symmetry of second derivatives identifies the (i1, i0) block with the
     transposed (i0, i1) block; the FD suite confirms the orientation.
     """
+    _check_index(spec.n, i0=i0, i1=i1)
     if i1 == i0:
         raise ValueError("block_case3 requires i1 != i0")
     return block_case2(cache, spec, i0, j0, i1).T
@@ -388,7 +380,7 @@ def hessian_c(cache: ForwardCache, spec: ProblemSpec, i0: int, j0) -> np.ndarray
     classify_case layout.  A 1-D array of k features j0 returns the
     (k, nd, nd) stack."""
     _check_index(spec.n, i0=i0)
-    j = _indices(spec.d, "j0", j0)
+    j = _check_index(spec.d, stack=True, j0=j0)
     n, nd = spec.n, spec.n * spec.d
     tok = np.arange(n)
     jt = j[..., None]              # the feature axis leads a token axis
@@ -412,7 +404,7 @@ def residual_hessians(cache: ForwardCache, spec: ProblemSpec, i0) -> np.ndarray:
     averaged scores, each with a leading token axis (no token loop).  The
     largest temporaries hold b d (nd)^2 entries.
     """
-    i = _indices(spec.n, "i0", i0).reshape(-1)
+    i = _check_index(spec.n, stack=True, i0=i0).reshape(-1)
     n, d, b = spec.n, spec.d, len(i)
     H, V, W, XW = cache.H, spec.V, spec.W, cache.XW
     f, s, w, z = cache.F.T[i], cache.S[i], cache.Wsc[i], cache.Zsc[i]

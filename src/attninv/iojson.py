@@ -80,12 +80,10 @@ def read_problem(path) -> ProblemSpec:
 
 def record_to_json(rec: RunRecord) -> str:
     """One run-log line, each float as format_float writes it."""
-    if not (math.isfinite(rec.loss) and math.isfinite(rec.grad_norm)
-            and math.isfinite(rec.step_norm) and math.isfinite(rec.damping_used)):
-        raise ValueError("artifacts may only contain finite numbers")
-    return (f'{{"iter": {rec.iter}, "loss": {rec.loss:.17g}, '
-            f'"grad_norm": {rec.grad_norm:.17g}, "step_norm": {rec.step_norm:.17g}, '
-            f'"damping_used": {rec.damping_used:.17g}}}')
+    return (f'{{"iter": {rec.iter}, "loss": {format_float(rec.loss)}, '
+            f'"grad_norm": {format_float(rec.grad_norm)}, '
+            f'"step_norm": {format_float(rec.step_norm)}, '
+            f'"damping_used": {format_float(rec.damping_used)}}}')
 
 
 def write_run_log(path, records, meta: dict | None = None) -> None:

@@ -1,6 +1,8 @@
 """Regularized damped Newton recovery and the gradient-descent baseline.
 
-Run records hold no timings, so seeded runs are byte-reproducible.
+Both solvers run one driver, _descend, which holds the stop, failure and
+record contract; each supplies only its step rule.  Run records hold no
+timings, so seeded runs are byte-reproducible.
 """
 from __future__ import annotations
 
@@ -82,22 +84,22 @@ def _try_solve(H: np.ndarray, lam: float, g: np.ndarray):
     return np.linalg.solve(cf.T, y)
 
 
-def newton_solve(spec: ProblemSpec, X0, eps: float = 1e-8, max_iter: int = 100):
-    """Damped Newton iteration with Armijo backtracking on the regularized
-    loss, stopped when ||grad|| <= eps * (1 + |loss|).
+def _descend(spec: ProblemSpec, X0, eps: float, max_iter: int, step):
+    """The iteration both solvers share, and its stop, failure and record
+    contract.
 
-    Returns (X_out, records, status) with status one of Converged,
-    MaxIter, NumericalFailure.  The damping starts at 0 (the gamma term
-    regularizes), grows tenfold whenever the shifted system is not
-    positive definite or the step fails the descent test, and shrinks
-    tenfold after every accepted step.
+    Evaluates each iterate once, stops when ||grad|| <= eps * (1 + |loss|),
+    and otherwise takes step(X, cache, loss, grad, damping), which returns
+    (X_next, step_norm, damping_used, damping, ok); the damping starts at
+    0 and is carried from one step to the next.  Every evaluated iterate
+    gets one RunRecord.  An iterate that cannot be evaluated, or a step
+    that is not ok (X is kept), ends the run as NumericalFailure.
     """
     if not 0.0 < eps < math.inf:
         raise ValueError("eps must be finite and positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     X = check_input(spec, X0).copy()
-    check_dense_cap(spec.n * spec.d)
     lam = 0.0
     records: list[RunRecord] = []
     status = MAX_ITER
@@ -108,13 +110,31 @@ def newton_solve(spec: ProblemSpec, X0, eps: float = 1e-8, max_iter: int = 100):
             break
         cache, cur, g, gn = point
         if gn <= eps * (1.0 + abs(cur)):
-            records.append(RunRecord(it, cur, gn, 0.0, lam))
-            status = CONVERGED
+            status, step_norm, lam_used = CONVERGED, 0.0, lam
+        else:
+            X, step_norm, lam_used, lam, ok = step(X, cache, cur, g, lam)
+            if not ok:
+                status = NUMERICAL_FAILURE
+        records.append(RunRecord(it, cur, gn, step_norm, lam_used))
+        if status != MAX_ITER:
             break
+    return X, records, status
+
+
+def newton_solve(spec: ProblemSpec, X0, eps: float = 1e-8, max_iter: int = 100):
+    """Damped Newton iteration with Armijo backtracking on the regularized
+    loss, stopped when ||grad|| <= eps * (1 + |loss|).
+
+    Returns (X_out, records, status) with status one of Converged,
+    MaxIter, NumericalFailure.  The damping starts at 0 (the gamma term
+    regularizes), grows tenfold whenever the shifted system is not
+    positive definite or the step fails the descent test, and shrinks
+    tenfold after every accepted step.
+    """
+    check_dense_cap(spec.n * spec.d)
+
+    def step(X, cache, cur, g, lam):
         H = hessian_L(cache, spec, X)
-        step_norm = 0.0
-        lam_used = lam
-        accepted = False
         while lam <= _MAX_DAMPING:
             lam_used = lam
             delta = _try_solve(H, lam, g)
@@ -124,67 +144,44 @@ def newton_solve(spec: ProblemSpec, X0, eps: float = 1e-8, max_iter: int = 100):
             direction = unflatten_input(delta, spec.n, spec.d)
             slope = float(np.dot(g, delta))
             t = 1.0
-            ok = False
             for _ in range(_MAX_BACKTRACKS):
+                trial = X + t * direction
                 try:
-                    trial = _loss(spec, X + t * direction)
+                    trial_loss = _loss(spec, trial)
                 except NumericalRangeError:
-                    trial = np.inf
-                if np.isfinite(trial) and trial <= cur + _ARMIJO_C * t * slope:
-                    ok = True
-                    break
+                    trial_loss = np.inf
+                if np.isfinite(trial_loss) and trial_loss <= cur + _ARMIJO_C * t * slope:
+                    return trial, float(t * np.linalg.norm(delta)), lam, _relax(lam), True
                 t *= _BACKTRACK_BETA
-            if ok:
-                X = X + t * direction
-                step_norm = float(t * np.linalg.norm(delta))
-                lam = _relax(lam)
-                accepted = True
-                break
             lam = _bump(lam)
-        records.append(RunRecord(it, cur, gn, step_norm, lam_used))
-        if not accepted:
-            status = NUMERICAL_FAILURE
-            break
-    return X, records, status
+        return X, 0.0, lam_used, lam, False
+
+    return _descend(spec, X0, eps, max_iter, step)
 
 
 def gd_solve(spec: ProblemSpec, X0, eta: float, max_iter: int,
              eps: float = 1e-10):
     """Fixed-step gradient descent on the regularized loss.
 
-    Shares the record and stop contract with newton_solve; ten consecutive
-    loss increases count as divergence, and so does a step whose norm is
-    not finite (that step is not taken and is recorded with norm 0).
+    Shares the record and stop contract with newton_solve through the same
+    driver, with the damping held at 0; ten consecutive loss increases
+    count as divergence, and so does a step whose norm is not finite (that
+    step is not taken and is recorded with norm 0).
     """
     if not eta > 0:
         raise ValueError("eta must be positive")
-    if not 0.0 < eps < math.inf:
-        raise ValueError("eps must be finite and positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
-    X = check_input(spec, X0).copy()
-    records: list[RunRecord] = []
-    status = MAX_ITER
     increases = 0
     prev = np.inf
-    for it in range(max_iter):
-        point = _evaluate(spec, X)
-        if point is None:
-            status = NUMERICAL_FAILURE
-            break
-        _, cur, g, gn = point
-        if gn <= eps * (1.0 + abs(cur)):
-            records.append(RunRecord(it, cur, gn, 0.0, 0.0))
-            status = CONVERGED
-            break
+
+    def step(X, cache, cur, g, lam):
+        nonlocal increases, prev
         increases = increases + 1 if cur > prev else 0
-        step = eta * g
-        step_norm = math.sqrt(step.dot(step))
-        finite = math.isfinite(step_norm)
-        records.append(RunRecord(it, cur, gn, step_norm if finite else 0.0, 0.0))
-        if increases >= 10 or not finite:
-            status = NUMERICAL_FAILURE
-            break
-        X = X - step.reshape(spec.n, spec.d).T
         prev = cur
-    return X, records, status
+        s = eta * g
+        step_norm = math.sqrt(s.dot(s))
+        finite = math.isfinite(step_norm)
+        if increases >= 10 or not finite:
+            return X, step_norm if finite else 0.0, 0.0, 0.0, False
+        return X - s.reshape(spec.n, spec.d).T, step_norm, 0.0, 0.0, True
+
+    return _descend(spec, X0, eps, max_iter, step)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from attninv import hessian
-from attninv.gradient import grad_L, grad_c, jacobian_c
+from attninv.gradient import dc_entry, grad_L, grad_c, jacobian_c
 from attninv.hessian import (
     block_case1,
     block_case2,
@@ -91,6 +91,48 @@ def test_d2c_index_and_precondition_errors():
         block_case4(cache, spec, 1, 0, 1)
     with pytest.raises(ValueError):
         block_case5(cache, spec, 0, 0, 1, 1)
+
+
+# what a single-index slot refuses: out of range, not an integer, a bool,
+# not a number, or an array of any length
+@pytest.mark.parametrize("bad", [3, -1, 2**70, 1.0, np.float64(1.0), True, "a", None,
+                                 np.array([1]), np.array([0, 1]), [0, 1], np.zeros(0, int)])
+def test_single_index_slots_raise_index_error(bad):
+    spec, X = bounded_instance(0, 3, 2)
+    cache = forward_cache(spec, X)
+    calls = (
+        lambda v: dc_entry(cache, spec, v, 0, 1, 1),
+        lambda v: dc_entry(cache, spec, 0, 0, 1, v),
+        lambda v: d2c_entry(cache, spec, 0, v, 1, 1, 2, 0),
+        lambda v: d2c_entry(cache, spec, 0, 0, 1, 1, v, 0),
+        lambda v: grad_c(cache, spec, 0, v),
+        lambda v: block_case1(cache, spec, v, 0),
+        lambda v: block_case2(cache, spec, 0, v, 1),
+        lambda v: block_case3(cache, spec, 0, 0, v),
+        lambda v: block_case4(cache, spec, v, 0, 1),
+        lambda v: block_case5(cache, spec, 0, 0, 1, v),
+        lambda v: d2c_table(cache, spec, v, 0),
+        lambda v: hessian_c(cache, spec, v, 0),
+    )
+    for call in calls:
+        with pytest.raises(IndexError):
+            call(bad)
+
+
+def test_entry_points_accept_python_and_numpy_ints():
+    spec, X = bounded_instance(0, 3, 2)
+    cache = forward_cache(spec, X)
+    for kind in (int, np.int64, np.int32, np.uint8):
+        def ints(*values):
+            return [kind(v) for v in values]
+
+        assert dc_entry(cache, spec, *ints(0, 1, 2, 0)) == dc_entry(cache, spec, 0, 1, 2, 0)
+        assert (d2c_entry(cache, spec, *ints(0, 1, 1, 0, 2, 1))
+                == d2c_entry(cache, spec, 0, 1, 1, 0, 2, 1))
+        for block, args in ((block_case1, (0, 1)), (block_case2, (0, 1, 2)),
+                            (block_case3, (0, 1, 2)), (block_case4, (0, 1, 2)),
+                            (block_case5, (0, 1, 1, 2))):
+            assert np.array_equal(block(cache, spec, *ints(*args)), block(cache, spec, *args))
 
 
 def test_single_token_has_no_offdiagonal_blocks():

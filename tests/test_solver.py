@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,12 @@ def scalar_spec():
     # n = d = 1: softmax weight is 1, so the residual is x*v - b and the
     # loss a pure quadratic
     return ProblemSpec(1, 1, [[0.0]], [[1.0]], [[0.5]])
+
+
+# both solvers, called as solve(spec, X0, eps=..., max_iter=...), for the
+# stop, failure and record contract their shared driver holds
+BOTH_SOLVERS = pytest.mark.parametrize(
+    "solve", [newton_solve, partial(gd_solve, eta=0.4)], ids=["newton", "gd"])
 
 
 def test_newton_scalar_quadratic():
@@ -123,24 +131,34 @@ def test_gd_validation():
         gd_solve(spec, [[0.0]], eta=-1.0, max_iter=10)
     with pytest.raises(ValueError, match="eta"):
         gd_solve(spec, [[0.0]], eta=float("nan"), max_iter=10)
-    with pytest.raises(ValueError, match="eps"):
-        gd_solve(spec, [[0.0]], eta=0.1, max_iter=10, eps=float("nan"))
-    with pytest.raises(ValueError, match="eps"):
-        gd_solve(spec, [[0.0]], eta=0.1, max_iter=10, eps=float("inf"))
-    with pytest.raises(ValueError):
-        gd_solve(spec, [[0.0]], eta=0.1, max_iter=0)
 
 
-def test_newton_config_validation():
+@BOTH_SOLVERS
+def test_solver_config_validation(solve):
     spec = scalar_spec()
-    with pytest.raises(ValueError, match="eps"):
-        newton_solve(spec, [[0.0]], eps=0.0)
-    with pytest.raises(ValueError, match="eps"):
-        newton_solve(spec, [[0.0]], eps=float("nan"))
-    with pytest.raises(ValueError, match="eps"):
-        newton_solve(spec, [[0.0]], eps=float("inf"))
+    for eps in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="eps"):
+            solve(spec, [[0.0]], eps=eps, max_iter=10)
     with pytest.raises(ValueError, match="max_iter"):
-        newton_solve(spec, [[0.0]], max_iter=0)
+        solve(spec, [[0.0]], max_iter=0)
+
+
+@BOTH_SOLVERS
+def test_shared_stop_contract(solve):
+    # a start whose scores overflow exp (x^2 > EXP_MAX): nothing to record
+    X, recs, status = solve(ProblemSpec(1, 1, [[1.0]], [[1.0]], [[0.0]]), [[27.0]],
+                            max_iter=5)
+    assert status == NUMERICAL_FAILURE and recs == [] and X[0, 0] == 27.0
+    # a start at the truth stops at its first iterate, with no step taken
+    spec = scalar_spec()
+    X, recs, status = solve(spec, [[0.5]], max_iter=5)
+    assert status == CONVERGED and X[0, 0] == 0.5
+    assert [(r.iter, r.loss, r.grad_norm, r.step_norm, r.damping_used)
+            for r in recs] == [(0, 0.0, 0.0, 0.0, 0.0)]
+    # one iteration from a start away from it
+    X, recs, status = solve(spec, [[0.4]], max_iter=1)
+    assert status == MAX_ITER and len(recs) == 1
+    assert recs[0].iter == 0 and recs[0].step_norm > 0.0 and X[0, 0] != 0.4
 
 
 def test_newton_refuses_over_dense_cap(monkeypatch):
