@@ -78,12 +78,19 @@ def read_problem(path) -> ProblemSpec:
     )
 
 
+_RECORD = ('{"iter": %d, "loss": %.17g, "grad_norm": %.17g, '
+           '"step_norm": %.17g, "damping_used": %.17g}')
+
+
 def record_to_json(rec: RunRecord) -> str:
-    """One run-log line, each float as format_float writes it."""
-    return (f'{{"iter": {rec.iter}, "loss": {format_float(rec.loss)}, '
-            f'"grad_norm": {format_float(rec.grad_norm)}, '
-            f'"step_norm": {format_float(rec.step_norm)}, '
-            f'"damping_used": {format_float(rec.damping_used)}}}')
+    """One run-log line, each float as format_float writes it (%.17g is
+    the same conversion, filled in by one template)."""
+    loss, grad_norm, step_norm, damping = (rec.loss, rec.grad_norm,
+                                           rec.step_norm, rec.damping_used)
+    finite = math.isfinite
+    if not (finite(loss) and finite(grad_norm) and finite(step_norm) and finite(damping)):
+        raise ValueError("artifacts may only contain finite numbers")
+    return _RECORD % (rec.iter, loss, grad_norm, step_norm, damping)
 
 
 def write_run_log(path, records, meta: dict | None = None) -> None:

@@ -167,22 +167,27 @@ def forward_cache(spec: ProblemSpec, X) -> ForwardCache:
 
 
 def _forward(spec: ProblemSpec, X: np.ndarray) -> ForwardCache:
-    """forward_cache at an X that _check_points has accepted."""
-    XW = X.mT @ spec.W
-    scores = XW @ X
+    """forward_cache at an X that _check_points has accepted.
+
+    One matrix multiplies with np.dot, which reaches the same BLAS call as
+    the matmul gufunc without its dispatch cost (the two are pinned bit for
+    bit in the tests); a stack needs matmul's broadcasting.
+    """
+    mul = np.dot if X.ndim == 2 else np.matmul
+    XW = mul(X.mT, spec.W)
+    scores = mul(XW, X)
     top = np.maximum.reduce(scores, axis=-2, keepdims=True)
-    in_range = top <= EXP_MAX
-    if not np.logical_and.reduce(in_range, axis=None):
-        bad = int(np.flatnonzero(~in_range)[0] % spec.n)
+    if not top.max() <= EXP_MAX:
+        bad = int(np.flatnonzero(~(top <= EXP_MAX))[0] % spec.n)
         raise NumericalRangeError(
             f"exp overflow in score column {bad}; inputs exceed the bounded regime"
         )
     shifted = np.exp(scores - top)
     F = shifted / np.add.reduce(shifted, axis=-2, keepdims=True)
-    H = X.mT @ spec.V
-    S = F.mT @ H
+    H = mul(X.mT, spec.V)
+    S = mul(F.mT, H)
     C = S - spec.B
-    Wsc = (spec.W @ X).mT
+    Wsc = mul(spec.W, X).mT
     return ForwardCache(F=F, H=H, S=S, C=C, Wsc=Wsc, XW=XW)
 
 

@@ -32,6 +32,7 @@ _MIN_DAMPING = 1e-12
 _ARMIJO_C = 1e-4
 _BACKTRACK_BETA = 0.5
 _MAX_BACKTRACKS = 40
+_PANEL = 64  # substitution panel width of the Newton step
 
 
 @dataclass(frozen=True)
@@ -73,15 +74,34 @@ def _evaluate(spec: ProblemSpec, X: np.ndarray):
 
 
 def _try_solve(H: np.ndarray, lam: float, g: np.ndarray):
-    """Solve (H + lam I) step = -g through Cholesky; None when not PD."""
+    """Solve (H + lam I) step = -g through Cholesky; None when not PD.
+
+    LAPACK factors H + lam I = L L^T.  Forward and back substitution then
+    run over _PANEL-wide panels: np.linalg.solve on each diagonal block of
+    L (resp. L^T), and one dot per off-diagonal panel.  At nd <= _PANEL
+    that is exactly np.linalg.solve(L, -g) then np.linalg.solve(L.T, y),
+    bit for bit; above it no O((nd)^3) work follows the factorization.
+    """
     A = H.copy()
     A[np.diag_indices_from(A)] += lam
     try:
-        cf = np.linalg.cholesky(A)
+        L = np.linalg.cholesky(A)
     except np.linalg.LinAlgError:
         return None
-    y = np.linalg.solve(cf, -g)
-    return np.linalg.solve(cf.T, y)
+    nd = len(g)
+    y = -g
+    starts = range(0, nd, _PANEL)
+    for a in starts:
+        b = a + _PANEL
+        if a > 0:
+            y[a:b] -= L[a:b, :a].dot(y[:a])
+        y[a:b] = np.linalg.solve(L[a:b, a:b], y[a:b])
+    for a in reversed(starts):
+        b = a + _PANEL
+        if b < nd:
+            y[a:b] -= L[b:, a:b].T.dot(y[b:])
+        y[a:b] = np.linalg.solve(L[a:b, a:b].T, y[a:b])
+    return y
 
 
 def _descend(spec: ProblemSpec, X0, eps: float, max_iter: int, step):

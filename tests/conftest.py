@@ -6,7 +6,7 @@ from attninv.analysis import psd_floor
 from attninv.generate import SplitMix64, make_instance, random_matrix, rescale_spectral
 from attninv.generate import bounded_instance  # noqa: F401  (tests import it from here)
 from attninv.gradient import jacobian_c
-from attninv.model import forward_cache
+from attninv.model import EXP_MAX, ForwardCache, flatten_input, forward_cache
 
 
 @pytest.fixture
@@ -133,3 +133,28 @@ def token_loop_hessian_L(cache, spec) -> np.ndarray:
     H = 2.0 * (J.T @ J + K)
     H[np.diag_indices(nd)] += 2.0 * spec.gamma
     return H
+
+
+def matmul_forward(spec, X) -> ForwardCache:
+    """Reference for model._forward at a (d, n) matrix or a (p, d, n)
+    stack inside the exp range: the same pass with every product the
+    matmul gufunc (@)."""
+    XW = X.mT @ spec.W
+    scores = XW @ X
+    top = np.maximum.reduce(scores, axis=-2, keepdims=True)
+    assert (top <= EXP_MAX).all()
+    shifted = np.exp(scores - top)
+    F = shifted / np.add.reduce(shifted, axis=-2, keepdims=True)
+    H = X.mT @ spec.V
+    S = F.mT @ H
+    return ForwardCache(F=F, H=H, S=S, C=S - spec.B, Wsc=(spec.W @ X).mT, XW=XW)
+
+
+def matmul_grad_L(cache, spec, X) -> np.ndarray:
+    """Reference for gradient._grad_L with every product the matmul
+    gufunc (@)."""
+    F = cache.F
+    G_F = cache.H @ cache.C.T
+    G_A = F * (G_F - np.add.reduce(F * G_F, axis=0, keepdims=True))
+    G_X = cache.Wsc.T @ G_A.T + cache.XW.T @ G_A + spec.V @ (F @ cache.C).T
+    return flatten_input(2.0 * G_X + 2.0 * spec.gamma * X)

@@ -14,10 +14,10 @@ from attninv.model import (
     synthesize_target,
     unflatten_input,
 )
-from attninv.gradient import grad_L
+from attninv.gradient import _grad_L, grad_L
 from attninv.hessian import hessian_L
 from attninv.solver import gd_solve, newton_solve
-from conftest import ACCEPTANCE_SHAPES, bounded_instance
+from conftest import ACCEPTANCE_SHAPES, bounded_instance, matmul_forward, matmul_grad_L
 
 CACHE_FIELDS = ("F", "H", "S", "C", "Wsc", "Zsc", "XW")
 
@@ -176,6 +176,23 @@ def test_stacked_forward_and_loss_equal_per_matrix_bitwise(n, d):
             assert np.array_equal(getattr(stacked, name)[p], getattr(one, name)), name
         assert values[p] == loss(spec, Y)
     assert isinstance(loss(spec, X), float)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("d", range(1, 9))
+def test_dot_products_equal_matmul_reference_bitwise(n, d):
+    # n = 1 and d = 1 reach numpy's gemv and dot paths, not gemm
+    spec, X = bounded_instance(7 * n + d, n, d)
+    spec = spec.with_gamma(0.3)
+    rng = np.random.default_rng(n * d)
+    Xs = X + 0.1 * rng.normal(size=(3, d, n))
+    for Y in (X, Xs):
+        cache, ref = forward_cache(spec, Y), matmul_forward(spec, Y)
+        for name in CACHE_FIELDS:
+            assert np.array_equal(getattr(cache, name), getattr(ref, name)), name
+    for Y in (X, *Xs):
+        cache = forward_cache(spec, Y)
+        assert np.array_equal(_grad_L(cache, spec, Y), matmul_grad_L(cache, spec, Y))
 
 
 def test_zsc_is_formed_on_first_read_only():

@@ -6,6 +6,7 @@ import pytest
 from attninv import gradient, model, solver
 from attninv.generate import make_instance, perturbed_start
 from attninv.gradient import grad_L
+from attninv.hessian import hessian_L
 from attninv.model import ProblemSpec, check_input, forward_cache, loss
 from attninv.solver import (
     CONVERGED,
@@ -214,3 +215,59 @@ def test_out_of_range_iterates_end_as_numerical_failure():
     assert status == NUMERICAL_FAILURE and len(recs) == 1
     assert X[0, 0] == pytest.approx(-28.6)
     assert solver.evaluate(spec, [[27.0]]) is None
+
+
+def newton_system(n, d):
+    """Loss Hessian, gradient and its smallest eigenvalue at a point 0.3
+    away from the truth of a seeded n x d instance."""
+    spec, x_true = make_instance(n * d, n, d)
+    X = perturbed_start(x_true, 0.3, 1)
+    cache = forward_cache(spec, X)
+    H = hessian_L(cache, spec, X)
+    return H, grad_L(cache, spec, X), np.linalg.eigvalsh(H)[0]
+
+
+def dampings(low):
+    # both sides of the PD boundary -low, and well inside the PD side
+    return [-low * (1 + 1e-3), -low * (1 - 1e-3), 0.0, 1e-4, 1e-2, abs(low) + 1.0]
+
+
+@pytest.mark.parametrize("n,d", [(12, 6), (16, 8), (8, 16)])
+def test_panel_step_is_backward_stable_and_refuses_non_pd(n, d):
+    # nd = 72 and 128: two panels, so off-diagonal panels are exercised
+    H, g, low = newton_system(n, d)
+    outcomes = set()
+    for lam in dampings(low):
+        A = H + lam * np.eye(len(g))
+        try:
+            np.linalg.cholesky(A)
+            pd = True
+        except np.linalg.LinAlgError:
+            pd = False
+        delta = solver._try_solve(H, lam, g)
+        assert (delta is not None) == pd, lam
+        outcomes.add(pd)
+        if pd:
+            err = np.linalg.norm(A @ delta + g) / (np.linalg.norm(A, 2) * np.linalg.norm(delta))
+            assert err <= 1e-14, (lam, err)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("n,d", [(3, 2), (8, 4), (8, 8)])
+def test_one_panel_step_equals_two_full_solves_bitwise(n, d):
+    # nd <= 64 is one panel: the same two np.linalg.solve calls as before
+    H, g, low = newton_system(n, d)
+    for lam in dampings(low):
+        delta = solver._try_solve(H, lam, g)
+        if delta is None:
+            continue
+        cf = np.linalg.cholesky(H + lam * np.eye(len(g)))
+        assert np.array_equal(delta, np.linalg.solve(cf.T, np.linalg.solve(cf, -g)))
+
+
+def test_newton_recovers_a_multi_panel_instance():
+    # nd = 128: every step is solved over two panels
+    spec, x_true = make_instance(2608, 16, 8)
+    X, recs, status = newton_solve(spec, perturbed_start(x_true, 0.01, 0), eps=1e-10)
+    assert status == CONVERGED
+    assert loss(spec, X) <= 1e-14
