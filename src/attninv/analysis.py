@@ -70,7 +70,6 @@ def bound_suite(cache: ForwardCache, spec: ProblemSpec, X) -> BoundReport:
     family against the bound evaluated at the instance's effective
     constant.
     """
-    X = check_input(spec, X)
     R = effective_bound_constant(spec, X)
     n, d = spec.n, spec.d
     sqrt_nd = float(np.sqrt(n * d))
@@ -146,7 +145,6 @@ def psd_floor(cache: ForwardCache, spec: ProblemSpec, X, H0) -> PsdReport:
     plus the per-residual Hessian norm check at twice the single-entry bound
     (the doubling matches the loss convention), one token chunk at a time.
     cache is the forward cache at X, which does not depend on gamma."""
-    X = check_input(spec, X)
     R = effective_bound_constant(spec, X)
     lam_min = min_eigenvalue(H0)
     floor = -2.0 * PSD_FLOOR_CONSTANT * spec.n * spec.d * R**8

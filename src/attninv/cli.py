@@ -5,7 +5,9 @@ Exit codes: 0 success, 1 check or solve failure, 2 usage or I/O error.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
+import io
 import json
 import os
 import sys
@@ -33,7 +35,7 @@ class UsageError(Exception):
 def _read(reader, path, what: str):
     try:
         return reader(path)
-    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
         raise UsageError(f"cannot read {what}: {exc}") from exc
 
 
@@ -324,9 +326,10 @@ def cmd_report(args) -> int:
             continue
         if row is not None:
             rows.append(row)
-    lines = [",".join(_REPORT_COLUMNS)]
-    lines += [",".join(row[c] for c in _REPORT_COLUMNS) for row in rows]
-    csv_text = "\n".join(lines) + "\n"
+    buf = io.StringIO()            # quoted where a field holds , " or a newline
+    csv.writer(buf, lineterminator="\n").writerows(
+        [_REPORT_COLUMNS] + [[row[c] for c in _REPORT_COLUMNS] for row in rows])
+    csv_text = buf.getvalue()
     if args.csv:
         with open(args.csv, "w") as fh:
             fh.write(csv_text)

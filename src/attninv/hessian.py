@@ -5,8 +5,8 @@ J^T J comes from gradient.jacobian_c, and the residual-weighted part
 K = sum c * hess_c is one closed form (no token loop) of three pieces:
 softmax curvature, bilinear scores and the softmax-value cross term, in
 O(n^3 d^2) time with O((nd)^2) temporaries.  residual_hessians, which the
-analysis checks use: the Hessians of the d residuals of a probe token, as
-the forward-mode derivative of their jacobian_c rows.
+analysis checks use: the Hessians of the d residuals of a probe token, the
+same three pieces for each residual, in one batched product.
 
 The per-residual mixed partial d^2 c[i0, j0] / dx[i1, j1] dx[i2, j2]
 splits into five index cases, with two independent realizations kept to
@@ -398,48 +398,35 @@ def residual_hessians(cache: ForwardCache, spec: ProblemSpec, i0) -> np.ndarray:
     j0 equal to hessian_c(cache, spec, i0, j0); i0 a 1-D array of b probe
     tokens returns the (b, d, nd, nd) stacks, each equal to its own call.
 
-    Differentiates the jacobian_c rows of the probe tokens along every
-    input coordinate x[t, k] at once, through the closed-form directional
-    derivatives dF of the softmax column, dS of the outputs and dZ of the
-    averaged scores, each with a leading token axis (no token loop).  The
-    largest temporaries hold b d (nd)^2 entries.
+    c[i0, j0] = <p, H[:, j0]> with p = F[:, i0] the softmax of the score
+    column a, whose Jacobian Ja has row s = w at token s plus XW[s] at
+    token i0 (w = Wsc[i0]).  With g = p o (H[:, j0] - S[i0, j0]), u = Ja^T p,
+    v = Ja^T g, dp = p o (Ja - u) and Ev[r, (t, k)] = [r = t] V[k, j0], the
+    Hessian is hessian_L's three pieces for one residual: the softmax
+    curvature Ja^T diag(g) Ja - v u^T - u v^T, the softmax-value cross term
+    dp^T Ev + Ev^T dp, and the bilinear scores g[s] W at block (s, i0) and
+    g[s] W^T at (i0, s).  All but the last are one batched product L^T R
+    over 3n + 2 stacked rows; the largest temporaries hold b d (nd)^2
+    entries.
     """
     i = _check_index(spec.n, stack=True, i0=i0).reshape(-1)
     n, d, b = spec.n, spec.d, len(i)
-    H, V, W, XW = cache.H, spec.V, spec.W, cache.XW
-    f, s, w, z = cache.F.T[i], cache.S[i], cache.Wsc[i], cache.Zsc[i]
-    bb, tok = np.arange(b), np.arange(n)
-    # axes (b, t, k): direction x[t, k]; d(score column i0) has entry t
-    # from the key side, and every entry when t is the probe
-    dF = np.zeros((b, n, d, n))
-    dF[:, tok, :, tok] = w
-    dF[bb, i] += XW.T
-    dF -= dF @ f[:, None, :, None]
-    dF *= f[:, None, None]
-    fV = f[:, :, None, None] * V   # f[t] V[k, j]: x[t, k] moves H[t, j] by V[k, j]
-    dS = dF @ H
-    dS += fV
-    dZ = dF @ XW
-    dZ += f[:, :, None, None] * W
-    # T[., j0, i1, j1, t, k] differentiates the Jacobian entry shared by
-    # every token, f[i1] ((H[i1, j0] - s[j0]) w[j1] + V[j1, j0]): through
-    # f[i1], through H[i1, j0] - s[j0] (dH only for i1 == t), and through
-    # w, which moves only along the probe, by W[j1, k]
-    Hs = H - s[:, None]
-    P = Hs[..., None] * w[:, None, None] + V.T
-    T = P.transpose(0, 2, 1, 3)[..., None, None] * dF.transpose(0, 3, 1, 2)[:, None, :, None]
-    T -= ((f[:, :, None] * w[:, None])[:, None, :, :, None, None]
-          * dS.transpose(0, 3, 1, 2)[:, :, None, None])
-    T[:, :, tok, :, tok] += fV.transpose(1, 0, 3, 2)[:, :, :, None] * w[:, None, :, None]
-    T[bb, :, :, :, i] += (f[:, :, None] * Hs).transpose(0, 2, 1)[..., None, None] * W
-    # the probe-token terms -s[j0] z[j1] + <f o XW[:, j1], H[:, j0]>
-    # (i1 == i0), through f, s, z, H and XW
-    D = (dF @ (H[:, :, None] * XW[:, None, :]).reshape(n, d * d)).reshape(b, n, d, d, d)
-    D -= dS[..., None] * z[:, None, None, None]
-    D -= s[:, None, None, :, None] * dZ[:, :, :, None]
-    D += fV[..., None] * XW[:, None, None]
-    D += (f[:, :, None] * H)[:, :, None, :, None] * W[:, None]
-    T[bb, :, i] += D.transpose(0, 3, 4, 1, 2)
+    p, bb, tok = cache.F.T[i], np.arange(b), np.arange(n)
+    Ja = np.zeros((b, n, n, d))
+    Ja[:, tok, tok] = cache.Wsc[i, None]
+    Ja[bb, :, i] += cache.XW
+    Ja = np.broadcast_to(Ja.reshape(b, 1, n, n * d), (b, d, n, n * d))
+    Ev = np.zeros((d, n, n, d))
+    Ev[:, tok, tok] = spec.V.T[:, None]
+    Ev = np.broadcast_to(Ev.reshape(d, n, n * d), Ja.shape)
+    g = p[:, None] * (cache.H.T - cache.S[i, :, None])         # (b, d, n)
+    u, v = p[:, None, None] @ Ja, g[:, :, None] @ Ja
+    dp = p[:, None, :, None] * (Ja - u)
+    L = np.concatenate([Ja, dp, Ev, -v, -u], axis=2)
+    R = np.concatenate([g[..., None] * Ja, Ev, dp, u, v], axis=2)
+    T = (L.mT @ R).reshape(b, d, n, d, n, d)
+    T[bb, :, :, :, i] += g[..., None, None] * spec.W
+    T[bb, :, i] += g[:, :, None, :, None] * spec.W.T[:, None]
     return T.reshape(*np.shape(i0), d, n * d, n * d)
 
 

@@ -30,9 +30,21 @@ def matrix_to_json(M: np.ndarray) -> str:
     return f'{{"rows": {M.shape[0]}, "cols": {M.shape[1]}, "data": [{data}]}}'
 
 
+def _json(value, what: str, *types):
+    """value if its type is exactly one of types (so a bool is no int),
+    else ValueError."""
+    if type(value) not in types:
+        raise ValueError(f"{what} is of type {type(value).__name__}, not "
+                         + " or ".join(t.__name__ for t in types))
+    return value
+
+
 def matrix_from_obj(obj) -> np.ndarray:
-    rows, cols = int(obj["rows"]), int(obj["cols"])
-    data = np.asarray(obj["data"], dtype=float)
+    rows, cols = _json(obj["rows"], "rows", int), _json(obj["cols"], "cols", int)
+    # a float array of JSON numbers; an integer beyond the float range
+    # raises OverflowError
+    data = np.array([_json(v, "a data entry", int, float)
+                     for v in _json(obj["data"], "data", list)], dtype=float)
     if data.size != rows * cols:
         raise ValueError(f"matrix data length {data.size} != {rows}*{cols}")
     return data.reshape(rows, cols)
@@ -69,12 +81,12 @@ def read_problem(path) -> ProblemSpec:
     with open(path) as fh:
         obj = json.load(fh)
     return ProblemSpec(
-        n=int(obj["n"]),
-        d=int(obj["d"]),
+        n=_json(obj["n"], "n", int),
+        d=_json(obj["d"], "d", int),
         W=matrix_from_obj(obj["W"]),
         V=matrix_from_obj(obj["V"]),
         B=matrix_from_obj(obj["B"]),
-        gamma=float(obj["gamma"]),
+        gamma=float(_json(obj["gamma"], "gamma", int, float)),
     )
 
 

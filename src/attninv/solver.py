@@ -91,16 +91,12 @@ def _try_solve(H: np.ndarray, lam: float, g: np.ndarray):
     nd = len(g)
     y = -g
     starts = range(0, nd, _PANEL)
-    for a in starts:
+    for a in starts:               # an empty panel product is an exact zero
         b = a + _PANEL
-        if a > 0:
-            y[a:b] -= L[a:b, :a].dot(y[:a])
-        y[a:b] = np.linalg.solve(L[a:b, a:b], y[a:b])
+        y[a:b] = np.linalg.solve(L[a:b, a:b], y[a:b] - L[a:b, :a].dot(y[:a]))
     for a in reversed(starts):
         b = a + _PANEL
-        if b < nd:
-            y[a:b] -= L[b:, a:b].T.dot(y[b:])
-        y[a:b] = np.linalg.solve(L[a:b, a:b].T, y[a:b])
+        y[a:b] = np.linalg.solve(L[a:b, a:b].T, y[a:b] - L[b:, a:b].T.dot(y[b:]))
     return y
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import os
@@ -162,6 +163,21 @@ def test_report_empty_and_rows(tmp_path, capsys):
     assert lines[1] == lines[2]  # identical seeds give identical rows
     row = lines[1].split(",")
     assert len(row) == 6 and all(row), row
+
+
+def test_report_quotes_a_path_with_a_comma_and_a_quote(tmp_path, capsys):
+    inst = tmp_path / 'in,st"x'
+    run_cli("generate", "--seed", "0", "--n", "2", "--d", "2", "--out", str(inst))
+    run_cli("solve", "--problem", str(inst / "problem.json"), "--init", "perturb:0.01",
+            "--out", str(tmp_path / "run"))
+    capsys.readouterr()
+    csv_path = tmp_path / "summary.csv"
+    assert run_cli("report", str(tmp_path / "run" / "run.jsonl"), "--csv", str(csv_path)) == 0
+    printed = capsys.readouterr().out
+    assert printed == csv_path.read_text()
+    rows = list(csv.reader(io.StringIO(printed)))
+    assert [len(row) for row in rows] == [6, 6]
+    assert rows[1][0] == str(inst / "problem.json")
 
 
 def test_report_skips_malformed(tmp_path, capsys):
@@ -636,6 +652,18 @@ def test_check_hessian_levels_refuse_over_cap(tmp_path, capsys, monkeypatch, lev
 # nothing: from the shell, an exception out of main is a traceback.
 _NUMBERS = ["0.01", "1", "-1", "0", "nan", "inf", "-inf", "1e300", "1e-300",
             "1e400", "abc", ""]
+# Matrix files that parse as JSON but break the reader's types: rows and cols
+# must be JSON integers and data a flat list of JSON numbers within the float
+# range.
+_MISTYPED_MATRICES = {
+    "rows_float": '{"rows": 2.0, "cols": 2, "data": [0.1, -0.2, 0.3, 0.05]}',
+    "rows_str": '{"rows": "2", "cols": 2, "data": [0.1, -0.2, 0.3, 0.05]}',
+    "rows_bool": '{"rows": true, "cols": 2, "data": [0.1, -0.2]}',
+    "data_str": '{"rows": 2, "cols": 2, "data": ["0.1", -0.2, 0.3, 0.05]}',
+    "data_bool": '{"rows": 2, "cols": 2, "data": [true, false, false, true]}',
+    "data_nested": '{"rows": 2, "cols": 2, "data": [[0.1, -0.2], [0.3, 0.05]]}',
+    "data_bigint": '{"rows": 2, "cols": 2, "data": [' + "1" * 401 + ', 0, 0, 0]}',
+}
 _MATRICES = {
     "ok": '{"rows": 2, "cols": 2, "data": [0.1, -0.2, 0.3, 0.05]}',
     "not_json": "{oops",
@@ -652,6 +680,7 @@ _MATRICES = {
     # exp stays in range (W[0, 0] < 0 in contract_dir), but R^8 overflows
     "far": '{"rows": 2, "cols": 2, "data": [1e60, 0, 0, 0]}',
     "deep": "[" * 100000,
+    **{f"typed_{name}": text for name, text in _MISTYPED_MATRICES.items()},
 }
 _CAPS = [None, "abc", "0", "-2", "", "1", "3", "4", "1e3", " 8"]
 
@@ -667,6 +696,32 @@ def contract_dir(tmp_path_factory):
     for name, text in _RUN_LOGS.items():
         (root / f"{name}.jsonl").write_text(text + "\n")
     return root
+
+
+@pytest.mark.parametrize("name", sorted(_MISTYPED_MATRICES))
+def test_mistyped_input_matrix_is_usage_error(contract_dir, tmp_path, capsys, name):
+    problem = str(contract_dir / "inst" / "problem.json")
+    matrix = str(contract_dir / f"typed_{name}.json")
+    for argv, what in ((["check", "--problem", problem, "--x", matrix], "X"),
+                       (["solve", "--problem", problem, "--init", f"file:{matrix}",
+                         "--out", str(tmp_path)], "init file")):
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {what}: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("field,value", [
+    ("n", 2.9), ("n", 2.0), ("n", "2"), ("d", True), ("gamma", "0"), ("gamma", False),
+    ("gamma", [0]), ("W", {"rows": 2, "cols": 2, "data": [[1, 0], [0, 1]]})])
+def test_mistyped_problem_is_usage_error(contract_dir, tmp_path, capsys, field, value):
+    obj = json.loads((contract_dir / "inst" / "problem.json").read_text())
+    assert obj["n"] == obj["d"] == 2
+    obj[field] = value
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps(obj))
+    assert run_cli("check", "--problem", str(problem)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read problem: ") and err.count("\n") == 1, err
 
 
 @st.composite

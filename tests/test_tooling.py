@@ -22,11 +22,11 @@ SCRIPT_ENV = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
 # an artifact byte updates these lines and says so in CHANGES.md
 ARTIFACT_DIGESTS = """\
 generate     122bb61f12b4c5f82aaa661ff3425949e31acee025c5ea56924c4e39cb00dd57
-check        496ddf3f71ce4ec88d65156ed3ccd3c997d3a4162f2aadc917ee4704ea30f0a0
+check        b5a89333e72c46fd366f3c9af5dff2e1dc352bd64509d9ec83c9cc6045498be8
 solve newton 9f14c3abf83804ce9dcb877035e25cf3d8b8903e65ad9102e210cb5166e8dabc
 solve gd     a852e6dec7f55b123267d8f810fec6d578a0d0fcd4974ede33cf9cb05813c841
 report       7a0b2a11fe1d840309be1c2cecc05d277bf1421c8e74c5a877c8293fa4cab9bf
-9aee3787228c9fc34667a8d9881288cd447ecc8949acba865febdf4ce5e32afe
+7593dbd4da7c2fec737b5ce373a7da74967b9690402fc74957aa9d0a2d2c0064
 """
 # sha256 of what scripts/guarantee_audit.py --count 25 prints
 GUARANTEE_AUDIT_DIGEST = "0b4c81797ae0eed4a11b9f2d379c2ad8869094900d78d79e60a9695698d8b2ae"
@@ -34,9 +34,9 @@ GUARANTEE_AUDIT_DIGEST = "0b4c81797ae0eed4a11b9f2d379c2ad8869094900d78d79e60a969
 # certify instances (generate --seed S --n n --d d, S = 100*n + d), beyond
 # the acceptance family's nd <= 16
 CERTIFY_CHECK_DIGESTS = {
-    (4, 3): "dd5f78c76ba610ca78479b365c26d110c47439a5ad39a34c3f9635dac221804a",
-    (6, 4): "c7d63a205cf0929c798617c4b3644ce7b1c7d96d952c72cecc1909fde5577fec",
-    (8, 4): "03d5a9f0462d1dbc446f29c7eb69e22f15c0a166077bf66ef37bc44805c6eeee",
+    (4, 3): "bcd21bbe53c91b971fb67aecac2ecaf1bd228f673dc751b04202d5aaafaf5033",
+    (6, 4): "2b537fdad40bbcd06e4d17d0a54663e7fd39d9394a1fd90644ef3c49bf96a248",
+    (8, 4): "78cb134b02502cc32878c15ca26a9d1b2b623c005a74e0644527662dd5ef1087",
 }
 
 
@@ -73,18 +73,21 @@ def test_certify_check_output_is_pinned(n, d, tmp_path, monkeypatch, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == CERTIFY_CHECK_DIGESTS[(n, d)]
 
 
-def test_certify_check_output_is_pinned_with_two_blas_threads(tmp_path):
-    # from the shell under two BLAS threads: the feature-stacked sweep's
-    # batched products print the same report as the in-process run
+@pytest.mark.parametrize("n,d", sorted(CERTIFY_CHECK_DIGESTS))
+def test_certify_check_output_is_pinned_with_two_blas_threads(n, d, tmp_path):
+    # from the shell under two BLAS threads: the batched products of the
+    # feature-stacked sweep and of the residual Hessians print the same
+    # report as the in-process run
     env = {**SCRIPT_ENV, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "2"}
 
     def shell(*argv):
         return subprocess.run([sys.executable, "-m", "attninv", *argv], env=env,
                               cwd=tmp_path, capture_output=True, timeout=300, check=True)
 
-    shell("generate", "--seed", "804", "--n", "8", "--d", "4", "--out", "inst")
-    out = shell("check", "--problem", "inst/problem.json", "--level", "all", "--seed", "804")
-    assert hashlib.sha256(out.stdout).hexdigest() == CERTIFY_CHECK_DIGESTS[(8, 4)]
+    seed = str(100 * n + d)
+    shell("generate", "--seed", seed, "--n", str(n), "--d", str(d), "--out", "inst")
+    out = shell("check", "--problem", "inst/problem.json", "--level", "all", "--seed", seed)
+    assert hashlib.sha256(out.stdout).hexdigest() == CERTIFY_CHECK_DIGESTS[(n, d)]
 
 
 def test_guarantee_audit_output_is_pinned():
