@@ -18,7 +18,6 @@ from .model import (
     ForwardCache,
     NumericalRangeError,
     ProblemSpec,
-    dense_cap,
     flatten_input,
     forward_cache,
     loss,

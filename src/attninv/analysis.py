@@ -204,8 +204,9 @@ def lipschitz_probe(spec: ProblemSpec, pairs) -> BoundReport:
              BIG_O_CONSTANT * sqrt_nd * R**6),
             ("residual_hess", float(max(_residual_hessian_gaps(cx, cy, base))),
              BIG_O_CONSTANT * sqrt_nd * R**8),
+            # a pairwise sum: the flat norm's BLAS ddot varies with the threads
             ("loss_hessian", np.linalg.norm(hessian.hessian_L(cx, base, X)
-                                            - hessian.hessian_L(cy, base, Y)),
+                                            - hessian.hessian_L(cy, base, Y), axis=(0, 1)),
              BIG_O_CONSTANT * float(n)**3.5 * float(d)**3.5 * R**10))
         for kind, rows in (("theorem", theorem), ("smoke", smoke)):
             checks += [_mk(f"pair{idx}_{name}_ratio", gap / dist, bound, kind)

@@ -111,13 +111,6 @@ def _sample_x(spec: ProblemSpec, seed: int) -> np.ndarray:
     return rescale_spectral(random_matrix(gen, spec.d, spec.n), 1.2)
 
 
-def _at_gamma(H0: np.ndarray, gamma: float) -> np.ndarray:
-    """hessian_L at gamma from H0 = hessian_L at 0, bit for bit (-0.0 too)."""
-    H = H0.copy()
-    H[np.diag_indices(len(H))] += 2.0 * gamma
-    return H
-
-
 # Hessian entries per hessian_block_entry_equiv comparison: one probe token's
 # residuals in feature chunks of at most this many (the FD oracle's budget).
 _SWEEP_ENTRIES = 2**16
@@ -151,7 +144,7 @@ def _check_entries(spec: ProblemSpec, X, level: str, seed: int):
         H0 = hessian.hessian_L(cache, spec.with_gamma(0.0), X)
     if level in ("hessian", "all"):
         tol = 1e-4
-        H = _at_gamma(H0, spec.gamma)
+        H = hessian._shift_diagonal(H0.copy(), 2.0 * spec.gamma)
         rep = oracle.check(H, oracle.fd_hessian(lambda Ys: loss(spec, Ys), X), tol,
                            target="hessian_L")
         add("hessian_L_vs_fd", rep.passed,
@@ -182,7 +175,7 @@ def _check_entries(spec: ProblemSpec, X, level: str, seed: int):
              "hessian_c_norm_max": rep.hessian_c_norm_max,
              "hessian_c_bound": rep.hessian_c_bound})
         gamma = analysis.choose_gamma(spec.n, spec.d, rep.r_eff)
-        lam = analysis.min_eigenvalue(_at_gamma(H0, gamma))
+        lam = analysis.min_eigenvalue(hessian._shift_diagonal(H0.copy(), 2.0 * gamma))
         add("psd_with_auto_gamma", lam > 0.0, {"lambda_min": lam, "gamma": gamma})
     if level in ("lipschitz", "all"):
         gen = SplitMix64(seed ^ 0x5EED)

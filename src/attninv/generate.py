@@ -85,20 +85,17 @@ def bounded_instance(seed: int, n: int, d: int,
     return ProblemSpec(n, d, W, V, B, 0.0), X
 
 
-def unit_perturbation(gen: SplitMix64, d: int, n: int) -> np.ndarray:
-    """Random direction with unit Frobenius norm (row-major draw order)."""
-    while True:
-        M = random_matrix(gen, d, n)
-        norm = np.linalg.norm(M)
-        if norm > 1e-12:
-            return M / norm
-
-
 def perturbed_start(x_true: np.ndarray, radius: float, seed: int) -> np.ndarray:
-    """X_true plus a seeded random direction of Frobenius norm radius."""
+    """X_true plus a seeded random direction of Frobenius norm radius: the
+    first row-major draw of norm above 1e-12, scaled to unit norm."""
     d, n = x_true.shape
     if not radius >= 0:
         raise ValueError("radius must be nonnegative")
     if radius == 0:
         return x_true.copy()
-    return x_true + radius * unit_perturbation(SplitMix64(seed), d, n)
+    gen = SplitMix64(seed)
+    while True:
+        M = random_matrix(gen, d, n)
+        norm = np.linalg.norm(M)
+        if norm > 1e-12:
+            return x_true + radius * (M / norm)

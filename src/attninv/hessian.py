@@ -463,6 +463,11 @@ def hessian_L(cache: ForwardCache, spec: ProblemSpec, X) -> np.ndarray:
                        + XW.T @ (0.5 * G.T[:, :, None] * XW) - Z[:, :, None] * Y[:, None])
     A = A.reshape(nd, nd)
     J = jacobian_c(cache, spec)
-    H = 2.0 * (J.T @ J + (A + A.T))
-    H[np.diag_indices(nd)] += 2.0 * spec.gamma
+    return _shift_diagonal(2.0 * (J.T @ J + (A + A.T)), 2.0 * spec.gamma)
+
+
+def _shift_diagonal(H: np.ndarray, c: float) -> np.ndarray:
+    """H + c I in place, one addition per diagonal entry: the regularizer
+    of hessian_L, check's loss Hessian at gamma and the Newton damping."""
+    H[np.diag_indices(len(H))] += c
     return H

@@ -105,12 +105,10 @@ def record_to_json(rec: RunRecord) -> str:
     return _RECORD % (rec.iter, loss, grad_norm, step_norm, damping)
 
 
-def write_run_log(path, records, meta: dict | None = None) -> None:
-    """JSONL run log: an optional leading meta object, then one record per
-    iteration."""
+def write_run_log(path, records, meta: dict) -> None:
+    """JSONL run log: a leading meta object, then one record per iteration."""
     with open(path, "w") as fh:
-        if meta is not None:
-            fh.write(json.dumps({"meta": meta}, sort_keys=True) + "\n")
+        fh.write(json.dumps({"meta": meta}, sort_keys=True) + "\n")
         for rec in records:
             fh.write(record_to_json(rec) + "\n")
 

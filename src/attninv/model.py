@@ -19,23 +19,17 @@ DEFAULT_DENSE_CAP = 512
 EXP_MAX = 709.782712893384
 
 
-def dense_cap() -> int:
-    """Largest n*d for which dense nd x nd Hessians may be materialized."""
+def check_dense_cap(nd: int) -> None:
+    """Refuse a problem of nd = n*d unknowns above the largest for which
+    dense nd x nd Hessians may be materialized: ATTNINV_DENSE_CAP, or
+    DEFAULT_DENSE_CAP when it is unset."""
     raw = os.environ.get("ATTNINV_DENSE_CAP")
-    if raw is None:
-        return DEFAULT_DENSE_CAP
     try:
-        cap = int(raw)
+        cap = DEFAULT_DENSE_CAP if raw is None else int(raw)
     except ValueError:
         cap = 0
     if cap < 1:
         raise ValueError(f"ATTNINV_DENSE_CAP must be a positive integer, got {raw!r}")
-    return cap
-
-
-def check_dense_cap(nd: int) -> None:
-    """Refuse a problem of nd = n*d unknowns above dense_cap()."""
-    cap = dense_cap()
     if nd > cap:
         raise ValueError(f"n*d = {nd} exceeds the dense cap {cap}")
 

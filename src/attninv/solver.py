@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gradient import _grad_L
-from .hessian import hessian_L
+from .hessian import _shift_diagonal, hessian_L
 from .model import (
     NumericalRangeError,
     ProblemSpec,
@@ -82,10 +82,8 @@ def _try_solve(H: np.ndarray, lam: float, g: np.ndarray):
     that is exactly np.linalg.solve(L, -g) then np.linalg.solve(L.T, y),
     bit for bit; above it no O((nd)^3) work follows the factorization.
     """
-    A = H.copy()
-    A[np.diag_indices_from(A)] += lam
     try:
-        L = np.linalg.cholesky(A)
+        L = np.linalg.cholesky(_shift_diagonal(H.copy(), lam))
     except np.linalg.LinAlgError:
         return None
     nd = len(g)

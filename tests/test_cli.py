@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from attninv import cli, gradient
-from attninv.hessian import hessian_L
+from attninv.hessian import _shift_diagonal, hessian_L
 from attninv.iojson import read_matrix, read_problem
 from attninv.generate import make_instance
 from attninv.model import EXP_MAX, forward_cache, loss
@@ -566,11 +566,12 @@ def test_loss_hessian_at_gamma_is_the_gamma_zero_one_plus_its_diagonal(n, d, gam
             cache = forward_cache(spec, X)
             H0 = hessian_L(cache, spec.with_gamma(0.0), X)
             fresh = hessian_L(cache, spec.with_gamma(gamma), X)
-            assert cli._at_gamma(H0, gamma).tobytes() == fresh.tobytes()
+            assert _shift_diagonal(H0.copy(), 2.0 * gamma).tobytes() == fresh.tobytes()
     # a fresh build adds 2 gamma to the diagonal only, so a -0.0 there
     # turns +0.0 and one off it stays -0.0
     zeros = np.full((2, 2), -0.0)
-    assert np.signbit(cli._at_gamma(zeros, gamma)).tolist() == [[False, True], [True, False]]
+    assert np.signbit(_shift_diagonal(zeros, 2.0 * gamma)).tolist() == [
+        [False, True], [True, False]]
 
 
 def test_check_all_builds_seven_loss_hessians(tmp_path, capsys, monkeypatch):

@@ -22,11 +22,11 @@ SCRIPT_ENV = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
 # an artifact byte updates these lines and says so in CHANGES.md
 ARTIFACT_DIGESTS = """\
 generate     122bb61f12b4c5f82aaa661ff3425949e31acee025c5ea56924c4e39cb00dd57
-check        b5a89333e72c46fd366f3c9af5dff2e1dc352bd64509d9ec83c9cc6045498be8
+check        e52dc172dc0b0d2afed4da58d166a75714bc6b799e20456f26e61a98ca2d7b35
 solve newton 9f14c3abf83804ce9dcb877035e25cf3d8b8903e65ad9102e210cb5166e8dabc
 solve gd     a852e6dec7f55b123267d8f810fec6d578a0d0fcd4974ede33cf9cb05813c841
 report       7a0b2a11fe1d840309be1c2cecc05d277bf1421c8e74c5a877c8293fa4cab9bf
-7593dbd4da7c2fec737b5ce373a7da74967b9690402fc74957aa9d0a2d2c0064
+8a27dc36e497f447b08780c804b189e7ab1e0a5fe5972b9d4846da231a83dd45
 """
 # sha256 of what scripts/guarantee_audit.py --count 25 prints
 GUARANTEE_AUDIT_DIGEST = "0b4c81797ae0eed4a11b9f2d379c2ad8869094900d78d79e60a9695698d8b2ae"
@@ -36,7 +36,7 @@ GUARANTEE_AUDIT_DIGEST = "0b4c81797ae0eed4a11b9f2d379c2ad8869094900d78d79e60a969
 CERTIFY_CHECK_DIGESTS = {
     (4, 3): "bcd21bbe53c91b971fb67aecac2ecaf1bd228f673dc751b04202d5aaafaf5033",
     (6, 4): "2b537fdad40bbcd06e4d17d0a54663e7fd39d9394a1fd90644ef3c49bf96a248",
-    (8, 4): "78cb134b02502cc32878c15ca26a9d1b2b623c005a74e0644527662dd5ef1087",
+    (8, 4): "0736dcceec0225ef954292a856dbee881652e9a1ca08e36715f8100e3adc6e8f",
 }
 
 
@@ -88,6 +88,22 @@ def test_certify_check_output_is_pinned_with_two_blas_threads(n, d, tmp_path):
     shell("generate", "--seed", seed, "--n", str(n), "--d", str(d), "--out", "inst")
     out = shell("check", "--problem", "inst/problem.json", "--level", "all", "--seed", seed)
     assert hashlib.sha256(out.stdout).hexdigest() == CERTIFY_CHECK_DIGESTS[(n, d)]
+
+
+def test_lipschitz_check_output_does_not_depend_on_blas_threads(tmp_path):
+    # at 16x8 the loss-Hessian difference has (nd)^2 = 16384 entries, enough
+    # for OpenBLAS to split a flat ddot across threads
+    def shell(threads, *argv):
+        env = {**SCRIPT_ENV, "PYTHONPATH": str(ROOT / "src"),
+               "OPENBLAS_NUM_THREADS": str(threads)}
+        return subprocess.run([sys.executable, "-m", "attninv", *argv], env=env,
+                              cwd=tmp_path, capture_output=True, timeout=300,
+                              check=True).stdout
+
+    shell(1, "generate", "--seed", "1608", "--n", "16", "--d", "8", "--out", "inst")
+    one, two = (shell(t, "check", "--problem", "inst/problem.json", "--level", "lipschitz",
+                      "--seed", "1608") for t in (1, 2))
+    assert one == two
 
 
 def test_guarantee_audit_output_is_pinned():
