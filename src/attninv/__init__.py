@@ -21,7 +21,6 @@ from .model import (
     flatten_input,
     forward_cache,
     loss,
-    loss_frobenius,
     synthesize_target,
     unflatten_input,
 )

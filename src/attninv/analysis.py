@@ -41,9 +41,6 @@ class BoundReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def failures(self) -> list[BoundCheck]:
-        return [c for c in self.checks if not c.passed]
-
 
 def effective_bound_constant(spec: ProblemSpec, X) -> float:
     """Measured stand-in for the bound constant: the largest of 1, the

@@ -296,15 +296,20 @@ def _report_row(path: str):
     if not records and not meta:
         return None
     last = records[-1] if records else {}
+
+    def number(obj, key):          # a JSON int or float, never a bool
+        return _fmt(iojson._json(obj.get(key), key, int, float))
+
     return {
         "instance": str(meta.get("problem", "")),
         "solver": str(meta.get("solver", "")),
-        "iterations": str(meta.get("iterations", len(records))),
-        "final_loss": _fmt(meta["final_loss"]) if "final_loss" in meta
-        else (_fmt(last.get("loss", float("nan"))) if records else ""),
-        "final_grad_norm": _fmt(meta["final_grad_norm"]) if "final_grad_norm" in meta
-        else (_fmt(last.get("grad_norm", float("nan"))) if records else ""),
-        "distance": _fmt(meta["distance_to_truth"])
+        "iterations": str(iojson._json(meta.get("iterations", len(records)),
+                                       "iterations", int)),
+        "final_loss": number(meta, "final_loss") if "final_loss" in meta
+        else (number(last, "loss") if records else ""),
+        "final_grad_norm": number(meta, "final_grad_norm") if "final_grad_norm" in meta
+        else (number(last, "grad_norm") if records else ""),
+        "distance": number(meta, "distance_to_truth")
         if "distance_to_truth" in meta else "",
     }
 
@@ -314,7 +319,7 @@ def cmd_report(args) -> int:
     for path in args.runs:
         try:
             row = _report_row(path)
-        except (OSError, ValueError, TypeError) as exc:  # unreadable or unformattable
+        except (OSError, ValueError, OverflowError) as exc:  # unreadable or unformattable
             print(f"warning: cannot read {path}: {exc}", file=sys.stderr)
             continue
         if row is not None:

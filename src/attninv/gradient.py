@@ -5,33 +5,16 @@ differentiated with respect to a single input coordinate x[i1, j1]
 (token i1, feature j1).  The production path is closed form: jacobian_c
 broadcasts that derivative over every residual (grad_c is one row), and
 grad_L is the reverse-mode loss gradient, which never forms the Jacobian.
-dc_entry keeps the derivative as a named term table (five scalar terms
-when i1 is the probe token i0, three otherwise); together with the
+dc_entry keeps the derivative as a term table (five scalar terms when i1
+is the probe token i0, three otherwise); together with the
 finite-difference oracle it is the certification realization the closed
 forms are pinned against.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .model import ForwardCache, ProblemSpec, check_input, flatten_input
-
-
-@dataclass(frozen=True)
-class GradEntryTerms:
-    """Named contributions to one residual-entry derivative.
-
-    total is the plain left-to-right sum of the listed terms; the order is
-    fixed (C1..C5, resp. C6..C8) so repeated runs accumulate identically.
-    """
-
-    terms: tuple[tuple[str, float], ...]
-
-    @property
-    def total(self) -> float:
-        return _term_sum(value for _, value in self.terms)
 
 
 def _term_sum(terms):
@@ -57,8 +40,9 @@ def _check_index(limit: int, *, stack: bool = False, **indices) -> np.ndarray:
 
 
 def dc_entry(cache: ForwardCache, spec: ProblemSpec,
-             i0: int, j0: int, i1: int, j1: int) -> GradEntryTerms:
-    """d c[i0, j0] / d x[i1, j1] as a named term table."""
+             i0: int, j0: int, i1: int, j1: int) -> float:
+    """d c[i0, j0] / d x[i1, j1] via the term table, summed in the listed
+    order (C1..C5 at the probe token, C6..C8 elsewhere)."""
     _check_index(spec.n, i0=i0, i1=i1)
     _check_index(spec.d, j0=j0, j1=j1)
     F, H, S = cache.F, cache.H, cache.S
@@ -67,25 +51,25 @@ def dc_entry(cache: ForwardCache, spec: ProblemSpec,
     if i0 == i1:
         f00 = F[i0, i0]
         terms = (
-            ("C1", -s * f00 * w1),
-            ("C2", -s * cache.Zsc[i0, j1]),
-            ("C3", f00 * H[i0, j0] * w1),
-            ("C4", float(np.dot(F[:, i0] * cache.XW[:, j1], H[:, j0]))),
-            ("C5", f00 * spec.V[j1, j0]),
+            -s * f00 * w1,                                              # C1
+            -s * cache.Zsc[i0, j1],                                     # C2
+            f00 * H[i0, j0] * w1,                                       # C3
+            float(np.dot(F[:, i0] * cache.XW[:, j1], H[:, j0])),        # C4
+            f00 * spec.V[j1, j0],                                       # C5
         )
-        return GradEntryTerms(terms)
-    f01 = F[i1, i0]
-    terms = (
-        ("C6", -s * f01 * w1),
-        ("C7", f01 * H[i1, j0] * w1),
-        ("C8", f01 * spec.V[j1, j0]),
-    )
-    return GradEntryTerms(terms)
+    else:
+        f01 = F[i1, i0]
+        terms = (
+            -s * f01 * w1,                                              # C6
+            f01 * H[i1, j0] * w1,                                       # C7
+            f01 * spec.V[j1, j0],                                       # C8
+        )
+    return float(_term_sum(terms))
 
 
 def jacobian_c(cache: ForwardCache, spec: ProblemSpec) -> np.ndarray:
     """nd x nd residual Jacobian: row i0*d + j0 is the gradient of
-    c[i0, j0], entry i1*d + j1 equals dc_entry(..., i1, j1).total."""
+    c[i0, j0], entry i1*d + j1 equals dc_entry(..., i1, j1)."""
     n, d = spec.n, spec.d
     F, H, S = cache.F, cache.H, cache.S
     # M[i0, j0, i1, j1]: the off-diagonal shape holds at every token; the

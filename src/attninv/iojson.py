@@ -97,12 +97,9 @@ _RECORD = ('{"iter": %d, "loss": %.17g, "grad_norm": %.17g, '
 def record_to_json(rec: RunRecord) -> str:
     """One run-log line, each float as format_float writes it (%.17g is
     the same conversion, filled in by one template)."""
-    loss, grad_norm, step_norm, damping = (rec.loss, rec.grad_norm,
-                                           rec.step_norm, rec.damping_used)
-    finite = math.isfinite
-    if not (finite(loss) and finite(grad_norm) and finite(step_norm) and finite(damping)):
+    if not all(map(math.isfinite, rec)):
         raise ValueError("artifacts may only contain finite numbers")
-    return _RECORD % (rec.iter, loss, grad_norm, step_norm, damping)
+    return _RECORD % rec
 
 
 def write_run_log(path, records, meta: dict) -> None:

@@ -202,21 +202,6 @@ def _loss(spec: ProblemSpec, X: np.ndarray,
     return value if X.ndim == 3 else float(value)
 
 
-def loss_frobenius(spec: ProblemSpec, X) -> float:
-    """Independent evaluation of the loss as an explicit normalized matrix
-    product, without the cache: column-normalize exp(X^T W X), transpose,
-    multiply by X^T V.  Used by tests to pin the two-form agreement."""
-    X = check_input(spec, X)
-    with np.errstate(over="ignore"):
-        A = np.exp(X.T @ spec.W @ X)
-    if not np.all(np.isfinite(A)):
-        raise NumericalRangeError("exp overflow in score matrix")
-    P = A / A.sum(axis=0, keepdims=True)
-    out = P.T @ (X.T @ spec.V)
-    R = out - spec.B
-    return float(np.sum(R * R) + spec.gamma * np.sum(X * X))
-
-
 def synthesize_target(W, V, X_true) -> ProblemSpec:
     """Build a realizable instance: set B to the model output at X_true.
 

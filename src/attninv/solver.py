@@ -7,7 +7,7 @@ timings, so seeded runs are byte-reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,8 +35,7 @@ _MAX_BACKTRACKS = 40
 _PANEL = 64  # substitution panel width of the Newton step
 
 
-@dataclass(frozen=True)
-class RunRecord:
+class RunRecord(NamedTuple):
     """Per-iteration telemetry, persisted field for field in run.jsonl."""
 
     iter: int

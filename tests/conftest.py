@@ -6,7 +6,15 @@ from attninv.analysis import psd_floor
 from attninv.generate import SplitMix64, make_instance, random_matrix, rescale_spectral
 from attninv.generate import bounded_instance  # noqa: F401  (tests import it from here)
 from attninv.gradient import jacobian_c
-from attninv.model import EXP_MAX, ForwardCache, flatten_input, forward_cache
+from attninv.model import (
+    EXP_MAX,
+    ForwardCache,
+    NumericalRangeError,
+    ProblemSpec,
+    check_input,
+    flatten_input,
+    forward_cache,
+)
 
 
 @pytest.fixture
@@ -158,3 +166,18 @@ def matmul_grad_L(cache, spec, X) -> np.ndarray:
     G_A = F * (G_F - np.add.reduce(F * G_F, axis=0, keepdims=True))
     G_X = cache.Wsc.T @ G_A.T + cache.XW.T @ G_A + spec.V @ (F @ cache.C).T
     return flatten_input(2.0 * G_X + 2.0 * spec.gamma * X)
+
+
+def loss_frobenius(spec: ProblemSpec, X) -> float:
+    """Independent evaluation of the loss as an explicit normalized matrix
+    product, without the cache: column-normalize exp(X^T W X), transpose,
+    multiply by X^T V.  Used by tests to pin the two-form agreement."""
+    X = check_input(spec, X)
+    with np.errstate(over="ignore"):
+        A = np.exp(X.T @ spec.W @ X)
+    if not np.all(np.isfinite(A)):
+        raise NumericalRangeError("exp overflow in score matrix")
+    P = A / A.sum(axis=0, keepdims=True)
+    out = P.T @ (X.T @ spec.V)
+    R = out - spec.B
+    return float(np.sum(R * R) + spec.gamma * np.sum(X * X))

@@ -113,7 +113,7 @@ def test_criterion_4_bound_suite():
         d = (1, 2, 3, 4)[seed % 4]
         spec, X = bounded_instance(4000 + seed, n, d)
         rep = bound_suite(forward_cache(spec, X), spec, X)
-        failures += [f"seed{seed}:{c.name}" for c in rep.failures()]
+        failures += [f"seed{seed}:{c.name}" for c in rep.checks if not c.passed]
     ok = not failures
     _verdict(4, ok, f"bound suite on 50 instances, failures: {failures or 'none'}")
 
@@ -147,7 +147,7 @@ def test_criterion_6_lipschitz_constants():
         X = bounded_x(6100 + seed, n, d)
         Y = bounded_x(6200 + seed, n, d)
         rep = lipschitz_probe(spec, [(X, Y)])
-        bad += [f"seed{seed}:{c.name}" for c in rep.failures()]
+        bad += [f"seed{seed}:{c.name}" for c in rep.checks if not c.passed]
     ok = not bad
     _verdict(6, ok, f"Lipschitz explicit-constant and smoke checks on 25 "
                     f"pairs, failures: {bad or 'none'}")

@@ -191,10 +191,19 @@ def test_report_skips_malformed(tmp_path, capsys):
 _RUN_LOGS = {
     "good": '{"meta": {"solver": "gd", "final_loss": 0.5}}',
     "loss_str": '{"meta": {"final_loss": "x"}}',
+    "loss_numeric_str": '{"meta": {"final_loss": "1e-3"}}',
+    "loss_bool": '{"meta": {"final_loss": true}}',
+    "grad_norm_bool": '{"meta": {"final_loss": 0.5, "final_grad_norm": false}}',
+    "distance_bool": '{"meta": {"distance_to_truth": true}}',
     "loss_inf": '{"meta": {"final_loss": 1e999}}',
+    "loss_big_int": '{"meta": {"final_loss": 1%s}}' % ("0" * 400),
     "loss_null": '{"meta": {"final_loss": null}}',
+    "iterations_bool": '{"meta": {"iterations": true}}',
+    "iterations_float": '{"meta": {"iterations": 2.0}}',
     "meta_list": '{"meta": [1]}',
     "record_null": '{"iter": 0, "loss": null, "grad_norm": 1.0}',
+    "record_bool": '{"iter": 0, "loss": 1.0, "grad_norm": true}',
+    "record_no_loss": '{"iter": 0, "grad_norm": 1.0}',
     "deep": "[" * 100000,
 }
 

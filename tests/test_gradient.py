@@ -22,26 +22,23 @@ def test_dc_entry_zero_input_only_value_term():
         for j0 in range(2):
             for i1 in range(3):
                 for j1 in range(2):
-                    res = dc_entry(cache, spec, i0, j0, i1, j1)
-                    assert res.total == pytest.approx(spec.V[j1, j0] / 3, abs=1e-15)
-                    live = res.terms[-1]
-                    assert live[0] in ("C5", "C8")
-                    for name, value in res.terms[:-1]:
-                        assert value == 0.0
+                    # every term but the value term C5 (resp. C8) is zero
+                    value_term = cache.F[i1, i0] * spec.V[j1, j0]
+                    assert dc_entry(cache, spec, i0, j0, i1, j1) == value_term
+                    assert value_term == pytest.approx(spec.V[j1, j0] / 3, abs=1e-15)
 
 
 def test_dc_entry_single_token_collapses_to_value():
     # with one token the softmax weight is constant, so only C5 survives
     spec = ProblemSpec(1, 1, [[0.8]], [[1.7]], [[0.3]])
     cache = forward_cache(spec, [[0.6]])
-    res = dc_entry(cache, spec, 0, 0, 0, 0)
-    assert res.total == pytest.approx(1.7, abs=1e-12)
+    assert dc_entry(cache, spec, 0, 0, 0, 0) == pytest.approx(1.7, abs=1e-12)
 
 
 def test_dc_entry_matches_fd_probe():
     spec, X = bounded_instance(0, 3, 2)
     cache = forward_cache(spec, X)
-    got = dc_entry(cache, spec, 0, 0, 1, 1).total
+    got = dc_entry(cache, spec, 0, 0, 1, 1)
     fd = fd_grad(residual_fn(spec, 0, 0), X)[1 * 2 + 1]
     assert got == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
@@ -58,11 +55,23 @@ def test_dc_entry_index_errors():
 def test_dc_terms_sum_in_listed_order():
     spec, X = bounded_instance(4, 4, 2)
     cache = forward_cache(spec, X)
-    res = dc_entry(cache, spec, 1, 1, 1, 0)
-    acc = 0.0
-    for _, v in res.terms:
-        acc += v
-    assert res.total == acc
+    F, H, V = cache.F, cache.H, spec.V
+    for i0, j0, i1, j1 in np.ndindex(4, 2, 4, 2):
+        s, w1, f01 = cache.S[i0, j0], cache.Wsc[i0, j1], F[i1, i0]
+        if i0 == i1:
+            terms = (-s * f01 * w1,                                             # C1
+                     -s * cache.Zsc[i0, j1],                                    # C2
+                     f01 * H[i0, j0] * w1,                                      # C3
+                     float(np.dot(F[:, i0] * cache.XW[:, j1], H[:, j0])),       # C4
+                     f01 * V[j1, j0])                                           # C5
+        else:
+            terms = (-s * f01 * w1,                                             # C6
+                     f01 * H[i1, j0] * w1,                                      # C7
+                     f01 * V[j1, j0])                                           # C8
+        acc = 0.0
+        for t in terms:
+            acc += t
+        assert dc_entry(cache, spec, i0, j0, i1, j1) == acc
 
 
 def test_grad_c_zero_input_constant():
@@ -84,7 +93,7 @@ def test_grad_c_entries_match_dc_entry(seed, n, d):
             for i1 in range(n):
                 for j1 in range(d):
                     assert g[i1 * d + j1] == pytest.approx(
-                        dc_entry(cache, spec, i0, j0, i1, j1).total,
+                        dc_entry(cache, spec, i0, j0, i1, j1),
                         rel=1e-12, abs=1e-15)
 
 
@@ -111,7 +120,7 @@ def test_dc_entry_bound(seed, n, d):
         for j0 in range(d):
             for i1 in range(n):
                 for j1 in range(d):
-                    assert abs(dc_entry(cache, spec, i0, j0, i1, j1).total) <= 5 * R**4
+                    assert abs(dc_entry(cache, spec, i0, j0, i1, j1)) <= 5 * R**4
 
 
 def test_grad_f_single_token_is_zero():
@@ -201,5 +210,5 @@ def test_jacobian_c_rows_are_dc_entry_totals(seed, n, d):
             assert np.array_equal(row, grad_c(cache, spec, i0, j0))
             for i1 in range(n):
                 for j1 in range(d):
-                    total = dc_entry(cache, spec, i0, j0, i1, j1).total
+                    total = dc_entry(cache, spec, i0, j0, i1, j1)
                     assert abs(row[i1 * d + j1] - total) <= 1e-12 * (1.0 + abs(total))

@@ -10,14 +10,19 @@ from attninv.model import (
     flatten_input,
     forward_cache,
     loss,
-    loss_frobenius,
     synthesize_target,
     unflatten_input,
 )
 from attninv.gradient import _grad_L, grad_L
 from attninv.hessian import hessian_L
 from attninv.solver import gd_solve, newton_solve
-from conftest import ACCEPTANCE_SHAPES, bounded_instance, matmul_forward, matmul_grad_L
+from conftest import (
+    ACCEPTANCE_SHAPES,
+    bounded_instance,
+    loss_frobenius,
+    matmul_forward,
+    matmul_grad_L,
+)
 
 CACHE_FIELDS = ("F", "H", "S", "C", "Wsc", "Zsc", "XW")
 

@@ -1,6 +1,8 @@
 """Checks on the repository's tooling: the benchmark's trace targets, the
 artifact digests, the check reports on the benchmark's certify instances,
-the guarantee audit's output and the recovery sweep's command line."""
+a two-panel Newton solve's files, the guarantee audit's output, the
+recovery sweep's command line, the package's public names and the
+modules the command line imports."""
 import hashlib
 import importlib
 import importlib.util
@@ -11,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import attninv
 from attninv import cli
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -38,6 +41,24 @@ CERTIFY_CHECK_DIGESTS = {
     (6, 4): "2b537fdad40bbcd06e4d17d0a54663e7fd39d9394a1fd90644ef3c49bf96a248",
     (8, 4): "0736dcceec0225ef954292a856dbee881652e9a1ca08e36715f8100e3adc6e8f",
 }
+# sha256 of the files `solve --init perturb:0.01 --seed 3206` writes on
+# generate --seed 2206 --n 12 --d 6: at nd = 72 the Newton step runs over
+# two substitution panels, which the nd <= 16 acceptance family never does
+MULTI_PANEL_SOLVE_DIGESTS = {
+    "x_out.json": "86f76766c18ad6398ae1eb3f5acf396510d33ba6da477893a755b7d7d1d4a95d",
+    "run.jsonl": "108945d2858ad0a96d06d3184dd433ed36d58c557c8c61a670ff22b2f7d07d37",
+}
+# the package's exports; a change that adds or drops one edits this list
+PUBLIC_NAMES = [
+    "BoundCheck", "BoundReport", "CONVERGED", "ForwardCache", "MAX_ITER",
+    "NUMERICAL_FAILURE", "NumericalRangeError", "ProblemSpec", "PsdReport",
+    "RunRecord", "SplitMix64", "analysis", "bound_suite", "choose_gamma",
+    "effective_bound_constant", "flatten_input", "forward_cache", "gd_solve",
+    "generate", "grad_L", "gradient", "hessian", "hessian_L", "hessian_c",
+    "jacobian_c", "lipschitz_probe", "loss", "make_instance", "model",
+    "newton_solve", "perturbed_start", "psd_floor", "residual_hessians",
+    "solver", "synthesize_target", "unflatten_input",
+]
 
 
 def test_bench_trace_targets_resolve(monkeypatch):
@@ -106,6 +127,19 @@ def test_lipschitz_check_output_does_not_depend_on_blas_threads(tmp_path):
     assert one == two
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_multi_panel_newton_solve_is_pinned(threads, tmp_path):
+    env = {**SCRIPT_ENV, "PYTHONPATH": str(ROOT / "src"),
+           "OPENBLAS_NUM_THREADS": str(threads)}
+    for argv in (["generate", "--seed", "2206", "--n", "12", "--d", "6", "--out", "inst"],
+                 ["solve", "--problem", "inst/problem.json", "--init", "perturb:0.01",
+                  "--seed", "3206", "--out", "run"]):
+        subprocess.run([sys.executable, "-m", "attninv", *argv], env=env, cwd=tmp_path,
+                       capture_output=True, timeout=300, check=True)
+    assert {name: hashlib.sha256((tmp_path / "run" / name).read_bytes()).hexdigest()
+            for name in MULTI_PANEL_SOLVE_DIGESTS} == MULTI_PANEL_SOLVE_DIGESTS
+
+
 def test_guarantee_audit_output_is_pinned():
     out = subprocess.run([sys.executable, str(ROOT / "scripts" / "guarantee_audit.py"),
                           "--count", "25"],
@@ -118,3 +152,18 @@ def test_recovery_sweep_help_runs():
                           "--help"],
                          env=SCRIPT_ENV, capture_output=True, text=True, timeout=60, check=True)
     assert out.stdout.startswith("usage: recovery_sweep.py")
+
+
+def test_public_names_are_pinned():
+    assert sorted(attninv.__all__) == PUBLIC_NAMES
+
+
+def test_cli_imports_only_numpy_beyond_the_standard_library():
+    # a fresh interpreter, so modules the tests loaded do not hide an import
+    code = ("import sys; before = set(sys.modules); import attninv.cli; "
+            "print(sorted({m.partition('.')[0] for m in set(sys.modules) - before}"
+            " - set(sys.stdlib_module_names)))")
+    out = subprocess.run([sys.executable, "-c", code],
+                         env={**SCRIPT_ENV, "PYTHONPATH": str(ROOT / "src")},
+                         capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout == "['attninv', 'numpy']\n"
