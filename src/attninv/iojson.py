@@ -124,7 +124,7 @@ def read_run_log(path):
                 continue
             try:
                 obj = json.loads(line)
-            except (json.JSONDecodeError, RecursionError):  # or nested too deep
+            except (ValueError, RecursionError):  # not JSON, an int too long, too deep
                 obj = None
             if isinstance(obj, dict) and isinstance(obj.get("meta"), dict):
                 meta = obj["meta"]

@@ -185,6 +185,13 @@ def test_report_skips_malformed(tmp_path, capsys):
     bad.write_text("oops\n")
     assert run_cli("report", str(bad)) == 0
     assert "skipped" in capsys.readouterr().err
+    # an integer past Python's 4300-digit limit spoils its line, not the log
+    big = tmp_path / "big.jsonl"
+    big.write_text(_RUN_LOGS["good"] + '\n{"iter": 0, "loss": 1%s}\n' % ("0" * 5000))
+    assert run_cli("report", str(big)) == 0
+    captured = capsys.readouterr()
+    assert captured.err == f"warning: {big}: skipped 1 malformed line(s)\n"
+    assert captured.out.splitlines()[1:] == [",gd,0,0.5,,"]
 
 
 # Run logs for report: one it can format, and JSON-valid ones it cannot.

@@ -232,9 +232,11 @@ def dampings(low):
     return [-low * (1 + 1e-3), -low * (1 - 1e-3), 0.0, 1e-4, 1e-2, abs(low) + 1.0]
 
 
-@pytest.mark.parametrize("n,d", [(12, 6), (16, 8), (8, 16)])
+@pytest.mark.parametrize("n,d", [(12, 6), (16, 8), (8, 16), (20, 10)])
 def test_panel_step_is_backward_stable_and_refuses_non_pd(n, d):
-    # nd = 72 and 128: two panels, so off-diagonal panels are exercised
+    # nd = 72 and 128: two panels, so off-diagonal panels are exercised;
+    # nd = 200: four, so a middle panel has off-diagonal products in both
+    # substitutions
     H, g, low = newton_system(n, d)
     outcomes = set()
     for lam in dampings(low):
