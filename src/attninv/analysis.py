@@ -21,6 +21,13 @@ PSD_FLOOR_CONSTANT = 72.0
 # Hessian entries per residual_hessians call (one token at least): the checks
 # take the probe tokens in chunks, so they peak below the FD Hessian oracle.
 _TOKEN_CHUNK_ENTRIES = 2**13
+# ||B||_2 <= ||B||_F holds exactly, but the computed norms of a block and its
+# transpose, or of a rank-one block (where the two are equal), can read an ulp
+# apart.  Pruning below a running maximum keeps a relative margin far above
+# that rounding, and an absolute slack for entries below about 1e-154, whose
+# squares leave the normal range, so that a Frobenius norm reads low.
+_PRUNE_MARGIN = 1e-9
+_PRUNE_SLACK = 1e-140
 
 
 @dataclass(frozen=True)
@@ -55,6 +62,30 @@ def _token_chunks(spec: ProblemSpec):
     return np.split(np.arange(spec.n), range(step, spec.n, step))
 
 
+def _max_norm(stack, best, fro=None):
+    """The larger of best and the ord-2 norms of the (r, c) matrices over
+    stack's leading axes, each equal to np.linalg.norm(stack[...], 2).
+
+    fro holds their Frobenius norms (taken here when None); -inf skips a
+    matrix.  Unless every matrix is pruned, the one with the largest
+    Frobenius norm is taken first; then only the matrices whose Frobenius
+    norm reaches best, less the margin and slack, are gathered and taken.
+    A NaN or inf Frobenius norm is never pruned, and a NaN norm propagates
+    as in ndarray.max.
+    """
+    if fro is None:
+        fro = np.sqrt(np.einsum("...ij,...ij->...", stack, stack))
+    top = np.unravel_index(np.argmax(fro), fro.shape)
+    if fro[top] < best * (1.0 - _PRUNE_MARGIN) - _PRUNE_SLACK:
+        return best
+    best = np.maximum(best, np.linalg.norm(stack[top], 2))
+    keep = ~(fro < best * (1.0 - _PRUNE_MARGIN) - _PRUNE_SLACK)
+    keep[top] = False
+    if keep.any():
+        best = np.maximum(best, np.linalg.norm(stack[keep], 2, axis=(1, 2)).max())
+    return best
+
+
 def _mk(name: str, lhs: float, rhs: float, kind: str = "theorem") -> BoundCheck:
     return BoundCheck(name=name, lhs=float(lhs), rhs=float(rhs),
                       passed=bool(lhs <= rhs), kind=kind)
@@ -70,6 +101,27 @@ def bound_suite(cache: ForwardCache, spec: ProblemSpec, X) -> BoundReport:
     R = effective_bound_constant(spec, X)
     n, d = spec.n, spec.d
     sqrt_nd = float(np.sqrt(n * d))
+    # per probe token i0, one token chunk at a time, the d x d blocks (i1, i2)
+    # of the d residual Hessians, and the exact worst ord-2 norm in each case
+    # that occurs (n = 1 has only case 1, n = 2 no case 5).  As ||B||_2 <=
+    # ||B||_F, a block is taken by SVD only where its Frobenius norm reaches
+    # the case's running maximum, less a margin for rounding: a block and its
+    # transpose can read an ulp apart.  The sweep runs before the Jacobians
+    # below are built, so they are not held at its peak.
+    tok = np.arange(n)
+    worst = dict.fromkeys(sorted(set(hessian.classify_case(0, *np.ix_(tok, tok)).flat)),
+                          -np.inf)
+    for i0 in _token_chunks(spec):
+        blocks = hessian.residual_hessians(cache, spec, i0).reshape(
+            -1, d, n, d, n, d).transpose(0, 1, 2, 4, 3, 5)
+        fro = np.sqrt(np.einsum("...ij,...ij->...", blocks, blocks))
+        case_of = hessian.classify_case(*np.ix_(i0, tok, tok))[:, None]
+        for case in worst:
+            worst[case] = _max_norm(blocks, worst[case],
+                                    np.where(case_of == case, fro, -np.inf))
+        # free the chunk before the next one's residual Hessians are built
+        del blocks, fro, case_of
+
     checks: list[BoundCheck] = []
 
     checks.append(_mk("softmax_column_norm", np.linalg.norm(cache.F, axis=0).max(), 1.0))
@@ -97,20 +149,11 @@ def bound_suite(cache: ForwardCache, spec: ProblemSpec, X) -> BoundReport:
     checks.append(_mk("residual_grad_norm",
                       np.sqrt((J[:, None] @ J[..., None]).max()), 5.0 * sqrt_nd * R**4))
 
-    # per probe token i0, one token chunk at a time, the ord-2 norm of every
-    # d x d block (i1, i2) of the d residual Hessians, worst over j0; then the
-    # worst in each case that occurs (n = 1 has only case 1, n = 2 no case 5)
-    norms = np.concatenate([np.linalg.norm(
-        hessian.residual_hessians(cache, spec, i0).reshape(-1, d, n, d, n, d)
-        .transpose(0, 1, 2, 4, 3, 5), 2, axis=(4, 5)).max(axis=1)
-        for i0 in _token_chunks(spec)])
-    case_of = hessian.classify_case(*np.ix_(range(n), range(n), range(n)))
     block_bounds = {1: 23.0 * R**6 + R**5 + 12.0 * R**3, 2: 11.0 * R**6 + 6.0 * R**3,
                     3: 11.0 * R**6 + 6.0 * R**3, 4: 5.0 * R**6 + 4.0 * R**3,
                     5: 4.0 * R**6 + 2.0 * R**3}
-    for case in sorted(set(case_of.flat)):
-        checks.append(_mk(f"hessian_block{case}_norm",
-                          norms[case_of == case].max(), block_bounds[case]))
+    for case, norm in worst.items():
+        checks.append(_mk(f"hessian_block{case}_norm", norm, block_bounds[case]))
 
     return BoundReport(r_eff=R, checks=tuple(checks))
 
@@ -145,8 +188,10 @@ def psd_floor(cache: ForwardCache, spec: ProblemSpec, X, H0) -> PsdReport:
     R = effective_bound_constant(spec, X)
     lam_min = min_eigenvalue(H0)
     floor = -2.0 * PSD_FLOOR_CONSTANT * spec.n * spec.d * R**8
-    worst_c = float(max(m for i0 in _token_chunks(spec) for m in np.linalg.norm(
-        hessian.residual_hessians(cache, spec, i0), 2, axis=(2, 3)).max(axis=1)))
+    worst_c = -np.inf
+    for i0 in _token_chunks(spec):
+        worst_c = _max_norm(hessian.residual_hessians(cache, spec, i0), worst_c)
+    worst_c = float(worst_c)
     c_bound = 2.0 * 36.0 * R**6
     return PsdReport(lambda_min=lam_min, floor=floor, passed=bool(lam_min >= floor), r_eff=R,
                      hessian_c_norm_max=worst_c, hessian_c_bound=c_bound,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from attninv import hessian
-from attninv.analysis import psd_floor
+from attninv.analysis import _token_chunks, psd_floor
 from attninv.generate import SplitMix64, make_instance, random_matrix, rescale_spectral
 from attninv.generate import bounded_instance  # noqa: F401  (tests import it from here)
 from attninv.gradient import jacobian_c
@@ -85,6 +85,27 @@ def row_loop_residual_grad_norms(cache, spec) -> tuple[float, float]:
         worst_entry = max(worst_entry, float(np.abs(g).max()))
         worst_vec = max(worst_vec, float(np.linalg.norm(g)))
     return worst_entry, worst_vec
+
+
+def batched_block_norm_maxima(cache, spec) -> dict:
+    """Reference for bound_suite's hessian_block{case}_norm lhs values: the
+    ord-2 norm of every d x d block of the residual Hessians by one batched
+    np.linalg.norm per token chunk, worst over j0, then the worst in each
+    case that occurs."""
+    n, d = spec.n, spec.d
+    norms = np.concatenate([np.linalg.norm(
+        hessian.residual_hessians(cache, spec, i0).reshape(-1, d, n, d, n, d)
+        .transpose(0, 1, 2, 4, 3, 5), 2, axis=(4, 5)).max(axis=1)
+        for i0 in _token_chunks(spec)])
+    case_of = hessian.classify_case(*np.ix_(range(n), range(n), range(n)))
+    return {case: norms[case_of == case].max() for case in sorted(set(case_of.flat))}
+
+
+def batched_hessian_c_norm_max(cache, spec) -> float:
+    """Reference for psd_floor's hessian_c_norm_max: the ord-2 norm of
+    every residual Hessian by one batched np.linalg.norm per token chunk."""
+    return max(np.linalg.norm(hessian.residual_hessians(cache, spec, i0), 2,
+                              axis=(2, 3)).max() for i0 in _token_chunks(spec))
 
 
 def block_loop_hessian_c(cache, spec, i0: int, j0: int) -> np.ndarray:

@@ -5,6 +5,7 @@ import pytest
 
 from attninv import cli
 from attninv.analysis import (
+    _max_norm,
     bound_suite,
     choose_gamma,
     effective_bound_constant,
@@ -12,7 +13,7 @@ from attninv.analysis import (
     min_eigenvalue,
     psd_floor,
 )
-from attninv import hessian
+from attninv import gradient, hessian
 from attninv.gradient import jacobian_c
 from attninv.generate import make_instance
 from attninv.hessian import hessian_L
@@ -20,6 +21,8 @@ from attninv.model import (NumericalRangeError, ProblemSpec, forward_cache, loss
                            synthesize_target)
 from attninv.oracle import fd_hessian
 from conftest import (
+    batched_block_norm_maxima,
+    batched_hessian_c_norm_max,
     block_loop_hessian_c,
     bounded_instance,
     bounded_x,
@@ -101,6 +104,27 @@ def test_analysis_checks_peak_below_the_fd_hessian():
              "psd_floor": _traced_peak(lambda: psd_floor(cache, spec, X, H0)),
              "lipschitz_probe": _traced_peak(lambda: lipschitz_probe(spec, pairs))}
     assert max(peaks.values()) <= fd, (fd, peaks)
+
+
+def test_bound_suite_peaks_at_most_the_batched_sweep():
+    # at the 8 x 4 and 16 x 8 certify points bound_suite allocates no more at
+    # its peak than the batched block sweep does with the softmax and
+    # residual Jacobians held
+    for seed, n, d in ((804, 8, 4), (1608, 16, 8)):
+        spec, _ = make_instance(seed, n, d)
+        X = cli._sample_x(spec, seed)
+        cache = forward_cache(spec, X)
+
+        def batched():
+            held = gradient.softmax_jacobian(cache, spec), jacobian_c(cache, spec)
+            batched_block_norm_maxima(cache, spec)
+            return held
+
+        def pruned():
+            return bound_suite(cache, spec, X)
+
+        pruned(), batched()  # first-use allocations stay out of both peaks
+        assert _traced_peak(pruned) <= _traced_peak(batched)
 
 
 def test_bound_suite_zero_input():
@@ -333,3 +357,124 @@ def test_lipschitz_probe_residual_ratios_match_block_loop():
                 got = by_name[f"pair{idx}_{name}"]
                 assert _agree(got.lhs, want, n), (name, got.lhs, want)
                 assert got.passed == (want <= got.rhs)
+
+
+# _max_norm against the batched ord-2 norm's maximum, compared with ==
+
+def _batched_max(stack):
+    return np.linalg.norm(stack, 2, axis=(1, 2)).max()
+
+
+def _rank_one(rng, r, c):
+    return np.outer(rng.standard_normal(r), rng.standard_normal(c))
+
+
+def test_max_norm_of_a_matrix_and_its_transpose():
+    # equal norms in exact arithmetic; computed, they can read an ulp apart
+    rng = np.random.default_rng(11)
+    apart = 0
+    for _ in range(200):
+        A = rng.standard_normal((4, 4))
+        B = _rank_one(rng, 4, 4)
+        apart += np.linalg.norm(A, 2) != np.linalg.norm(A.T, 2)
+        for M in (A, B):
+            for stack in (np.stack([M, M.T]), np.stack([M.T, M]),
+                          np.stack([M, 0.5 * A, M.T, 0.5 * B])):
+                assert _max_norm(stack, -np.inf) == _batched_max(stack)
+    assert apart
+
+
+def test_max_norm_of_rank_one_matrices():
+    # ||B||_2 = ||B||_F exactly; rows and columns permuted keep both norms
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        B = _rank_one(rng, 5, 4)
+        stack = np.stack([B, B[::-1], B[:, ::-1], B[::-1, ::-1], 0.999 * B])
+        assert _max_norm(stack, -np.inf) == _batched_max(stack)
+        assert _max_norm(stack[::-1], -np.inf) == _batched_max(stack)
+
+
+def test_max_norm_when_the_largest_frobenius_norm_is_not_the_largest():
+    # the identity has the larger Frobenius norm, sqrt(3) against 1.5
+    stack = np.stack([np.eye(3), np.diag([1.5, 0.0, 0.0]), 0.1 * np.ones((3, 3))])
+    assert _max_norm(stack, -np.inf) == _batched_max(stack) == 1.5
+    rng = np.random.default_rng(13)
+    for _ in range(50):
+        stack = rng.standard_normal((30, 4, 4)) * rng.uniform(0.5, 1.0, (30, 1, 1))
+        assert _max_norm(stack, -np.inf) == _batched_max(stack)
+
+
+def test_max_norm_carries_the_running_maximum():
+    rng = np.random.default_rng(14)
+    stack = rng.standard_normal((6, 3, 5))
+    top = _batched_max(stack)
+    assert _max_norm(stack, 2 * top) == 2 * top
+    assert _max_norm(stack, top) == top
+    assert _max_norm(stack, 0.5 * top) == top
+    # -inf skips a matrix
+    fro = np.sqrt((stack * stack).sum(axis=(1, 2)))
+    skip = np.where(np.arange(6) < 3, fro, -np.inf)
+    assert _max_norm(stack, -np.inf, skip) == _batched_max(stack[:3])
+
+
+def test_max_norm_of_matrices_whose_squares_underflow():
+    # squared entries below the normal range make Frobenius norms read low
+    rng = np.random.default_rng(16)
+    for scale in (1e-150, 1e-160, 1e-170):
+        for _ in range(50):
+            stack = scale * rng.standard_normal((6, 3, 3))
+            assert _max_norm(stack, -np.inf) == _batched_max(stack)
+
+
+def test_max_norm_of_an_all_zero_stack():
+    stack = np.zeros((4, 3, 3))
+    assert _max_norm(stack, -np.inf) == _batched_max(stack) == 0.0
+
+
+def test_max_norm_nan_and_inf_surface_as_in_the_batched_norm():
+    rng = np.random.default_rng(15)
+    stack = rng.standard_normal((5, 3, 3))
+    stack[1, 0, 0] = np.inf
+    # an inf entry gives a NaN norm, which the maximum keeps
+    assert np.isnan(_batched_max(stack))
+    assert np.isnan(_max_norm(stack, -np.inf))
+    assert np.isnan(_max_norm(stack, 100.0))
+    assert np.isnan(_max_norm(stack[:1], np.nan))
+    # a NaN entry makes the SVD fail to converge, in either order
+    stack[3, 2, 1] = np.nan
+    for order in (stack, stack[::-1]):
+        with pytest.raises(np.linalg.LinAlgError):
+            _batched_max(order)
+        with pytest.raises(np.linalg.LinAlgError):
+            _max_norm(order, -np.inf)
+
+
+def _pin_points():
+    """The certify instances at their probe points, the analysis points,
+    16 x 8, n = 1 and n = 2, and zero input."""
+    for seed, n, d in ((403, 4, 3), (604, 6, 4), (804, 8, 4), (1608, 16, 8)):
+        spec, _ = make_instance(seed, n, d)
+        yield spec, cli._sample_x(spec, seed)
+    yield from _analysis_points()
+    for n, d in ((1, 1), (1, 4), (2, 1), (2, 3)):
+        for seed in range(3):
+            spec, X = bounded_instance(seed, n, d)
+            yield spec, X * (1 + seed)
+    for n, d in ((1, 2), (2, 2), (4, 2), (3, 3)):
+        spec, _ = bounded_instance(1, n, d)
+        yield spec, np.zeros((d, n))
+
+
+def test_bound_suite_block_norms_equal_the_batched_norms():
+    for spec, X in _pin_points():
+        cache = forward_cache(spec, X)
+        got = {c.name: c.lhs for c in bound_suite(cache, spec, X).checks
+               if c.name.startswith("hessian_block")}
+        want = batched_block_norm_maxima(cache, spec)
+        assert got == {f"hessian_block{k}_norm": float(v) for k, v in want.items()}
+
+
+def test_psd_floor_hessian_c_norm_equals_the_batched_norm():
+    for spec, X in _pin_points():
+        rep = psd_floor_at(spec, X)
+        assert rep.hessian_c_norm_max == batched_hessian_c_norm_max(forward_cache(spec, X), spec)
