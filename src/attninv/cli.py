@@ -111,8 +111,8 @@ def _sample_x(spec: ProblemSpec, seed: int) -> np.ndarray:
     return rescale_spectral(random_matrix(gen, spec.d, spec.n), 1.2)
 
 
-# Hessian entries per hessian_block_entry_equiv comparison: one probe token's
-# residuals in feature chunks of at most this many (the FD oracle's budget).
+# Hessian entries per hessian_block_entry_equiv comparison (the FD oracle's
+# budget): chunks of consecutive residuals, one chunk at the certify shapes.
 _SWEEP_ENTRIES = 2**16
 
 
@@ -154,17 +154,18 @@ def _check_entries(spec: ProblemSpec, X, level: str, seed: int):
         tol = 1e-8 * (1.0 + float(np.abs(H).max()))
         add("hessian_L_symmetry", asym <= tol, {"asymmetry": asym, "tol": tol})
         worst, passed = 0.0, True
-        step = max(1, _SWEEP_ENTRIES // (spec.n * spec.d) ** 2)
-        for i0 in range(spec.n):
-            for j0 in np.split(np.arange(spec.d), range(step, spec.d, step)):
-                T = hessian.d2c_table(cache, spec, i0, j0)
-                Hc = hessian.hessian_c(cache, spec, i0, j0)
-                err = np.abs(T - Hc)
-                worst = max(worst, float(err.max()))
-                # oracle.check's |a - o| <= tol + tol * max(|a|, |o|) at tol 1e-10,
-                # which |a - o| <= 1e-10 implies
-                passed &= bool((err <= 1e-10).all() or (
-                    err <= 1e-10 + 1e-10 * np.maximum(np.abs(T), np.abs(Hc))).all())
+        nd = spec.n * spec.d
+        step = max(1, _SWEEP_ENTRIES // nd**2)
+        for r in np.split(np.arange(nd), range(step, nd, step)):
+            i0, j0 = np.divmod(r, spec.d)
+            T = hessian.d2c_table(cache, spec, i0, j0)
+            Hc = hessian.hessian_c(cache, spec, i0, j0)
+            err = np.abs(T - Hc)
+            worst = max(worst, float(err.max()))
+            # oracle.check's |a - o| <= tol + tol * max(|a|, |o|) at tol 1e-10,
+            # which |a - o| <= 1e-10 implies
+            passed &= bool((err <= 1e-10).all() or (
+                err <= 1e-10 + 1e-10 * np.maximum(np.abs(T), np.abs(Hc))).all())
         add("hessian_block_entry_equiv", passed, {"max_abs_diff": worst})
     if level in ("bounds", "all"):
         add_bounds("bound_suite", analysis.bound_suite(cache, spec, X))

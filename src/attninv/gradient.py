@@ -25,26 +25,30 @@ def _term_sum(terms):
     return acc
 
 
-def _check_index(limit: int, *, stack: bool = False, **indices) -> np.ndarray:
-    """IndexError unless every index is an integer in [0, limit) or, with
-    stack, a 1-D array of such; returns the last index as an array, 0-d
-    for one index and (k,) for a stack of k."""
+def _check_index(spec: ProblemSpec, *, stack: bool = False, **indices):
+    """IndexError unless every token index (i0, i1, ...) is an integer in
+    [0, n) and every feature index (j0, ...) one in [0, d) or, with stack,
+    a 1-D array of such, all arrays of one length; with stack, returns the
+    indices broadcast to arrays of that length, 0-d when all are ints."""
     for name, value in indices.items():
+        limit = spec.n if name[0] == "i" else spec.d
         if type(value) is int and 0 <= value < limit:
             continue               # the common case, without numpy's overhead
         a = np.asarray(value)
         if a.ndim > int(stack) or a.dtype.kind not in "iu" or not ((0 <= a) & (a < limit)).all():
             raise IndexError(f"{name}={value!r} is not an index in [0, {limit})"
                              + (" or a 1-D array of such" if stack else ""))
-    return np.asarray(value)
+    if stack:
+        if len({np.shape(v) for v in indices.values()} - {()}) > 1:
+            raise IndexError(f"the arrays {' and '.join(indices)} differ in length")
+        return np.broadcast_arrays(*map(np.asarray, indices.values()))
 
 
 def dc_entry(cache: ForwardCache, spec: ProblemSpec,
              i0: int, j0: int, i1: int, j1: int) -> float:
     """d c[i0, j0] / d x[i1, j1] via the term table, summed in the listed
     order (C1..C5 at the probe token, C6..C8 elsewhere)."""
-    _check_index(spec.n, i0=i0, i1=i1)
-    _check_index(spec.d, j0=j0, j1=j1)
+    _check_index(spec, i0=i0, j0=j0, i1=i1, j1=j1)
     F, H, S = cache.F, cache.H, cache.S
     s = S[i0, j0]
     w1 = cache.Wsc[i0, j1]
@@ -86,8 +90,7 @@ def jacobian_c(cache: ForwardCache, spec: ProblemSpec) -> np.ndarray:
 def grad_c(cache: ForwardCache, spec: ProblemSpec, i0: int, j0: int) -> np.ndarray:
     """All partials of c[i0, j0], flattened in the canonical order: row
     i0*d + j0 of jacobian_c."""
-    _check_index(spec.n, i0=i0)
-    _check_index(spec.d, j0=j0)
+    _check_index(spec, i0=i0, j0=j0)
     return jacobian_c(cache, spec)[i0 * spec.d + j0]
 
 

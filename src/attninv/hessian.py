@@ -22,12 +22,13 @@ certify the closed forms:
 
 A stack broadcasts the same arithmetic over a leading axis, with no loop,
 and each of its Hessians is bit for bit its own call's: d2c_table and
-hessian_c take a 1-D array of k features j0 of one probe token and return
-(k, nd, nd); residual_hessians takes a 1-D array of b probe tokens i0 and
-returns (b, d, nd, nd).  Tests pin the realizations against each other at
-1e-10 (check's block/entry record compares d2c_table with hessian_c), all
-of them against finite differences, and hessian_L and residual_hessians
-against the case blocks.
+hessian_c take ints or 1-D index arrays i0 and j0 naming k residuals
+(i0[r], j0[r]) and return (k, nd, nd); residual_hessians takes b probe
+tokens i0 and returns (b, d, nd, nd).  Tests pin the realizations against
+each other at 1e-10 (check's block/entry record compares d2c_table with
+hessian_c once per chunk of consecutive residuals, so once in all at the
+benchmark's certify shapes), all of them against finite differences, and
+hessian_L and residual_hessians against the case blocks.
 
 A handful of terms carry factors that are easy to mistranscribe (softmax
 entries at the probe token versus the derivative token, paired
@@ -52,11 +53,11 @@ def classify_case(i0, i1, i2):
                     np.where(i0 == i2, 3, np.where(i1 == i2, 4, 5)))
 
 
-# j0 and the indices after it are ints or broadcast integer arrays; token
-# sums run over a trailing axis.
-def _d2c_case1(cache: ForwardCache, spec: ProblemSpec, i0: int, j0, j1, j2):
+# i0, j0 and the indices after them are ints or broadcast integer arrays,
+# the residual stack's axis first; token sums run over a trailing axis.
+def _d2c_case1(cache: ForwardCache, spec: ProblemSpec, i0, j0, j1, j2):
     F, H, V = cache.F, cache.H, spec.V
-    f = F[:, i0]
+    f = F.T[i0]
     h = H.T[j0]
     s = cache.S[i0, j0]
     f00 = F[i0, i0]
@@ -96,9 +97,9 @@ def _d2c_case1(cache: ForwardCache, spec: ProblemSpec, i0: int, j0, j1, j2):
     return _term_sum(terms)
 
 
-def _d2c_case2(cache: ForwardCache, spec: ProblemSpec, i0: int, j0, j1, i2, j2):
+def _d2c_case2(cache: ForwardCache, spec: ProblemSpec, i0, j0, j1, i2, j2):
     F, H, V = cache.F, cache.H, spec.V
-    f = F[:, i0]
+    f = F.T[i0]
     h = H.T[j0]
     s = cache.S[i0, j0]
     f00 = F[i0, i0]
@@ -135,7 +136,7 @@ def _d2c_case2(cache: ForwardCache, spec: ProblemSpec, i0: int, j0, j1, i2, j2):
     return _term_sum(terms)
 
 
-def _d2c_case4(cache: ForwardCache, spec: ProblemSpec, i0: int, j0, i1, j1, j2):
+def _d2c_case4(cache: ForwardCache, spec: ProblemSpec, i0, j0, i1, j1, j2):
     V = spec.V
     s = cache.S[i0, j0]
     f01 = cache.F[i1, i0]
@@ -154,7 +155,7 @@ def _d2c_case4(cache: ForwardCache, spec: ProblemSpec, i0: int, j0, i1, j1, j2):
     return _term_sum(terms)
 
 
-def _d2c_case5(cache: ForwardCache, spec: ProblemSpec, i0: int, j0, i1, j1, i2, j2):
+def _d2c_case5(cache: ForwardCache, spec: ProblemSpec, i0, j0, i1, j1, i2, j2):
     s = cache.S[i0, j0]
     f01, f02 = cache.F[i1, i0], cache.F[i2, i0]
     w1, w2 = cache.Wsc[i0, j1], cache.Wsc[i0, j2]
@@ -169,8 +170,7 @@ def _d2c_case5(cache: ForwardCache, spec: ProblemSpec, i0: int, j0, i1, j1, i2, 
 def d2c_entry(cache: ForwardCache, spec: ProblemSpec, i0: int, j0: int,
               i1: int, j1: int, i2: int, j2: int) -> float:
     """d^2 c[i0, j0] / dx[i1, j1] dx[i2, j2] via the per-case term tables."""
-    _check_index(spec.n, i0=i0, i1=i1, i2=i2)
-    _check_index(spec.d, j0=j0, j1=j1, j2=j2)
+    _check_index(spec, i0=i0, j0=j0, i1=i1, j1=j1, i2=i2, j2=j2)
     case = classify_case(i0, i1, i2)
     if case == 1:
         value = _d2c_case1(cache, spec, i0, j0, j1, j2)
@@ -186,24 +186,24 @@ def d2c_entry(cache: ForwardCache, spec: ProblemSpec, i0: int, j0: int,
     return float(value)
 
 
-def d2c_table(cache: ForwardCache, spec: ProblemSpec, i0: int, j0) -> np.ndarray:
+def d2c_table(cache: ForwardCache, spec: ProblemSpec, i0, j0) -> np.ndarray:
     """nd x nd Hessian of c[i0, j0] from the term tables, entry for entry
     d2c_entry: the case 1, 2, 4 and 5 tables are evaluated once each on a
     broadcast (i1, j1, i2, j2) grid and placed in the classify_case
-    layout, case 3 as the transpose of case 2.  A 1-D array of k features
-    j0 returns the (k, nd, nd) stack."""
-    _check_index(spec.n, i0=i0)
-    j = _check_index(spec.d, stack=True, j0=j0)
-    n, d = spec.n, spec.d
+    layout, case 3 as the transpose of case 2.  Index arrays i0 and j0 (or
+    an int and an array) name k residuals and return the (k, nd, nd) stack."""
+    i, j = _check_index(spec, stack=True, i0=i0, j0=j0)
+    shape, i, j = i.shape, i.reshape(-1), j.reshape(-1)
+    n, d, r = spec.n, spec.d, np.arange(len(i))
     i1, j1, i2, j2 = np.ix_(range(n), range(d), range(n), range(d))
-    jg = j[..., None, None, None, None]    # the feature axis leads the grid
-    T = _d2c_case5(cache, spec, i0, jg, i1, j1, i2, j2)     # every index varies
-    T[..., i1, j1, i1, j2] = _d2c_case4(cache, spec, i0, jg, i1, j1, j2)
-    E = _d2c_case2(cache, spec, i0, jg, j1, i2, j2)[..., 0, :, :, :]
-    T[..., i0, :, :, :] = E
-    T[..., :, :, i0, :] = np.moveaxis(E, -3, -1)            # case 3
-    T[..., i0, :, i0, :] = _d2c_case1(cache, spec, i0, jg, j1, j2)[..., 0, :, 0, :]
-    return T.reshape(*j.shape, n * d, n * d)
+    ig, jg = (a[:, None, None, None, None] for a in (i, j))  # the stack leads the grid
+    T = _d2c_case5(cache, spec, ig, jg, i1, j1, i2, j2)     # every index varies
+    T[..., i1, j1, i1, j2] = _d2c_case4(cache, spec, ig, jg, i1, j1, j2)
+    E = _d2c_case2(cache, spec, ig, jg, j1, i2, j2)[:, 0]
+    T[r, i] = E
+    T[r, :, :, i] = np.moveaxis(E, -3, -1)                  # case 3
+    T[r, i, :, i] = _d2c_case1(cache, spec, ig, jg, j1, j2)[:, 0, :, 0]
+    return T.reshape(*shape, n * d, n * d)
 
 
 def _outer(a, b):
@@ -211,10 +211,10 @@ def _outer(a, b):
     return a[..., :, None] * b[..., None, :]
 
 
-# j0 and the token indices after it are ints or broadcast integer arrays;
-# the blocks carry the feature and token axes first and (d, d) last.
-def _case1_vectors(cache: ForwardCache, spec: ProblemSpec, i0: int, j0):
-    f = cache.F[:, i0]
+# i0, j0 and the token indices after them are ints or broadcast arrays; the
+# blocks carry the residual stack's and token axes first and (d, d) last.
+def _case1_vectors(cache: ForwardCache, spec: ProblemSpec, i0, j0):
+    f = cache.F.T[i0]
     h = cache.H.T[j0]
     wv = cache.Wsc[i0, :]          # W X[:, i0]
     zv = cache.Zsc[i0, :]          # W^T X f
@@ -223,10 +223,10 @@ def _case1_vectors(cache: ForwardCache, spec: ProblemSpec, i0: int, j0):
     return f, h, wv, zv, tv, vc
 
 
-def _block_case1(cache: ForwardCache, spec: ProblemSpec, i0: int, j0):
+def _block_case1(cache: ForwardCache, spec: ProblemSpec, i0, j0):
     f, h, wv, zv, tv, vc = _case1_vectors(cache, spec, i0, j0)
     s = cache.S[i0, j0][..., None, None]
-    f00 = cache.F[i0, i0]
+    f00 = cache.F[i0, i0][..., None, None]
     h00 = cache.H[i0, j0][..., None, None]
     W = spec.W
     Gm = cache.XW                  # columns are X^T W[:, j]
@@ -234,7 +234,7 @@ def _block_case1(cache: ForwardCache, spec: ProblemSpec, i0: int, j0):
     ww = _outer(wv, wv)
     wz = _outer(wv, zv)
     B = 2.0 * s * f00 * f00 * ww                            # B1
-    B += 2.0 * f00 * s * (wz + wz.T)                        # B2
+    B += 2.0 * f00 * s * (wz + wz.mT)                       # B2
     B += -(f00 * f00) * h00 * ww                            # B3
     B += -f00 * (_outer(m, wv) + _outer(wv, m))             # B4
     B += -(f00 * f00) * (_outer(wv, vc) + _outer(vc, wv))   # B5
@@ -244,13 +244,13 @@ def _block_case1(cache: ForwardCache, spec: ProblemSpec, i0: int, j0):
                                    # antisymmetric W form cannot match
                                    # the symmetric D8 entries
     B += s * _outer(zv, zv)                                 # B9
-    B += -f00 * h00 * (wz.T + wz)                           # B10
+    B += -f00 * h00 * (wz.mT + wz)                          # B10
     B += -(_outer(zv, m) + _outer(m, zv))  # B11: both summands carry
                                    # minus, matching D11
     B += -f00 * (_outer(zv, vc) + _outer(vc, zv))  # B12: both summands
                                    # carry minus, matching D12
     B += s * _outer(zv, zv)        # B13: no softmax factor, mirroring D13
-    B += -s * (Gm.T * f) @ Gm                               # B14
+    B += -s * (Gm.T * f[..., None, :]) @ Gm                 # B14
     B += -(f00 * f00) * h00 * ww                            # B15
     B += f00 * h00 * ww                                     # B16
     B += f00 * h00 * (_outer(wv, tv) + _outer(tv, wv))      # B17
@@ -266,15 +266,14 @@ def _block_case1(cache: ForwardCache, spec: ProblemSpec, i0: int, j0):
 
 def block_case1(cache: ForwardCache, spec: ProblemSpec, i0: int, j0: int) -> np.ndarray:
     """Diagonal probe block: all three indices on token i0."""
-    _check_index(spec.n, i0=i0)
-    _check_index(spec.d, j0=j0)
+    _check_index(spec, i0=i0, j0=j0)
     return _block_case1(cache, spec, i0, j0)
 
 
-def _block_case2(cache: ForwardCache, spec: ProblemSpec, i0: int, j0, i2):
+def _block_case2(cache: ForwardCache, spec: ProblemSpec, i0, j0, i2):
     f, h, wv, zv, _, vc = _case1_vectors(cache, spec, i0, j0)
     s = cache.S[i0, j0][..., None, None]
-    f00 = cache.F[i0, i0]
+    f00 = cache.F[i0, i0][..., None, None]
     h00 = cache.H[i0, j0][..., None, None]
     f02 = cache.F[i2, i0][..., None, None]
     h02 = cache.H[i2, j0][..., None, None]
@@ -289,12 +288,12 @@ def _block_case2(cache: ForwardCache, spec: ProblemSpec, i0: int, j0, i2):
     J += -f02 * h02 * zw                                    # J5
     J += -f02 * _outer(zv, vc)                              # J6
     J += s * f02 * zw              # J7: softmax entry i2, as in E7
-    J += -s * f02 * (t2v * wv)     # J8: W^T X[:, i2] against wv,
+    J += -s * f02 * (t2v * wv[..., None, :])  # J8: W^T X[:, i2] against wv,
                                    # matching E8's token-i2 factors
     J += -s * f02 * spec.W.T       # J9: softmax entry i2, as in E9
     J += -f00 * f02 * h00 * ww                              # J10
     J += -f02 * _outer(m, wv)                               # J11
-    J += f02 * h02 * (t2v * wv)                             # J12
+    J += f02 * h02 * (t2v * wv[..., None, :])               # J12
     J += f02 * h02 * spec.W.T                               # J13
     J += f02 * (t2v * vc[..., None, :])                     # J14
     J += -f00 * f02 * _outer(vc, wv)                        # J15
@@ -304,8 +303,7 @@ def _block_case2(cache: ForwardCache, spec: ProblemSpec, i0: int, j0, i2):
 def block_case2(cache: ForwardCache, spec: ProblemSpec,
                 i0: int, j0: int, i2: int) -> np.ndarray:
     """Probe-row block: first derivative on token i0, second on i2 != i0."""
-    _check_index(spec.n, i0=i0, i2=i2)
-    _check_index(spec.d, j0=j0)
+    _check_index(spec, i0=i0, j0=j0, i2=i2)
     if i2 == i0:
         raise ValueError("block_case2 requires i2 != i0")
     return _block_case2(cache, spec, i0, j0, i2)
@@ -318,13 +316,13 @@ def block_case3(cache: ForwardCache, spec: ProblemSpec,
     Symmetry of second derivatives identifies the (i1, i0) block with the
     transposed (i0, i1) block; the FD suite confirms the orientation.
     """
-    _check_index(spec.n, i0=i0, i1=i1)
+    _check_index(spec, i0=i0, i1=i1)
     if i1 == i0:
         raise ValueError("block_case3 requires i1 != i0")
     return block_case2(cache, spec, i0, j0, i1).T
 
 
-def _block_case4(cache: ForwardCache, spec: ProblemSpec, i0: int, j0, i1):
+def _block_case4(cache: ForwardCache, spec: ProblemSpec, i0, j0, i1):
     s = cache.S[i0, j0][..., None, None]
     f01 = cache.F[i1, i0][..., None, None]
     h01 = cache.H[i1, j0][..., None, None]
@@ -343,14 +341,13 @@ def _block_case4(cache: ForwardCache, spec: ProblemSpec, i0: int, j0, i1):
 def block_case4(cache: ForwardCache, spec: ProblemSpec,
                 i0: int, j0: int, i1: int) -> np.ndarray:
     """Off-probe diagonal block: both derivatives on token i1 != i0."""
-    _check_index(spec.n, i0=i0, i1=i1)
-    _check_index(spec.d, j0=j0)
+    _check_index(spec, i0=i0, j0=j0, i1=i1)
     if i1 == i0:
         raise ValueError("block_case4 requires i1 != i0")
     return _block_case4(cache, spec, i0, j0, i1)
 
 
-def _block_case5(cache: ForwardCache, spec: ProblemSpec, i0: int, j0, i1, i2):
+def _block_case5(cache: ForwardCache, spec: ProblemSpec, i0, j0, i1, i2):
     s = cache.S[i0, j0][..., None, None]
     f01 = cache.F[i1, i0][..., None, None]
     f02 = cache.F[i2, i0][..., None, None]
@@ -367,30 +364,28 @@ def _block_case5(cache: ForwardCache, spec: ProblemSpec, i0: int, j0, i1, i2):
 def block_case5(cache: ForwardCache, spec: ProblemSpec,
                 i0: int, j0: int, i1: int, i2: int) -> np.ndarray:
     """Fully off-probe block: tokens i0, i1, i2 pairwise distinct."""
-    _check_index(spec.n, i0=i0, i1=i1, i2=i2)
-    _check_index(spec.d, j0=j0)
+    _check_index(spec, i0=i0, j0=j0, i1=i1, i2=i2)
     if i1 == i0 or i2 == i0 or i1 == i2:
         raise ValueError("block_case5 requires pairwise distinct tokens")
     return _block_case5(cache, spec, i0, j0, i1, i2)
 
 
-def hessian_c(cache: ForwardCache, spec: ProblemSpec, i0: int, j0) -> np.ndarray:
+def hessian_c(cache: ForwardCache, spec: ProblemSpec, i0, j0) -> np.ndarray:
     """nd x nd Hessian of one residual entry from the case blocks: each
     case is evaluated once on the (i1, i2) token grid and placed in the
-    classify_case layout.  A 1-D array of k features j0 returns the
-    (k, nd, nd) stack."""
-    _check_index(spec.n, i0=i0)
-    j = _check_index(spec.d, stack=True, j0=j0)
-    n, nd = spec.n, spec.n * spec.d
-    tok = np.arange(n)
-    jt = j[..., None]              # the feature axis leads a token axis
-    T = _block_case5(cache, spec, i0, jt[..., None], tok[:, None], tok)  # (..., n, n, d, d)
-    T[..., tok, tok, :, :] = _block_case4(cache, spec, i0, jt, tok)
-    J = _block_case2(cache, spec, i0, jt, tok)
-    T[..., i0, :, :, :] = J
-    T[..., :, i0, :, :] = J.mT                                 # case 3
-    T[..., i0, i0, :, :] = _block_case1(cache, spec, i0, j)
-    return T.swapaxes(-3, -2).reshape(*j.shape, nd, nd)
+    classify_case layout.  Index arrays i0 and j0 (or an int and an
+    array) name k residuals and return the (k, nd, nd) stack."""
+    i, j = _check_index(spec, stack=True, i0=i0, j0=j0)
+    shape, i, j = i.shape, i.reshape(-1), j.reshape(-1)
+    n, nd, r, tok = spec.n, spec.n * spec.d, np.arange(len(i)), np.arange(spec.n)
+    it, jt = i[:, None], j[:, None]    # the stack leads the (i1, i2) token grid
+    T = _block_case5(cache, spec, it[..., None], jt[..., None], tok[:, None], tok)
+    T[:, tok, tok] = _block_case4(cache, spec, it, jt, tok)
+    J = _block_case2(cache, spec, it, jt, tok)
+    T[r, i] = J
+    T[r, :, i] = J.mT                                          # case 3
+    T[r, i, i] = _block_case1(cache, spec, i, j)
+    return T.swapaxes(-3, -2).reshape(*shape, nd, nd)
 
 
 def residual_hessians(cache: ForwardCache, spec: ProblemSpec, i0) -> np.ndarray:
@@ -409,7 +404,7 @@ def residual_hessians(cache: ForwardCache, spec: ProblemSpec, i0) -> np.ndarray:
     over 3n + 2 stacked rows; the largest temporaries hold b d (nd)^2
     entries.
     """
-    i = _check_index(spec.n, stack=True, i0=i0).reshape(-1)
+    i = _check_index(spec, stack=True, i0=i0)[0].reshape(-1)
     n, d, b = spec.n, spec.d, len(i)
     p, bb, tok = cache.F.T[i], np.arange(b), np.arange(n)
     Ja = np.zeros((b, n, n, d))

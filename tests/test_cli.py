@@ -17,6 +17,7 @@ from attninv.hessian import _shift_diagonal, hessian_L
 from attninv.iojson import read_matrix, read_problem
 from attninv.generate import make_instance
 from attninv.model import EXP_MAX, forward_cache, loss
+from conftest import ACCEPTANCE_SHAPES, token_loop_block_entry_equiv
 
 
 def run_cli(*argv):
@@ -487,16 +488,17 @@ def test_check_with_infinite_auto_gamma_is_a_failing_record(tmp_path, capsys, le
 
 
 def _sweep_calls(monkeypatch, n, d):
-    """The (name, i0, features) of each term-table and case-block call that
+    """The (name, residuals) of each term-table and case-block call that
     check's hessian_block_entry_equiv record makes on an n x d instance,
-    with stand-ins for the dense Hessian and its FD oracle."""
+    residual (i0, j0) as i0 * d + j0, with stand-ins for the dense Hessian
+    and its FD oracle."""
     spec, X = make_instance(0, n, d)
     nd = n * d
     calls = []
 
     def record(name):
         def fn(cache, spec, i0, j0):
-            calls.append((name, i0, tuple(int(j) for j in j0)))
+            calls.append((name, tuple(int(r) for r in i0 * d + j0)))
             return np.zeros((len(j0), nd, nd))
         return fn
 
@@ -510,15 +512,33 @@ def _sweep_calls(monkeypatch, n, d):
     return calls
 
 
-@pytest.mark.parametrize("n,d,chunk", [(4, 3, 3), (8, 4, 4), (16, 8, 4), (32, 16, 1)])
-def test_check_sweeps_each_probe_token_in_feature_chunks(monkeypatch, n, d, chunk):
-    # one d2c_table and one hessian_c call per (i0, chunk), chunks of
-    # max(1, 2**16 // (nd)^2) features: every d at once on the certify
-    # shapes, one feature at a time at 32 x 16
-    chunks = [tuple(range(lo, min(lo + chunk, d))) for lo in range(0, d, chunk)]
+@pytest.mark.parametrize("n,d,chunks", [
+    (4, 3, [12]), (8, 4, [32]), (16, 8, [4] * 32), (32, 16, [1] * 512), (9, 5, [32, 13])],
+    ids=["4x3", "8x4", "16x8", "32x16", "9x5"])
+def test_check_sweeps_residuals_in_consecutive_chunks(monkeypatch, n, d, chunks):
+    # one d2c_table and one hessian_c call per chunk of consecutive
+    # residuals r = i0 * d + j0, of max(1, 2**16 // (nd)^2) each: all of
+    # them at once on the certify shapes, chunks that cross tokens at
+    # 9 x 5, one residual at a time at 32 x 16
+    ends = np.cumsum([0] + chunks)
     assert _sweep_calls(monkeypatch, n, d) == [
-        (name, i0, js) for i0 in range(n) for js in chunks
+        (name, tuple(range(lo, hi))) for lo, hi in zip(ends[:-1], ends[1:])
         for name in ("d2c_table", "hessian_c")]
+
+
+# the benchmark's certify instances, the acceptance family and two shapes
+# whose sweep takes several chunks (two tokens each at 12 x 6)
+@pytest.mark.parametrize("seed,n,d", [(403, 4, 3), (604, 6, 4), (804, 8, 4)] + [
+    (100 * n + d, n, d) for n, d in ACCEPTANCE_SHAPES + [(9, 5), (12, 6)]])
+def test_check_block_entry_equiv_equals_the_token_loop(seed, n, d):
+    # the record of the residual-chunk sweep, field for field the one of
+    # one call pair per probe token and feature chunk
+    spec, _ = make_instance(seed, n, d)
+    X = cli._sample_x(spec, seed)
+    worst, passed = token_loop_block_entry_equiv(forward_cache(spec, X), spec)
+    record = cli._check_entries(spec, X, "hessian", seed)[-1]
+    assert record == {"check": "hessian_block_entry_equiv", "pass": passed,
+                      "max_abs_diff": worst}
 
 
 def test_check_hessian_records_exact_symmetry(tmp_path, capsys):
@@ -550,16 +570,19 @@ def test_check_block_entry_equiv_bound_is_mixed(tmp_path, capsys):
                          ids=["relative_1e-8_at_V_1e39", "absolute_1e-9_at_V_1"])
 def test_check_block_entry_equiv_flags_a_perturbed_entry(tmp_path, capsys, monkeypatch,
                                                          factor, bump):
-    # the largest hessian_c entry of probe token 1, moved by 1e-8 relative
-    # at entries near 1e32, or by ten times the absolute floor at unit
-    # scale: beyond the mixed bound either way, and the only failure
+    # the largest hessian_c entry among probe token 1's rows of the
+    # residual stack, moved by 1e-8 relative at entries near 1e32, or by
+    # ten times the absolute floor at unit scale: beyond the mixed bound
+    # either way, and the only failure
     problem = _v_scaled_problem(tmp_path, factor)
     real = cli.hessian.hessian_c
 
     def perturbed(cache, spec, i0, j0):
         H = real(cache, spec, i0, j0)
-        if i0 == 1:
-            top = np.unravel_index(np.abs(H).argmax(), H.shape)
+        rows = np.flatnonzero(i0 == 1)
+        if rows.size:
+            top = np.unravel_index(np.abs(H[rows]).argmax(), H[rows].shape)
+            top = (rows[top[0]],) + top[1:]
             H[top] = bump(H[top])
         return H
 

@@ -111,8 +111,6 @@ def test_single_index_slots_raise_index_error(bad):
         lambda v: block_case3(cache, spec, 0, 0, v),
         lambda v: block_case4(cache, spec, v, 0, 1),
         lambda v: block_case5(cache, spec, 0, 0, 1, v),
-        lambda v: d2c_table(cache, spec, v, 0),
-        lambda v: hessian_c(cache, spec, v, 0),
     )
     for call in calls:
         with pytest.raises(IndexError):
@@ -465,8 +463,9 @@ def test_hessian_c_equals_block_loop_bitwise(seed, shape):
 
 
 def test_hessian_c_makes_one_call_per_case(monkeypatch):
-    # one call per index case at every n and for a feature stack; one call
-    # per block would scale the counts with n^2, one per feature with k
+    # one call per index case at every n, for a feature stack and for a
+    # stack of every residual; one call per block would scale the counts
+    # with n^2, one per residual with k
     names = ("_block_case1", "_block_case2", "_block_case4", "_block_case5")
     counts = dict.fromkeys(names, 0)
     for name in names:
@@ -476,16 +475,16 @@ def test_hessian_c_makes_one_call_per_case(monkeypatch):
         monkeypatch.setattr(hessian, name, counted)
     for n in (3, 8):
         spec, X = bounded_instance(1, n, 2)
-        for j0 in (1, np.arange(2)):
+        for i0, j0 in ((1, 1), (1, np.arange(2)), np.divmod(np.arange(2 * n), 2)):
             counts.update(dict.fromkeys(names, 0))
-            hessian_c(forward_cache(spec, X), spec, 1, j0)
-            assert counts == dict.fromkeys(names, 1), (n, j0)
+            hessian_c(forward_cache(spec, X), spec, i0, j0)
+            assert counts == dict.fromkeys(names, 1), (n, i0, j0)
 
 
 def test_d2c_table_makes_one_call_per_case(monkeypatch):
-    # one term-table evaluation per index case, also for a feature stack:
-    # case 3 is placed as the transpose of the case-2 evaluation, not
-    # evaluated again
+    # one term-table evaluation per index case, also for a feature stack
+    # and a stack of every residual: case 3 is placed as the transpose of
+    # the case-2 evaluation, not evaluated again
     names = ("_d2c_case1", "_d2c_case2", "_d2c_case4", "_d2c_case5")
     counts = dict.fromkeys(names, 0)
     for name in names:
@@ -495,10 +494,10 @@ def test_d2c_table_makes_one_call_per_case(monkeypatch):
         monkeypatch.setattr(hessian, name, counted)
     for n in (3, 8):
         spec, X = bounded_instance(1, n, 2)
-        for j0 in (1, np.arange(2)):
+        for i0, j0 in ((1, 1), (1, np.arange(2)), np.divmod(np.arange(2 * n), 2)):
             counts.update(dict.fromkeys(names, 0))
-            d2c_table(forward_cache(spec, X), spec, 1, j0)
-            assert counts == dict.fromkeys(names, 1), (n, j0)
+            d2c_table(forward_cache(spec, X), spec, i0, j0)
+            assert counts == dict.fromkeys(names, 1), (n, i0, j0)
 
 
 @pytest.mark.parametrize("i0,j0", [(3, 0), (-1, 0), (0, 2), (0, -1)])
@@ -562,3 +561,60 @@ def test_feature_stack_index_error(j0):
     for fn in (d2c_table, hessian_c):
         with pytest.raises(IndexError):
             fn(cache, spec, 0, j0)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.3])
+@pytest.mark.parametrize("seed,shape", list(enumerate(STACK_SHAPES)))
+def test_residual_stacks_equal_per_residual_calls_bitwise(seed, shape, gamma):
+    # a stack over (i0, j0) is the same arithmetic broadcast over a leading
+    # residual axis: every residual r = i0 * d + j0 in one call, and a
+    # chunk that crosses from token 0 into token 1, row for row its own
+    # call's Hessian, float for float
+    n, d = shape
+    nd = n * d
+    i0, j0 = np.divmod(np.arange(nd), d)
+    cross = slice(max(d - 2, 0), d + 2)
+    for spec, Y in _three_points(9800 + seed, n, d, gamma):
+        cache = forward_cache(spec, Y)
+        for fn in (d2c_table, hessian_c):
+            stack = fn(cache, spec, i0, j0)
+            assert stack.shape == (nd, nd, nd)
+            for r in range(nd):
+                assert np.array_equal(stack[r], fn(cache, spec, int(i0[r]), int(j0[r])))
+            chunk = fn(cache, spec, i0[cross], j0[cross])
+            assert np.array_equal(chunk, stack[cross])
+
+
+def test_residual_stacks_take_any_order():
+    # reversed, repeated and scattered (i0, j0) pairs, an int i0 with a
+    # feature array and a token array with an int j0: row r is residual
+    # (i0[r], j0[r])
+    spec, X = bounded_instance(5, 4, 3)
+    cache = forward_cache(spec, X)
+    pairs = [(np.arange(4).repeat(3)[::-1], np.tile(np.arange(3), 4)[::-1]),
+             ([2, 2, 0, 2], [1, 1, 0, 1]), ([3, 0, 2], [0, 2, 1]),
+             (1, [2, 0]), ([3, 1], 2)]
+    for i0, j0 in pairs:
+        k = max(np.size(i0), np.size(j0))
+        rows = np.broadcast_arrays(i0, j0)
+        for fn in (d2c_table, hessian_c):
+            stack = fn(cache, spec, np.asarray(i0), np.asarray(j0))
+            assert stack.shape == (k, 12, 12)
+            for row, i, j in zip(stack, *rows):
+                assert np.array_equal(row, fn(cache, spec, int(i), int(j)))
+
+
+# what a residual stack's token slot refuses (an int or a 1-D array of
+# tokens), and token and feature arrays of different lengths
+@pytest.mark.parametrize("i0,j0", [
+    *((bad, 0) for bad in (3, -1, 2**70, 1.0, np.float64(1.0), True, "a", None,
+                           np.array([3]), np.array([-1]), np.zeros((1, 1), int),
+                           np.array([0.0, 1.0]), np.array([True]))),
+    (np.array([0, 1]), np.array([0, 1, 1])), (np.array([1]), np.array([0, 1])),
+    (np.array([0, 1]), np.array([1])), (np.zeros(0, int), np.array([0]))])
+def test_residual_stack_index_error(i0, j0):
+    spec, X = bounded_instance(0, 3, 2)
+    cache = forward_cache(spec, X)
+    for fn in (d2c_table, hessian_c):
+        with pytest.raises(IndexError):
+            fn(cache, spec, i0, j0)
