@@ -12,7 +12,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from attninv.analysis import bound_suite, lipschitz_probe, psd_floor  # noqa: E402
+from attninv.analysis import (  # noqa: E402
+    _point_norms, bound_suite, lipschitz_probe, psd_floor)
 from attninv.generate import (  # noqa: E402
     SplitMix64, bounded_instance, random_matrix, rescale_spectral)
 from attninv.hessian import hessian_L  # noqa: E402
@@ -36,10 +37,11 @@ def main(argv=None) -> int:
         spec, X = bounded_instance(seed, n, d)
         cache = forward_cache(spec, X)
 
-        bounds = bound_suite(cache, spec, X)
+        norms = _point_norms(cache, spec, X)
+        bounds = bound_suite(cache, spec, norms)
         bmargin = max((c.lhs / c.rhs for c in bounds.checks if c.rhs > 0),
                       default=0.0)
-        psd = psd_floor(cache, spec, X, hessian_L(cache, spec.with_gamma(0.0), X))
+        psd = psd_floor(spec, hessian_L(cache, spec.with_gamma(0.0), X), norms)
         pmargin = psd.lambda_min / psd.floor if psd.floor < 0 else 0.0
         gen = SplitMix64(seed ^ 0xABCDEF)
         Y = rescale_spectral(random_matrix(gen, d, n), 1.2)

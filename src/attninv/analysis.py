@@ -9,7 +9,9 @@ report entry is labeled with its kind.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,16 +20,18 @@ from .model import ForwardCache, NumericalRangeError, ProblemSpec, check_input, 
 
 BIG_O_CONSTANT = 200.0
 PSD_FLOOR_CONSTANT = 72.0
-# Hessian entries per residual_hessians call (one token at least): the checks
-# take the probe tokens in chunks, so they peak below the FD Hessian oracle.
+# Hessian entries per residual_hessians call (one token at least) and per
+# GEMM batch of the pruning bound (one matrix at least): the checks take the
+# probe tokens in chunks, so they peak below the FD Hessian oracle.
 _TOKEN_CHUNK_ENTRIES = 2**13
-# ||B||_2 <= ||B||_F holds exactly, but the computed norms of a block and its
-# transpose, or of a rank-one block (where the two are equal), can read an ulp
-# apart.  Pruning below a running maximum keeps a relative margin far above
-# that rounding, and an absolute slack for entries below about 1e-154, whose
-# squares leave the normal range, so that a Frobenius norm reads low.
+# ||M||_2 <= (sum of sigma_i^8)^(1/8) holds exactly, but computed norms
+# round: a block and its transpose, or a rank-one block (where the two are
+# equal), can read an ulp apart.  Pruning below a running maximum keeps a
+# relative margin far above that rounding, and an absolute slack for norms
+# below about 1e-38, whose eighth powers leave the normal range, so that the
+# bound reads low.
 _PRUNE_MARGIN = 1e-9
-_PRUNE_SLACK = 1e-140
+_PRUNE_SLACK = 1e-30
 
 
 @dataclass(frozen=True)
@@ -62,28 +66,83 @@ def _token_chunks(spec: ProblemSpec):
     return np.split(np.arange(spec.n), range(step, spec.n, step))
 
 
-def _max_norm(stack, best, fro=None):
+def _schatten8(stack):
+    """(sum of sigma_i^8)^(1/8) = ||(M^T M)^2||_F^(1/4), an upper bound on the
+    ord-2 norm, of each (r, c) matrix M over stack's leading axes.
+
+    The two GEMMs run over slices of the first axis of at most
+    _TOKEN_CHUNK_ENTRIES entries (one matrix at least), so their products
+    stay that small.  An eighth power that overflows reads inf or NaN.
+    """
+    step = max(1, _TOKEN_CHUNK_ENTRIES // math.prod(stack.shape[1:]))
+    bound = np.empty(stack.shape[:-2])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(0, len(stack), step):
+            M = stack[k:k + step]
+            # numpy takes M^T M by a symmetric rank-k update when both
+            # operands share a buffer, which is slower than a GEMM on small
+            # matrices: a strided view (the d x d blocks) is copied first
+            G = M.mT @ np.ascontiguousarray(M)
+            G = G @ G
+            bound[k:k + step] = np.einsum("...ij,...ij->...", G, G)
+    return bound**0.125
+
+
+def _max_norm(stack, best, bound=None):
     """The larger of best and the ord-2 norms of the (r, c) matrices over
     stack's leading axes, each equal to np.linalg.norm(stack[...], 2).
 
-    fro holds their Frobenius norms (taken here when None); -inf skips a
-    matrix.  Unless every matrix is pruned, the one with the largest
-    Frobenius norm is taken first; then only the matrices whose Frobenius
-    norm reaches best, less the margin and slack, are gathered and taken.
-    A NaN or inf Frobenius norm is never pruned, and a NaN norm propagates
-    as in ndarray.max.
+    bound holds their _schatten8 bounds (taken here when None); -inf skips a
+    matrix.  Unless every matrix is pruned, the one with the largest bound is
+    taken first; then only the matrices whose bound reaches best, less the
+    margin and slack, are gathered and taken.  A NaN or inf bound is never
+    pruned, and a NaN norm propagates as in ndarray.max.
     """
-    if fro is None:
-        fro = np.sqrt(np.einsum("...ij,...ij->...", stack, stack))
-    top = np.unravel_index(np.argmax(fro), fro.shape)
-    if fro[top] < best * (1.0 - _PRUNE_MARGIN) - _PRUNE_SLACK:
+    if bound is None:
+        bound = _schatten8(stack)
+    top = np.unravel_index(np.argmax(bound), bound.shape)
+    if bound[top] < best * (1.0 - _PRUNE_MARGIN) - _PRUNE_SLACK:
         return best
     best = np.maximum(best, np.linalg.norm(stack[top], 2))
-    keep = ~(fro < best * (1.0 - _PRUNE_MARGIN) - _PRUNE_SLACK)
+    keep = ~(bound < best * (1.0 - _PRUNE_MARGIN) - _PRUNE_SLACK)
     keep[top] = False
     if keep.any():
         best = np.maximum(best, np.linalg.norm(stack[keep], 2, axis=(1, 2)).max())
     return best
+
+
+class _PointNorms(NamedTuple):
+    """The measured norms at X that bound_suite and psd_floor check."""
+    r_eff: float           # effective_bound_constant(spec, X)
+    block_max: dict        # index case -> worst ord-2 norm of its d x d blocks
+    hessian_c_max: float   # worst ord-2 norm of a whole residual Hessian
+
+
+def _point_norms(cache: ForwardCache, spec: ProblemSpec, X) -> _PointNorms:
+    """One sweep of the residual Hessians at X, one token chunk at a time:
+    the exact worst ord-2 norm of the d x d blocks (i1, i2) in each index
+    case that occurs (n = 1 has only case 1, n = 2 no case 5) and of the
+    whole nd x nd Hessians, each equal to one batched np.linalg.norm over
+    every matrix; cache is the forward cache at X."""
+    r_eff = effective_bound_constant(spec, X)
+    n, d, nd = spec.n, spec.d, spec.n * spec.d
+    tok = np.arange(n)
+    worst = dict.fromkeys(sorted(set(hessian.classify_case(0, *np.ix_(tok, tok)).flat)),
+                          -np.inf)
+    worst_c = -np.inf
+    for i0 in _token_chunks(spec):
+        T = hessian.residual_hessians(cache, spec, i0).reshape(-1, nd, nd)
+        worst_c = _max_norm(T, worst_c)
+        # residual r of the chunk is (i0[r // d], r % d); its blocks (i1, i2)
+        blocks = T.reshape(-1, n, d, n, d).swapaxes(2, 3)
+        bound = _schatten8(blocks)
+        case_of = np.repeat(hessian.classify_case(*np.ix_(i0, tok, tok)), d, axis=0)
+        for case in worst:
+            worst[case] = _max_norm(blocks, worst[case],
+                                    np.where(case_of == case, bound, -np.inf))
+        # free the chunk before the next one's residual Hessians are built
+        del T, blocks, bound, case_of
+    return _PointNorms(r_eff, worst, float(worst_c))
 
 
 def _mk(name: str, lhs: float, rhs: float, kind: str = "theorem") -> BoundCheck:
@@ -91,37 +150,17 @@ def _mk(name: str, lhs: float, rhs: float, kind: str = "theorem") -> BoundCheck:
                       passed=bool(lhs <= rhs), kind=kind)
 
 
-def bound_suite(cache: ForwardCache, spec: ProblemSpec, X) -> BoundReport:
+def bound_suite(cache: ForwardCache, spec: ProblemSpec, norms: _PointNorms) -> BoundReport:
     """Evaluate every explicit-constant magnitude bound at X.
 
-    Each check records the worst measured value across all indices of its
-    family against the bound evaluated at the instance's effective
+    cache is the forward cache at X and norms is _point_norms(cache, spec,
+    X).  Each check records the worst measured value across all indices of
+    its family against the bound evaluated at the instance's effective
     constant.
     """
-    R = effective_bound_constant(spec, X)
+    R = norms.r_eff
     n, d = spec.n, spec.d
     sqrt_nd = float(np.sqrt(n * d))
-    # per probe token i0, one token chunk at a time, the d x d blocks (i1, i2)
-    # of the d residual Hessians, and the exact worst ord-2 norm in each case
-    # that occurs (n = 1 has only case 1, n = 2 no case 5).  As ||B||_2 <=
-    # ||B||_F, a block is taken by SVD only where its Frobenius norm reaches
-    # the case's running maximum, less a margin for rounding: a block and its
-    # transpose can read an ulp apart.  The sweep runs before the Jacobians
-    # below are built, so they are not held at its peak.
-    tok = np.arange(n)
-    worst = dict.fromkeys(sorted(set(hessian.classify_case(0, *np.ix_(tok, tok)).flat)),
-                          -np.inf)
-    for i0 in _token_chunks(spec):
-        blocks = hessian.residual_hessians(cache, spec, i0).reshape(
-            -1, d, n, d, n, d).transpose(0, 1, 2, 4, 3, 5)
-        fro = np.sqrt(np.einsum("...ij,...ij->...", blocks, blocks))
-        case_of = hessian.classify_case(*np.ix_(i0, tok, tok))[:, None]
-        for case in worst:
-            worst[case] = _max_norm(blocks, worst[case],
-                                    np.where(case_of == case, fro, -np.inf))
-        # free the chunk before the next one's residual Hessians are built
-        del blocks, fro, case_of
-
     checks: list[BoundCheck] = []
 
     checks.append(_mk("softmax_column_norm", np.linalg.norm(cache.F, axis=0).max(), 1.0))
@@ -152,7 +191,7 @@ def bound_suite(cache: ForwardCache, spec: ProblemSpec, X) -> BoundReport:
     block_bounds = {1: 23.0 * R**6 + R**5 + 12.0 * R**3, 2: 11.0 * R**6 + 6.0 * R**3,
                     3: 11.0 * R**6 + 6.0 * R**3, 4: 5.0 * R**6 + 4.0 * R**3,
                     5: 4.0 * R**6 + 2.0 * R**3}
-    for case, norm in worst.items():
+    for case, norm in norms.block_max.items():
         checks.append(_mk(f"hessian_block{case}_norm", norm, block_bounds[case]))
 
     return BoundReport(r_eff=R, checks=tuple(checks))
@@ -180,18 +219,15 @@ def min_eigenvalue(H) -> float:
         raise NumericalRangeError(f"eigensolve failed: {exc}") from exc
 
 
-def psd_floor(cache: ForwardCache, spec: ProblemSpec, X, H0) -> PsdReport:
-    """Lower spectral bound check for H0, the loss Hessian at gamma = 0,
-    plus the per-residual Hessian norm check at twice the single-entry bound
-    (the doubling matches the loss convention), one token chunk at a time.
-    cache is the forward cache at X, which does not depend on gamma."""
-    R = effective_bound_constant(spec, X)
+def psd_floor(spec: ProblemSpec, H0, norms: _PointNorms) -> PsdReport:
+    """Lower spectral bound check for H0, the loss Hessian at gamma = 0 at
+    X, plus the per-residual Hessian norm check at twice the single-entry
+    bound (the doubling matches the loss convention); norms is
+    _point_norms(cache, spec, X)."""
+    R = norms.r_eff
     lam_min = min_eigenvalue(H0)
     floor = -2.0 * PSD_FLOOR_CONSTANT * spec.n * spec.d * R**8
-    worst_c = -np.inf
-    for i0 in _token_chunks(spec):
-        worst_c = _max_norm(hessian.residual_hessians(cache, spec, i0), worst_c)
-    worst_c = float(worst_c)
+    worst_c = norms.hessian_c_max
     c_bound = 2.0 * 36.0 * R**6
     return PsdReport(lambda_min=lam_min, floor=floor, passed=bool(lam_min >= floor), r_eff=R,
                      hessian_c_norm_max=worst_c, hessian_c_bound=c_bound,

@@ -167,10 +167,13 @@ def _check_entries(spec: ProblemSpec, X, level: str, seed: int):
             passed &= bool((err <= 1e-10).all() or (
                 err <= 1e-10 + 1e-10 * np.maximum(np.abs(T), np.abs(Hc))).all())
         add("hessian_block_entry_equiv", passed, {"max_abs_diff": worst})
+    if level in ("bounds", "psd", "all"):
+        # one residual-Hessian sweep and one ||X||_2 for both checks
+        norms = analysis._point_norms(cache, spec, X)
     if level in ("bounds", "all"):
-        add_bounds("bound_suite", analysis.bound_suite(cache, spec, X))
+        add_bounds("bound_suite", analysis.bound_suite(cache, spec, norms))
     if level in ("psd", "all"):
-        rep = analysis.psd_floor(cache, spec, X, H0)
+        rep = analysis.psd_floor(spec, H0, norms)
         add("psd_floor", rep.passed and rep.hessian_c_passed,
             {"lambda_min": rep.lambda_min, "floor": rep.floor,
              "hessian_c_norm_max": rep.hessian_c_norm_max,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from attninv import hessian
-from attninv.analysis import _token_chunks, psd_floor
+from attninv.analysis import _point_norms, _token_chunks, bound_suite, psd_floor
 from attninv.generate import SplitMix64, make_instance, random_matrix, rescale_spectral
 from attninv.generate import bounded_instance  # noqa: F401  (tests import it from here)
 from attninv.gradient import jacobian_c
@@ -35,11 +35,19 @@ def per_point(fn):
     return lambda Ys: np.stack([fn(Y) for Y in Ys])
 
 
-def psd_floor_at(spec, X):
-    """analysis.psd_floor at X on a fresh forward cache and the loss
-    Hessian at gamma = 0, as check builds them."""
+def bound_suite_at(spec, X):
+    """analysis.bound_suite at X on a fresh forward cache and the point's
+    shared norms, as check builds them."""
     cache = forward_cache(spec, X)
-    return psd_floor(cache, spec, X, hessian.hessian_L(cache, spec.with_gamma(0.0), X))
+    return bound_suite(cache, spec, _point_norms(cache, spec, X))
+
+
+def psd_floor_at(spec, X):
+    """analysis.psd_floor at X on the loss Hessian at gamma = 0 and the
+    point's shared norms, from a fresh forward cache, as check builds them."""
+    cache = forward_cache(spec, X)
+    return psd_floor(spec, hessian.hessian_L(cache, spec.with_gamma(0.0), X),
+                     _point_norms(cache, spec, X))
 
 
 def bounded_x(seed: int, n: int, d: int, r_target: float = 1.2) -> np.ndarray:

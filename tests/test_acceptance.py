@@ -11,7 +11,6 @@ import pytest
 
 from attninv import cli
 from attninv.analysis import (
-    bound_suite,
     choose_gamma,
     effective_bound_constant,
     lipschitz_probe,
@@ -22,7 +21,7 @@ from attninv.hessian import d2c_entry, hessian_L, hessian_c
 from attninv.model import forward_cache, loss
 from attninv.oracle import fd_grad, fd_hessian, fd_jacobian
 from attninv.solver import CONVERGED, gd_solve, newton_solve
-from conftest import bounded_instance, bounded_x, per_point, psd_floor_at
+from conftest import bound_suite_at, bounded_instance, bounded_x, per_point, psd_floor_at
 
 # fixed recovery family for criteria 7-9: (seed, n, d), n <= 4, d <= 3
 RECOVERY_FAMILY = [
@@ -112,7 +111,7 @@ def test_criterion_4_bound_suite():
         n = (1, 2, 3, 4, 6)[seed % 5]
         d = (1, 2, 3, 4)[seed % 4]
         spec, X = bounded_instance(4000 + seed, n, d)
-        rep = bound_suite(forward_cache(spec, X), spec, X)
+        rep = bound_suite_at(spec, X)
         failures += [f"seed{seed}:{c.name}" for c in rep.checks if not c.passed]
     ok = not failures
     _verdict(4, ok, f"bound suite on 50 instances, failures: {failures or 'none'}")

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ import pytest
 from attninv import cli
 from attninv.analysis import (
     _max_norm,
+    _point_norms,
+    _schatten8,
     bound_suite,
     choose_gamma,
     effective_bound_constant,
@@ -24,6 +27,7 @@ from conftest import (
     batched_block_norm_maxima,
     batched_hessian_c_norm_max,
     block_loop_hessian_c,
+    bound_suite_at,
     bounded_instance,
     bounded_x,
     direction_loop_softmax_grad_norms,
@@ -59,8 +63,9 @@ def test_effective_bound_constant_is_the_five_way_max(winner):
 
 
 def test_check_takes_the_spec_norms_once(monkeypatch):
-    # check --level all evaluates the bound constant at 8 points; the
-    # spectral norms of W and V are taken once, by ProblemSpec.r_spec
+    # check --level all evaluates the bound constant at 7 points, once at X
+    # for bound_suite and psd_floor together and at the 6 Lipschitz points;
+    # the spectral norms of W and V are taken once, by ProblemSpec.r_spec
     spec, _ = make_instance(804, 8, 4)
     real_norm, real_r = np.linalg.norm, effective_bound_constant
     seen, points = [], []
@@ -76,7 +81,7 @@ def test_check_takes_the_spec_norms_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "norm", norm)
     monkeypatch.setattr(cli.analysis, "effective_bound_constant", r_eff)
     cli._check_entries(spec, cli._sample_x(spec, 804), "all", 804)
-    assert len(points) == 8
+    assert len(points) == 7
     assert sorted(seen) == ["V", "W"]
 
 
@@ -100,8 +105,10 @@ def test_analysis_checks_peak_below_the_fd_hessian():
     H0 = hessian_L(cache, spec, X)
     pairs = [(bounded_x(2 * k, 8, 4), bounded_x(2 * k + 1, 8, 4)) for k in range(3)]
     fd = _traced_peak(lambda: fd_hessian(lambda Ys: loss(spec, Ys), X))
-    peaks = {"bound_suite": _traced_peak(lambda: bound_suite(cache, spec, X)),
-             "psd_floor": _traced_peak(lambda: psd_floor(cache, spec, X, H0)),
+    peaks = {"bound_suite": _traced_peak(
+                 lambda: bound_suite(cache, spec, _point_norms(cache, spec, X))),
+             "psd_floor": _traced_peak(
+                 lambda: psd_floor(spec, H0, _point_norms(cache, spec, X))),
              "lipschitz_probe": _traced_peak(lambda: lipschitz_probe(spec, pairs))}
     assert max(peaks.values()) <= fd, (fd, peaks)
 
@@ -121,7 +128,7 @@ def test_bound_suite_peaks_at_most_the_batched_sweep():
             return held
 
         def pruned():
-            return bound_suite(cache, spec, X)
+            return bound_suite(cache, spec, _point_norms(cache, spec, X))
 
         pruned(), batched()  # first-use allocations stay out of both peaks
         assert _traced_peak(pruned) <= _traced_peak(batched)
@@ -130,7 +137,7 @@ def test_bound_suite_peaks_at_most_the_batched_sweep():
 def test_bound_suite_zero_input():
     spec, _ = bounded_instance(1, 4, 2)
     X0 = np.zeros((2, 4))
-    rep = bound_suite(forward_cache(spec, X0), spec, X0)
+    rep = bound_suite_at(spec, X0)
     assert rep.passed
     by_name = {c.name: c for c in rep.checks}
     assert by_name["softmax_column_norm"].lhs == pytest.approx(1 / 2)  # 1/sqrt(n)
@@ -138,14 +145,14 @@ def test_bound_suite_zero_input():
 
 def test_bound_suite_passes_on_seeded_instance():
     spec, X = bounded_instance(0, 4, 3)
-    rep = bound_suite(forward_cache(spec, X), spec, X)
+    rep = bound_suite_at(spec, X)
     assert rep.passed, [c for c in rep.checks if not c.passed]
 
 
 def test_bound_suite_adversarial_scale_still_passes():
     spec, X = bounded_instance(9, 3, 2)
     X3 = X * (3.6 / max(np.linalg.norm(X, 2), 1e-12))  # spectral norm 3 * 1.2
-    rep = bound_suite(forward_cache(spec, X3), spec, X3)
+    rep = bound_suite_at(spec, X3)
     assert rep.r_eff >= 3.5
     assert rep.passed, [c for c in rep.checks if not c.passed]
 
@@ -156,7 +163,7 @@ def test_bound_suite_softmax_grad_checks_equal_the_direction_loop(n, d):
         spec, X = bounded_instance(seed, n, d)
         X = X * (1 + seed)
         cache = forward_cache(spec, X)
-        by_name = {c.name: c.lhs for c in bound_suite(cache, spec, X).checks}
+        by_name = {c.name: c.lhs for c in bound_suite_at(spec, X).checks}
         got = (by_name["softmax_grad_direction_norm"],
                by_name["softmax_grad_frobenius"])
         assert got == direction_loop_softmax_grad_norms(cache, spec)
@@ -168,7 +175,7 @@ def test_bound_suite_residual_grad_checks_equal_the_row_loop(n, d):
         spec, X = bounded_instance(seed, n, d)
         X = X * (1 + seed)
         cache = forward_cache(spec, X)
-        by_name = {c.name: c.lhs for c in bound_suite(cache, spec, X).checks}
+        by_name = {c.name: c.lhs for c in bound_suite_at(spec, X).checks}
         got = (by_name["residual_grad_entry_abs"], by_name["residual_grad_norm"])
         assert got == row_loop_residual_grad_norms(cache, spec)
 
@@ -178,7 +185,7 @@ def test_bound_suite_residual_grad_checks_equal_the_row_loop(n, d):
 def test_bound_suite_records_by_n(n, cases):
     # the block records follow the index cases that occur at n
     spec, X = bounded_instance(n, n, 2)
-    names = [c.name for c in bound_suite(forward_cache(spec, X), spec, X).checks]
+    names = [c.name for c in bound_suite_at(spec, X).checks]
     assert names == [
         "softmax_column_norm", "value_column_norm", "residual_abs",
         "weighted_input_column_norm", "score_coeff_abs", "softmax_score_abs",
@@ -318,7 +325,7 @@ def _analysis_points():
 def test_bound_suite_blocks_match_block_loop():
     for spec, X in _analysis_points():
         cache = forward_cache(spec, X)
-        rep = bound_suite(cache, spec, X)
+        rep = bound_suite_at(spec, X)
         ref = looped_block_norms(cache, spec)
         blocks = [c for c in rep.checks if c.name.startswith("hessian_block")]
         cases = {1: (1,), 2: (1, 2, 3, 4)}.get(spec.n, (1, 2, 3, 4, 5))
@@ -385,7 +392,8 @@ def test_max_norm_of_a_matrix_and_its_transpose():
 
 
 def test_max_norm_of_rank_one_matrices():
-    # ||B||_2 = ||B||_F exactly; rows and columns permuted keep both norms
+    # ||B||_2 equals the Schatten-8 bound exactly; rows and columns permuted
+    # keep both
     rng = np.random.default_rng(12)
     for _ in range(200):
         B = _rank_one(rng, 5, 4)
@@ -398,6 +406,10 @@ def test_max_norm_when_the_largest_frobenius_norm_is_not_the_largest():
     # the identity has the larger Frobenius norm, sqrt(3) against 1.5
     stack = np.stack([np.eye(3), np.diag([1.5, 0.0, 0.0]), 0.1 * np.ones((3, 3))])
     assert _max_norm(stack, -np.inf) == _batched_max(stack) == 1.5
+    # and at 9 x 9 the larger Schatten-8 bound, 9**(1/8) against 1.2
+    stack = np.stack([np.eye(9), np.diag([1.2] + [0.0] * 8)])
+    assert _schatten8(stack)[0] > _schatten8(stack)[1]
+    assert _max_norm(stack, -np.inf) == _batched_max(stack) == 1.2
     rng = np.random.default_rng(13)
     for _ in range(50):
         stack = rng.standard_normal((30, 4, 4)) * rng.uniform(0.5, 1.0, (30, 1, 1))
@@ -412,18 +424,51 @@ def test_max_norm_carries_the_running_maximum():
     assert _max_norm(stack, top) == top
     assert _max_norm(stack, 0.5 * top) == top
     # -inf skips a matrix
-    fro = np.sqrt((stack * stack).sum(axis=(1, 2)))
-    skip = np.where(np.arange(6) < 3, fro, -np.inf)
+    skip = np.where(np.arange(6) < 3, _schatten8(stack), -np.inf)
     assert _max_norm(stack, -np.inf, skip) == _batched_max(stack[:3])
 
 
 def test_max_norm_of_matrices_whose_squares_underflow():
-    # squared entries below the normal range make Frobenius norms read low
+    # eighth powers below the normal range make the bounds read low, down to
+    # 0 from about 1e-41; each stack's own largest matrix has a 1 in 6 chance
+    # of coming first
     rng = np.random.default_rng(16)
-    for scale in (1e-150, 1e-160, 1e-170):
+    for scale in (1e-38, 1e-40, 1e-80, 1e-150, 1e-160, 1e-170):
         for _ in range(50):
             stack = scale * rng.standard_normal((6, 3, 3))
             assert _max_norm(stack, -np.inf) == _batched_max(stack)
+    # beside a matrix of norm near 1 they are pruned
+    stack = np.concatenate([1e-80 * rng.standard_normal((5, 3, 3)), np.eye(3)[None]])
+    assert _max_norm(stack, -np.inf) == _batched_max(stack) == 1.0
+
+
+def test_max_norm_of_matrices_whose_eighth_powers_overflow():
+    # their bounds read inf or NaN, with no warning, and no cut prunes them,
+    # so every matrix is taken, alone or beside matrices of norm near 1
+    rng = np.random.default_rng(18)
+    for scale in (1e40, 1e80, 1e160, 1e300):
+        for _ in range(20):
+            stack = rng.standard_normal((6, 3, 3)) * np.array([scale, 1.0])[
+                rng.integers(0, 2, 6), None, None]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert _max_norm(stack, -np.inf) == _batched_max(stack)
+            big = np.abs(stack).max(axis=(1, 2)) > 1e30
+            assert not (_schatten8(stack)[big] < np.inf).any()
+
+
+def test_schatten8_bounds_the_ord2_norm_in_gemm_batches():
+    # (sum sigma_i^8)^(1/8) lies between ||M||_2 and rank^(1/8) ||M||_2; a
+    # stack longer than one GEMM batch of 2**13 entries (8 matrices at
+    # 32 x 32, one at 100 x 100) reads as one call per matrix
+    rng = np.random.default_rng(17)
+    for shape in ((300, 4, 4), (20, 32, 32), (3, 100, 100), (7, 3, 5)):
+        stack = rng.standard_normal(shape)
+        bound = _schatten8(stack)
+        norm = np.linalg.norm(stack, 2, axis=(1, 2))
+        assert (norm <= bound * (1 + 1e-12)).all()
+        assert (bound <= min(shape[1:]) ** 0.125 * norm * (1 + 1e-12)).all()
+        assert np.array_equal(bound, [_schatten8(M[None])[0] for M in stack])
 
 
 def test_max_norm_of_an_all_zero_stack():
@@ -435,7 +480,9 @@ def test_max_norm_nan_and_inf_surface_as_in_the_batched_norm():
     rng = np.random.default_rng(15)
     stack = rng.standard_normal((5, 3, 3))
     stack[1, 0, 0] = np.inf
-    # an inf entry gives a NaN norm, which the maximum keeps
+    # an inf entry gives a NaN norm, which the maximum keeps, and an inf or
+    # NaN bound, which no cut prunes
+    assert not _schatten8(stack)[1] < np.inf
     assert np.isnan(_batched_max(stack))
     assert np.isnan(_max_norm(stack, -np.inf))
     assert np.isnan(_max_norm(stack, 100.0))
@@ -468,7 +515,7 @@ def _pin_points():
 def test_bound_suite_block_norms_equal_the_batched_norms():
     for spec, X in _pin_points():
         cache = forward_cache(spec, X)
-        got = {c.name: c.lhs for c in bound_suite(cache, spec, X).checks
+        got = {c.name: c.lhs for c in bound_suite_at(spec, X).checks
                if c.name.startswith("hessian_block")}
         want = batched_block_norm_maxima(cache, spec)
         assert got == {f"hessian_block{k}_norm": float(v) for k, v in want.items()}
@@ -478,3 +525,27 @@ def test_psd_floor_hessian_c_norm_equals_the_batched_norm():
     for spec, X in _pin_points():
         rep = psd_floor_at(spec, X)
         assert rep.hessian_c_norm_max == batched_hessian_c_norm_max(forward_cache(spec, X), spec)
+
+
+@pytest.mark.parametrize("seed,n,d,blocks,whole", [
+    (604, 6, 4, 8, 1), (804, 8, 4, 11, 2), (1608, 16, 8, 7, 2)], ids=["6x4", "8x4", "16x8"])
+def test_point_norms_takes_few_svds(monkeypatch, seed, n, d, blocks, whole):
+    # at the certify points the Schatten-8 bound leaves a few d x d blocks
+    # and whole residual Hessians to take by SVD (the Frobenius bound left
+    # 82 of 864 blocks at 6 x 4 and all 128 Hessians at 16 x 8), and
+    # ||X||_2 is taken once
+    spec, _ = make_instance(seed, n, d)
+    X = cli._sample_x(spec, seed)
+    cache = forward_cache(spec, X)
+    spec.r_spec  # the spectral norms of W and V, formed on first use
+    real = np.linalg._linalg.svd
+    taken = {}
+
+    def svd(a, *args, **kwargs):
+        key = np.shape(a)[-2:]
+        taken[key] = taken.get(key, 0) + int(np.prod(np.shape(a)[:-2]))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg._linalg, "svd", svd)
+    _point_norms(cache, spec, X)
+    assert taken == {(d, d): blocks, (n * d, n * d): whole, (d, n): 1}

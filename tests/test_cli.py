@@ -541,6 +541,27 @@ def test_check_block_entry_equiv_equals_the_token_loop(seed, n, d):
                       "max_abs_diff": worst}
 
 
+@pytest.mark.parametrize("seed,n,d", [(403, 4, 3), (804, 8, 4), (102, 1, 2), (202, 2, 2)])
+def test_check_bounds_and_psd_alone_equal_level_all(monkeypatch, seed, n, d):
+    # each level sweeps the residual Hessians once, through the shared
+    # analysis._point_norms, and writes the records of --level all
+    spec, _ = make_instance(seed, n, d)
+    X = cli._sample_x(spec, seed)
+    real, sweeps = cli.analysis._point_norms, []
+
+    def counted(*args):
+        sweeps.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli.analysis, "_point_norms", counted)
+    everything = {r["check"]: r for r in cli._check_entries(spec, X, "all", seed)}
+    assert len(sweeps) == 1
+    for level, names in (("bounds", ["bound_suite"]),
+                         ("psd", ["psd_floor", "psd_with_auto_gamma"])):
+        assert cli._check_entries(spec, X, level, seed) == [everything[k] for k in names]
+    assert len(sweeps) == 3
+
+
 def test_check_hessian_records_exact_symmetry(tmp_path, capsys):
     # hessian_L assembles K as A + A^T, so H equals H^T bit for bit
     out = tmp_path / "inst"
