@@ -112,37 +112,43 @@ def _max_norm(stack, best, bound=None):
 
 
 class _PointNorms(NamedTuple):
-    """The measured norms at X that bound_suite and psd_floor check."""
-    r_eff: float           # effective_bound_constant(spec, X)
-    block_max: dict        # index case -> worst ord-2 norm of its d x d blocks
-    hessian_c_max: float   # worst ord-2 norm of a whole residual Hessian
+    """The measured norms at X that bound_suite and psd_floor check; a half
+    that was not asked for is None."""
+    r_eff: float                # effective_bound_constant(spec, X)
+    block_max: dict | None      # index case -> worst ord-2 norm of its d x d blocks
+    hessian_c_max: float | None  # worst ord-2 norm of a whole residual Hessian
 
 
-def _point_norms(cache: ForwardCache, spec: ProblemSpec, X) -> _PointNorms:
+def _point_norms(cache: ForwardCache, spec: ProblemSpec, X, level: str = "all") -> _PointNorms:
     """One sweep of the residual Hessians at X, one token chunk at a time:
     the exact worst ord-2 norm of the d x d blocks (i1, i2) in each index
     case that occurs (n = 1 has only case 1, n = 2 no case 5) and of the
     whole nd x nd Hessians, each equal to one batched np.linalg.norm over
-    every matrix; cache is the forward cache at X."""
+    every matrix; cache is the forward cache at X.  level is the check
+    level: "bounds" takes only the block maxima (bound_suite's half),
+    "psd" only the whole-Hessian maximum (psd_floor's), "all" both."""
     r_eff = effective_bound_constant(spec, X)
     n, d, nd = spec.n, spec.d, spec.n * spec.d
     tok = np.arange(n)
-    worst = dict.fromkeys(sorted(set(hessian.classify_case(0, *np.ix_(tok, tok)).flat)),
-                          -np.inf)
-    worst_c = -np.inf
+    worst = None if level == "psd" else dict.fromkeys(
+        sorted(set(hessian.classify_case(0, *np.ix_(tok, tok)).flat)), -np.inf)
+    worst_c = None if level == "bounds" else -np.inf
     for i0 in _token_chunks(spec):
         T = hessian.residual_hessians(cache, spec, i0).reshape(-1, nd, nd)
-        worst_c = _max_norm(T, worst_c)
-        # residual r of the chunk is (i0[r // d], r % d); its blocks (i1, i2)
-        blocks = T.reshape(-1, n, d, n, d).swapaxes(2, 3)
-        bound = _schatten8(blocks)
-        case_of = np.repeat(hessian.classify_case(*np.ix_(i0, tok, tok)), d, axis=0)
-        for case in worst:
-            worst[case] = _max_norm(blocks, worst[case],
-                                    np.where(case_of == case, bound, -np.inf))
+        if worst_c is not None:
+            worst_c = _max_norm(T, worst_c)
+        if worst is not None:
+            # residual r of the chunk is (i0[r // d], r % d); its blocks (i1, i2)
+            blocks = T.reshape(-1, n, d, n, d).swapaxes(2, 3)
+            bound = _schatten8(blocks)
+            case_of = np.repeat(hessian.classify_case(*np.ix_(i0, tok, tok)), d, axis=0)
+            for case in worst:
+                worst[case] = _max_norm(blocks, worst[case],
+                                        np.where(case_of == case, bound, -np.inf))
+            del blocks, bound, case_of
         # free the chunk before the next one's residual Hessians are built
-        del T, blocks, bound, case_of
-    return _PointNorms(r_eff, worst, float(worst_c))
+        del T
+    return _PointNorms(r_eff, worst, None if worst_c is None else float(worst_c))
 
 
 def _mk(name: str, lhs: float, rhs: float, kind: str = "theorem") -> BoundCheck:
@@ -154,9 +160,9 @@ def bound_suite(cache: ForwardCache, spec: ProblemSpec, norms: _PointNorms) -> B
     """Evaluate every explicit-constant magnitude bound at X.
 
     cache is the forward cache at X and norms is _point_norms(cache, spec,
-    X).  Each check records the worst measured value across all indices of
-    its family against the bound evaluated at the instance's effective
-    constant.
+    X) at level "bounds" or "all".  Each check records the worst measured
+    value across all indices of its family against the bound evaluated at
+    the instance's effective constant.
     """
     R = norms.r_eff
     n, d = spec.n, spec.d
@@ -223,7 +229,7 @@ def psd_floor(spec: ProblemSpec, H0, norms: _PointNorms) -> PsdReport:
     """Lower spectral bound check for H0, the loss Hessian at gamma = 0 at
     X, plus the per-residual Hessian norm check at twice the single-entry
     bound (the doubling matches the loss convention); norms is
-    _point_norms(cache, spec, X)."""
+    _point_norms(cache, spec, X) at level "psd" or "all"."""
     R = norms.r_eff
     lam_min = min_eigenvalue(H0)
     floor = -2.0 * PSD_FLOOR_CONSTANT * spec.n * spec.d * R**8

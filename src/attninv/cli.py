@@ -168,8 +168,9 @@ def _check_entries(spec: ProblemSpec, X, level: str, seed: int):
                 err <= 1e-10 + 1e-10 * np.maximum(np.abs(T), np.abs(Hc))).all())
         add("hessian_block_entry_equiv", passed, {"max_abs_diff": worst})
     if level in ("bounds", "psd", "all"):
-        # one residual-Hessian sweep and one ||X||_2 for both checks
-        norms = analysis._point_norms(cache, spec, X)
+        # one residual-Hessian sweep and one ||X||_2 for both checks, each
+        # level taking only the norms its checks report
+        norms = analysis._point_norms(cache, spec, X, level)
     if level in ("bounds", "all"):
         add_bounds("bound_suite", analysis.bound_suite(cache, spec, norms))
     if level in ("psd", "all"):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import ForwardCache, ProblemSpec, check_input, flatten_input
+from .model import ForwardCache, ProblemSpec, check_input
 
 
 def _term_sum(terms):
@@ -115,11 +115,19 @@ def grad_L(cache: ForwardCache, spec: ProblemSpec, X) -> np.ndarray:
 
 
 def _grad_L(cache: ForwardCache, spec: ProblemSpec, X: np.ndarray) -> np.ndarray:
-    """grad_L at an X that check_input has accepted."""
+    """grad_L at an X that check_input has accepted.
+
+    2*gamma*X is added only when gamma is nonzero; at gamma = 0 the two
+    forms differ at most in the sign of a zero entry.  G_X.T.reshape(-1)
+    is flatten_input's token-major vec in one copy.
+    """
     F = cache.F
     # ndarray.dot: the same BLAS call as @, without the gufunc dispatch
     G_F = cache.H.dot(cache.C.T)
     G_A = F * (G_F - np.add.reduce(F * G_F, axis=0, keepdims=True))
     # W X = Wsc^T and W^T X = XW^T
     G_X = cache.Wsc.T.dot(G_A.T) + cache.XW.T.dot(G_A) + spec.V.dot(F.dot(cache.C).T)
-    return flatten_input(2.0 * G_X + 2.0 * spec.gamma * X)
+    G_X = 2.0 * G_X
+    if spec.gamma:
+        G_X = G_X + 2.0 * spec.gamma * X
+    return G_X.T.reshape(-1)

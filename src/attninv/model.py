@@ -163,15 +163,18 @@ def forward_cache(spec: ProblemSpec, X) -> ForwardCache:
 def _forward(spec: ProblemSpec, X: np.ndarray) -> ForwardCache:
     """forward_cache at an X that _check_points has accepted.
 
-    One matrix multiplies with np.dot, which reaches the same BLAS call as
-    the matmul gufunc without its dispatch cost (the two are pinned bit for
-    bit in the tests); a stack needs matmul's broadcasting.
+    One matrix multiplies with ndarray.dot, which reaches the same BLAS call
+    as the matmul gufunc without its dispatch cost, and without np.dot's
+    __array_function__ wrapper (the products are pinned bit for bit to @ in
+    the tests); a stack needs matmul's broadcasting.  The overflow test and
+    the column maxima are ufunc reductions, which skip ndarray.max's Python
+    wrapper and propagate NaN as it does.
     """
-    mul = np.dot if X.ndim == 2 else np.matmul
+    mul = np.ndarray.dot if X.ndim == 2 else np.matmul
     XW = mul(X.mT, spec.W)
     scores = mul(XW, X)
     top = np.maximum.reduce(scores, axis=-2, keepdims=True)
-    if not top.max() <= EXP_MAX:
+    if not np.maximum.reduce(top, axis=None) <= EXP_MAX:
         bad = int(np.flatnonzero(~(top <= EXP_MAX))[0] % spec.n)
         raise NumericalRangeError(
             f"exp overflow in score column {bad}; inputs exceed the bounded regime"
@@ -182,7 +185,7 @@ def _forward(spec: ProblemSpec, X: np.ndarray) -> ForwardCache:
     S = mul(F.mT, H)
     C = S - spec.B
     Wsc = mul(spec.W, X).mT
-    return ForwardCache(F=F, H=H, S=S, C=C, Wsc=Wsc, XW=XW)
+    return ForwardCache(F, H, S, C, Wsc, XW)  # positional: keywords cost more
 
 
 def loss(spec: ProblemSpec, X, cache: ForwardCache | None = None) -> float | np.ndarray:
@@ -193,12 +196,18 @@ def loss(spec: ProblemSpec, X, cache: ForwardCache | None = None) -> float | np.
 
 def _loss(spec: ProblemSpec, X: np.ndarray,
           cache: ForwardCache | None = None) -> float | np.ndarray:
-    """loss at an X that _check_points has accepted."""
+    """loss at an X that _check_points has accepted.
+
+    The gamma term is added only when gamma is nonzero.  At gamma = 0 it
+    would be 0.0 * sum(x^2), which leaves the sum of squared residuals as
+    it is unless sum(x^2) overflows to inf (0.0 * inf is NaN).
+    """
     if cache is None:
         cache = _forward(spec, X)
     C = cache.C
-    value = (np.add.reduce(C * C, axis=(-2, -1))
-             + spec.gamma * np.add.reduce(X * X, axis=(-2, -1)))
+    value = np.add.reduce(C * C, axis=(-2, -1))
+    if spec.gamma:
+        value = value + spec.gamma * np.add.reduce(X * X, axis=(-2, -1))
     return value if X.ndim == 3 else float(value)
 
 

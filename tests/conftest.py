@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -37,17 +39,18 @@ def per_point(fn):
 
 def bound_suite_at(spec, X):
     """analysis.bound_suite at X on a fresh forward cache and the point's
-    shared norms, as check builds them."""
+    block norms, as check --level bounds builds them."""
     cache = forward_cache(spec, X)
-    return bound_suite(cache, spec, _point_norms(cache, spec, X))
+    return bound_suite(cache, spec, _point_norms(cache, spec, X, "bounds"))
 
 
 def psd_floor_at(spec, X):
     """analysis.psd_floor at X on the loss Hessian at gamma = 0 and the
-    point's shared norms, from a fresh forward cache, as check builds them."""
+    point's whole-Hessian norm, from a fresh forward cache, as check
+    --level psd builds them."""
     cache = forward_cache(spec, X)
     return psd_floor(spec, hessian.hessian_L(cache, spec.with_gamma(0.0), X),
-                     _point_norms(cache, spec, X))
+                     _point_norms(cache, spec, X, "psd"))
 
 
 def bounded_x(seed: int, n: int, d: int, r_target: float = 1.2) -> np.ndarray:
@@ -207,12 +210,46 @@ def matmul_forward(spec, X) -> ForwardCache:
 
 def matmul_grad_L(cache, spec, X) -> np.ndarray:
     """Reference for gradient._grad_L with every product the matmul
-    gufunc (@)."""
+    gufunc (@) and the gamma term added at every gamma (at gamma = 0 the
+    two can differ only in the sign of a zero entry)."""
     F = cache.F
     G_F = cache.H @ cache.C.T
     G_A = F * (G_F - np.add.reduce(F * G_F, axis=0, keepdims=True))
     G_X = cache.Wsc.T @ G_A.T + cache.XW.T @ G_A + spec.V @ (F @ cache.C).T
     return flatten_input(2.0 * G_X + 2.0 * spec.gamma * X)
+
+
+def matmul_loss(spec, X) -> float | np.ndarray:
+    """Reference for model._loss on matmul_forward, with the gamma term
+    added at every gamma."""
+    C = matmul_forward(spec, X).C
+    value = (np.add.reduce(C * C, axis=(-2, -1))
+             + spec.gamma * np.add.reduce(X * X, axis=(-2, -1)))
+    return value if X.ndim == 3 else float(value)
+
+
+def matmul_gd(spec, X0, eta: float, max_iter: int, eps: float = 1e-10):
+    """Reference for solver.gd_solve as one plain loop on matmul_forward,
+    matmul_loss and matmul_grad_L: (X_out, record tuples, status), for a
+    run that neither diverges nor takes a non-finite step."""
+    X = np.array(X0, dtype=float)
+    records, prev, increases = [], np.inf, 0
+    for it in range(max_iter):
+        cache = matmul_forward(spec, X)
+        cur = matmul_loss(spec, X)
+        g = matmul_grad_L(cache, spec, X)
+        gn = math.sqrt(g.dot(g))
+        if gn <= eps * (1.0 + abs(cur)):
+            records.append((it, cur, gn, 0.0, 0.0))
+            return X, records, "Converged"
+        increases = increases + 1 if cur > prev else 0
+        prev = cur
+        s = eta * g
+        step_norm = math.sqrt(s.dot(s))
+        assert increases < 10 and math.isfinite(step_norm)
+        X = X - s.reshape(spec.n, spec.d).T
+        records.append((it, cur, gn, step_norm, 0.0))
+    return X, records, "MaxIter"
 
 
 def loss_frobenius(spec: ProblemSpec, X) -> float:

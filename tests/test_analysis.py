@@ -547,5 +547,13 @@ def test_point_norms_takes_few_svds(monkeypatch, seed, n, d, blocks, whole):
         return real(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg._linalg, "svd", svd)
-    _point_norms(cache, spec, X)
+    everything = _point_norms(cache, spec, X)
     assert taken == {(d, d): blocks, (n * d, n * d): whole, (d, n): 1}
+    # each level alone takes only its half: bounds no whole-Hessian SVD,
+    # psd no block SVD, and the same maxima as level all
+    for level, want, half in (("bounds", {(d, d): blocks}, "hessian_c_max"),
+                              ("psd", {(n * d, n * d): whole}, "block_max")):
+        taken.clear()
+        norms = _point_norms(cache, spec, X, level)
+        assert taken == {**want, (d, n): 1}
+        assert norms == everything._replace(**{half: None})

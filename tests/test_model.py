@@ -22,6 +22,7 @@ from conftest import (
     loss_frobenius,
     matmul_forward,
     matmul_grad_L,
+    matmul_loss,
 )
 
 CACHE_FIELDS = ("F", "H", "S", "C", "Wsc", "Zsc", "XW")
@@ -168,36 +169,41 @@ def test_forward_cache_matches_two_exp_reference_bitwise(seed, n, d, r):
 
 @pytest.mark.parametrize("n,d", ACCEPTANCE_SHAPES + [(4, 3), (6, 4), (8, 4), (1, 3), (2, 1)])
 def test_stacked_forward_and_loss_equal_per_matrix_bitwise(n, d):
-    spec, X = bounded_instance(n + 10 * d, n, d)
-    spec = spec.with_gamma(0.3)
+    # both branches of the gamma term: skipped at 0, added at 0.3
+    base, X = bounded_instance(n + 10 * d, n, d)
     rng = np.random.default_rng(n * d)
     Xs = X + 0.1 * rng.normal(size=(7, d, n))
-    stacked = forward_cache(spec, Xs)
-    values = loss(spec, Xs)
-    assert values.shape == (7,)
-    for p, Y in enumerate(Xs):
-        one = forward_cache(spec, Y)
-        for name in CACHE_FIELDS:
-            assert np.array_equal(getattr(stacked, name)[p], getattr(one, name)), name
-        assert values[p] == loss(spec, Y)
-    assert isinstance(loss(spec, X), float)
+    for spec in (base, base.with_gamma(0.3)):
+        stacked = forward_cache(spec, Xs)
+        values = loss(spec, Xs)
+        assert values.shape == (7,)
+        assert values.tobytes() == matmul_loss(spec, Xs).tobytes()
+        for p, Y in enumerate(Xs):
+            one = forward_cache(spec, Y)
+            for name in CACHE_FIELDS:
+                assert np.array_equal(getattr(stacked, name)[p], getattr(one, name)), name
+            assert values[p] == loss(spec, Y) == matmul_loss(spec, Y)
+        assert isinstance(loss(spec, X), float)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 @pytest.mark.parametrize("d", range(1, 9))
 def test_dot_products_equal_matmul_reference_bitwise(n, d):
-    # n = 1 and d = 1 reach numpy's gemv and dot paths, not gemm
-    spec, X = bounded_instance(7 * n + d, n, d)
-    spec = spec.with_gamma(0.3)
+    # n = 1 and d = 1 reach numpy's gemv and dot paths, not gemm; gamma = 0
+    # skips the gamma terms of the loss and the gradient, 0.3 adds them
+    base, X = bounded_instance(7 * n + d, n, d)
     rng = np.random.default_rng(n * d)
     Xs = X + 0.1 * rng.normal(size=(3, d, n))
-    for Y in (X, Xs):
-        cache, ref = forward_cache(spec, Y), matmul_forward(spec, Y)
-        for name in CACHE_FIELDS:
-            assert np.array_equal(getattr(cache, name), getattr(ref, name)), name
-    for Y in (X, *Xs):
-        cache = forward_cache(spec, Y)
-        assert np.array_equal(_grad_L(cache, spec, Y), matmul_grad_L(cache, spec, Y))
+    for spec in (base, base.with_gamma(0.3)):
+        for Y in (X, Xs):
+            cache, ref = forward_cache(spec, Y), matmul_forward(spec, Y)
+            for name in CACHE_FIELDS:
+                assert np.array_equal(getattr(cache, name), getattr(ref, name)), name
+            assert np.array_equal(loss(spec, Y), matmul_loss(spec, Y))
+        for Y in (X, *Xs):
+            cache = forward_cache(spec, Y)
+            # array_equal: at gamma = 0 a zero entry may differ in sign only
+            assert np.array_equal(_grad_L(cache, spec, Y), matmul_grad_L(cache, spec, Y))
 
 
 def test_zsc_is_formed_on_first_read_only():

@@ -15,7 +15,7 @@ from attninv.solver import (
     gd_solve,
     newton_solve,
 )
-from conftest import ACCEPTANCE_SHAPES
+from conftest import ACCEPTANCE_SHAPES, matmul_gd
 
 
 def scalar_spec():
@@ -124,6 +124,22 @@ def test_gd_reaches_small_loss_slower_than_newton():
     reached = [r.iter for r in gd_recs if r.loss <= 1e-8]
     assert reached, "gradient descent never reached loss 1e-8"
     assert reached[0] > len(newton_recs)
+
+
+@pytest.mark.parametrize("seed,n,d", [(402, 4, 3), (901, 3, 3)])
+def test_gd_with_gamma_equals_matmul_reference_loop_bitwise(seed, n, d):
+    # gamma > 0 takes the gamma terms of the loss and the gradient, which
+    # the pinned artifacts (all solved at gamma = 0) never reach; a tenth of
+    # the 1/lambda_max step keeps all 200 iterations short of the stop test
+    spec, x_true = make_instance(seed, n, d)
+    spec = spec.with_gamma(0.3)
+    X0 = perturbed_start(x_true, 0.01, 1000 + seed)
+    eta = 0.1 / float(np.linalg.eigvalsh(hessian_L(forward_cache(spec, X0), spec, X0)).max())
+    X, recs, status = gd_solve(spec, X0, eta=eta, max_iter=200)
+    X_ref, recs_ref, status_ref = matmul_gd(spec, X0, eta, 200)
+    assert (status, len(recs)) == (status_ref, len(recs_ref)) == (MAX_ITER, 200)
+    assert np.array(recs).tobytes() == np.array(recs_ref).tobytes()
+    assert X.tobytes() == X_ref.tobytes()
 
 
 def test_gd_validation():
