@@ -22,7 +22,6 @@ from .model import (
     forward_cache,
     loss,
     synthesize_target,
-    unflatten_input,
 )
 from .solver import (
     CONVERGED,

@@ -434,9 +434,10 @@ def hessian_L(cache: ForwardCache, spec: ProblemSpec, X) -> np.ndarray:
     between the Jacobians of score column s (w_s at token t, XW in token
     s), the bilinear scores (block (t, s) = G[t, s] W + G[s, t] W^T), and
     each softmax Jacobian against row t of d(X^T V C^T).  O(n^3 d^2) time,
-    O((nd)^2) temporaries; K = A + A^T, so H is bitwise symmetric.
+    O((nd)^2) temporaries; K = A + A^T, so H is bitwise symmetric.  X is
+    checked but never read: the cache holds every quantity used.
     """
-    X = check_input(spec, X)
+    check_input(spec, X)
     n, d, nd = spec.n, spec.d, spec.n * spec.d
     check_dense_cap(nd)
     F, W, w, XW, Z = cache.F, spec.W, cache.Wsc, cache.XW, cache.Zsc

@@ -103,19 +103,13 @@ def _check_points(spec: ProblemSpec, X) -> np.ndarray:
 
 
 def flatten_input(X: np.ndarray) -> np.ndarray:
-    """Canonical vec: index k = i*d + j holds X[j, i] (token-major order).
+    """Canonical vec: index k = i*d + j holds X[j, i] (token-major order);
+    v.reshape(n, d).T is its inverse.
 
     This ordering keeps the d x d Hessian blocks for a token pair (i1, i2)
     contiguous in the flattened coordinates.
     """
     return np.ascontiguousarray(X.T).reshape(-1)
-
-
-def unflatten_input(v: np.ndarray, n: int, d: int) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    if v.shape != (n * d,):
-        raise ValueError(f"expected a length-{n * d} vector, got shape {v.shape}")
-    return v.reshape(n, d).T.copy()
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ from .model import (
     _loss,
     check_dense_cap,
     check_input,
-    unflatten_input,
 )
 
 CONVERGED = "Converged"
@@ -154,8 +153,8 @@ def newton_solve(spec: ProblemSpec, X0, eps: float = 1e-8, max_iter: int = 100):
             if delta is None:
                 lam = _bump(lam)
                 continue
-            direction = unflatten_input(delta, spec.n, spec.d)
-            slope = float(np.dot(g, delta))
+            direction = delta.reshape(spec.n, spec.d).T
+            slope = g.dot(delta)
             t = 1.0
             for _ in range(_MAX_BACKTRACKS):
                 trial = X + t * direction
@@ -164,7 +163,7 @@ def newton_solve(spec: ProblemSpec, X0, eps: float = 1e-8, max_iter: int = 100):
                 except NumericalRangeError:
                     trial_loss = np.inf
                 if np.isfinite(trial_loss) and trial_loss <= cur + _ARMIJO_C * t * slope:
-                    return trial, float(t * np.linalg.norm(delta)), lam, _relax(lam), True
+                    return trial, t * math.sqrt(delta.dot(delta)), lam, _relax(lam), True
                 t *= _BACKTRACK_BETA
             lam = _bump(lam)
         return X, 0.0, lam_used, lam, False

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from attninv import hessian
+from attninv import hessian, solver
 from attninv.analysis import _point_norms, _token_chunks, bound_suite, psd_floor
 from attninv.generate import SplitMix64, make_instance, random_matrix, rescale_spectral
 from attninv.generate import bounded_instance  # noqa: F401  (tests import it from here)
@@ -16,7 +16,9 @@ from attninv.model import (
     check_input,
     flatten_input,
     forward_cache,
+    loss,
 )
+from attninv.gradient import grad_L
 
 
 @pytest.fixture
@@ -249,6 +251,62 @@ def matmul_gd(spec, X0, eta: float, max_iter: int, eps: float = 1e-10):
         assert increases < 10 and math.isfinite(step_norm)
         X = X - s.reshape(spec.n, spec.d).T
         records.append((it, cur, gn, step_norm, 0.0))
+    return X, records, "MaxIter"
+
+
+def plain_newton(spec, X0, eps: float, max_iter: int = 100):
+    """Reference for solver.newton_solve as one plain loop on the public
+    forward_cache, loss, grad_L and hessian_L, with solver's _try_solve and
+    _bump/_relax damping: (X_out, record tuples, status).  Each step is
+    mapped to X through a validated copy, its slope is np.dot and its norm
+    np.linalg.norm."""
+    n, d = spec.n, spec.d
+    X = np.array(X0, dtype=float)
+    records, lam = [], 0.0
+    for it in range(max_iter):
+        try:
+            cache = forward_cache(spec, X)
+            cur = loss(spec, X)
+            g = grad_L(cache, spec, X)
+        except NumericalRangeError:
+            return X, records, "NumericalFailure"
+        gn = float(np.linalg.norm(g))
+        if not (math.isfinite(cur) and math.isfinite(gn)):
+            return X, records, "NumericalFailure"
+        if gn <= eps * (1.0 + abs(cur)):
+            records.append((it, cur, gn, 0.0, lam))
+            return X, records, "Converged"
+        H = hessian.hessian_L(cache, spec, X)
+        taken = None
+        while taken is None and lam <= solver._MAX_DAMPING:
+            lam_used = lam
+            delta = solver._try_solve(H, lam, g)
+            if delta is None:
+                lam = solver._bump(lam)
+                continue
+            v = np.asarray(delta, dtype=float)
+            assert v.shape == (n * d,)
+            direction = v.reshape(n, d).T.copy()
+            slope = float(np.dot(g, delta))
+            t = 1.0
+            for _ in range(solver._MAX_BACKTRACKS):
+                trial = X + t * direction
+                try:
+                    trial_loss = loss(spec, trial)
+                except NumericalRangeError:
+                    trial_loss = np.inf
+                if np.isfinite(trial_loss) and trial_loss <= cur + solver._ARMIJO_C * t * slope:
+                    taken = trial, float(t * np.linalg.norm(delta))
+                    break
+                t *= solver._BACKTRACK_BETA
+            else:
+                lam = solver._bump(lam)
+        if taken is None:
+            records.append((it, cur, gn, 0.0, lam_used))
+            return X, records, "NumericalFailure"
+        X, step_norm = taken
+        records.append((it, cur, gn, step_norm, lam))
+        lam = solver._relax(lam)
     return X, records, "MaxIter"
 
 

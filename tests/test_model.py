@@ -11,7 +11,6 @@ from attninv.model import (
     forward_cache,
     loss,
     synthesize_target,
-    unflatten_input,
 )
 from attninv.gradient import _grad_L, grad_L
 from attninv.hessian import hessian_L
@@ -53,7 +52,7 @@ def test_flatten_order():
 def test_flatten_roundtrip(seed, n, d):
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(d, n))
-    assert np.array_equal(unflatten_input(flatten_input(X), n, d), X)
+    assert np.array_equal(flatten_input(X).reshape(n, d).T, X)
 
 
 def test_forward_all_ones_scores():

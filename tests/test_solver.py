@@ -1,9 +1,11 @@
+import math
 from functools import partial
 
 import numpy as np
 import pytest
 
 from attninv import gradient, model, solver
+from attninv.analysis import choose_gamma, effective_bound_constant
 from attninv.generate import make_instance, perturbed_start
 from attninv.gradient import grad_L
 from attninv.hessian import hessian_L
@@ -15,7 +17,7 @@ from attninv.solver import (
     gd_solve,
     newton_solve,
 )
-from conftest import ACCEPTANCE_SHAPES, matmul_gd
+from conftest import ACCEPTANCE_SHAPES, matmul_gd, plain_newton
 
 
 def scalar_spec():
@@ -140,6 +142,43 @@ def test_gd_with_gamma_equals_matmul_reference_loop_bitwise(seed, n, d):
     assert (status, len(recs)) == (status_ref, len(recs_ref)) == (MAX_ITER, 200)
     assert np.array(recs).tobytes() == np.array(recs_ref).tobytes()
     assert X.tobytes() == X_ref.tobytes()
+
+
+# the benchmark's newton_recover instances (seed, n, d, regularized), nd =
+# 32 to 128, where the artifact digests stop at nd = 72, and one acceptance
+# instance at gamma = choose_gamma(...)
+NEWTON_RUNS = [(1804, 8, 4, False), (2206, 12, 6, False), (2608, 16, 8, False),
+               (1816, 8, 16, False), (402, 4, 3, True)]
+
+
+@pytest.mark.parametrize("seed,n,d,regularized", NEWTON_RUNS)
+def test_newton_equals_plain_reference_loop_bitwise(seed, n, d, regularized):
+    spec, x_true = make_instance(seed, n, d)
+    X0 = perturbed_start(x_true, 0.01, 1000 + seed)
+    if regularized:
+        spec = spec.with_gamma(choose_gamma(n, d, effective_bound_constant(spec, X0)))
+        assert spec.gamma > 0
+    X, recs, status = newton_solve(spec, X0, eps=1e-10)
+    X_ref, recs_ref, status_ref = plain_newton(spec, X0, eps=1e-10)
+    assert len(recs) >= 3 and all(r.step_norm > 0 for r in recs[:-1])
+    assert (status, len(recs)) == (status_ref, len(recs_ref))
+    assert np.array(recs).tobytes() == np.array(recs_ref).tobytes()
+    assert X.tobytes() == X_ref.tobytes()
+
+
+def test_armijo_rejects_a_non_finite_trial(monkeypatch):
+    # a step of infinite entries against the gradient's sign: the slope is
+    # +inf, so the Armijo bound is +inf and only the finiteness test
+    # rejects the out-of-range trial (its loss reads +inf)
+    spec, x_true = make_instance(1804, 8, 4)
+    X0 = perturbed_start(x_true, 0.01, 2804)
+    monkeypatch.setattr(solver, "_try_solve",
+                        lambda H, lam, g: np.where(g > 0, np.inf, -np.inf))
+    with np.errstate(invalid="ignore"):  # every trial's scores are NaN
+        X, recs, status = newton_solve(spec, X0, eps=1e-10)
+    assert status == NUMERICAL_FAILURE and len(recs) == 1
+    assert all(math.isfinite(v) for r in recs for v in r)
+    assert np.array_equal(X, X0)
 
 
 def test_gd_validation():

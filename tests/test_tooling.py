@@ -41,7 +41,7 @@ PUBLIC_NAMES = [
     "generate", "grad_L", "gradient", "hessian", "hessian_L", "hessian_c",
     "jacobian_c", "lipschitz_probe", "loss", "make_instance", "model",
     "newton_solve", "perturbed_start", "psd_floor", "residual_hessians",
-    "solver", "synthesize_target", "unflatten_input",
+    "solver", "synthesize_target",
 ]
 
 
