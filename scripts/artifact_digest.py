@@ -12,8 +12,8 @@ In a scratch directory and with relative paths only, this runs in-process:
   lipschitz, whose loss-Hessian difference has enough entries for OpenBLAS
   to split its reductions across threads;
 - panels: generate --seed 2206 --n 12 --d 6, then a Newton solve from
-  perturb:0.01 --seed 3206, whose step at nd = 72 runs over two
-  substitution panels;
+  perturb:0.01 --seed 3206, whose step at nd = 72 runs its back
+  substitution over two 36-wide panels;
 - audit: scripts/guarantee_audit.py --count 25.
 
 It hashes, in a fixed order, every file written, the printed output and

@@ -438,8 +438,13 @@ def hessian_L(cache: ForwardCache, spec: ProblemSpec, X) -> np.ndarray:
     checked but never read: the cache holds every quantity used.
     """
     check_input(spec, X)
+    check_dense_cap(spec.n * spec.d)
+    return _hessian_L(cache, spec)
+
+
+def _hessian_L(cache: ForwardCache, spec: ProblemSpec) -> np.ndarray:
+    """hessian_L for a caller that has checked X and the dense cap."""
     n, d, nd = spec.n, spec.d, spec.n * spec.d
-    check_dense_cap(nd)
     F, W, w, XW, Z = cache.F, spec.W, cache.Wsc, cache.XW, cache.Zsc
     G_F = cache.H @ cache.C.T
     G = F * (G_F - (F * G_F).sum(axis=0, keepdims=True))

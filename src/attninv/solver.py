@@ -12,8 +12,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .gradient import _grad_L
-from .hessian import _shift_diagonal, hessian_L
+from .hessian import _hessian_L, _shift_diagonal
 from .model import (
+    ForwardCache,
     NumericalRangeError,
     ProblemSpec,
     _forward,
@@ -31,7 +32,7 @@ _MIN_DAMPING = 1e-12
 _ARMIJO_C = 1e-4
 _BACKTRACK_BETA = 0.5
 _MAX_BACKTRACKS = 40
-_PANEL = 64  # substitution panel width of the Newton step
+_PANEL = 64  # widest back-substitution panel of the Newton step
 
 
 class RunRecord(NamedTuple):
@@ -59,10 +60,12 @@ def evaluate(spec: ProblemSpec, X):
     return _evaluate(spec, check_input(spec, X))
 
 
-def _evaluate(spec: ProblemSpec, X: np.ndarray):
-    """evaluate at an X that check_input has accepted."""
+def _evaluate(spec: ProblemSpec, X: np.ndarray, cache: ForwardCache | None = None):
+    """evaluate at an X that check_input has accepted, from X's forward
+    cache when the caller already holds it."""
     try:
-        cache = _forward(spec, X)
+        if cache is None:
+            cache = _forward(spec, X)
         cur = _loss(spec, X, cache)
         g = _grad_L(cache, spec, X)
     except NumericalRangeError:
@@ -74,26 +77,33 @@ def _evaluate(spec: ProblemSpec, X: np.ndarray):
 def _try_solve(H: np.ndarray, lam: float, g: np.ndarray):
     """Solve (H + lam I) step = -g through Cholesky; None when not PD.
 
-    LAPACK factors H + lam I = L L^T.  Forward and back substitution then
-    run over _PANEL-wide panels: np.linalg.solve on each diagonal block of
-    L (resp. L^T), and one dot per off-diagonal panel.  At nd <= _PANEL
-    that is exactly np.linalg.solve(L, -g) then np.linalg.solve(L.T, y),
-    bit for bit; above it no O((nd)^3) work follows the factorization.
+    LAPACK factors the bordered matrix [[H + lam I, -g], [-g^T, inf]] once.
+    Its leading block is the factor L of H + lam I = L L^T and its last row
+    is y = L^-1 (-g), the forward substitution.  The corner pivot
+    inf - ||y||^2 is never read and is positive whenever ||y||^2 is
+    finite, so the factorization fails exactly when H + lam I is not PD.
+    (An overflowing ||y||^2 makes it NaN, which a LAPACK build may refuse
+    or keep; a kept factor still gives the step.)  The back substitution
+    L^T step = y runs over ceil(nd / _PANEL) panels whose widths differ by
+    at most one: np.linalg.solve on each diagonal block of L^T and one dot
+    per off-diagonal panel, so no O((nd)^3) work follows the factorization.
     """
+    nd = len(g)
+    M = np.empty((nd + 1, nd + 1))
+    M[:nd, :nd] = H
+    _shift_diagonal(M[:nd, :nd], lam)
+    M[nd, :nd] = M[:nd, nd] = -g
+    M[nd, nd] = np.inf
     try:
-        L = np.linalg.cholesky(_shift_diagonal(H.copy(), lam))
+        L = np.linalg.cholesky(M)
     except np.linalg.LinAlgError:
         return None
-    nd = len(g)
-    y = -g
-    starts = range(0, nd, _PANEL)
-    for a in starts:               # an empty panel product is an exact zero
-        b = a + _PANEL
-        y[a:b] = np.linalg.solve(L[a:b, a:b], y[a:b] - L[a:b, :a].dot(y[:a]))
-    for a in reversed(starts):
-        b = a + _PANEL
-        y[a:b] = np.linalg.solve(L[a:b, a:b].T, y[a:b] - L[b:, a:b].T.dot(y[b:]))
-    return y
+    step = L[nd, :nd].copy()
+    panels = -(-nd // _PANEL)
+    for k in reversed(range(panels)):  # the last panel's product is an exact zero
+        a, b = nd * k // panels, nd * (k + 1) // panels
+        step[a:b] = np.linalg.solve(L[a:b, a:b].T, step[a:b] - L[b:nd, a:b].T.dot(step[b:]))
+    return step
 
 
 def _descend(spec: ProblemSpec, X0, eps: float, max_iter: int, step):
@@ -102,34 +112,40 @@ def _descend(spec: ProblemSpec, X0, eps: float, max_iter: int, step):
 
     Evaluates each iterate once, stops when ||grad|| <= eps * (1 + |loss|),
     and otherwise takes step(X, cache, loss, grad, damping), which returns
-    (X_next, step_norm, damping_used, damping, ok); the damping starts at
-    0 and is carried from one step to the next.  Every evaluated iterate
-    gets one RunRecord.  An iterate that cannot be evaluated, or a step
-    that is not ok (X is kept), ends the run as NumericalFailure.
+    (X_next, cache_next, step_norm, damping_used, damping, ok): cache_next
+    is X_next's forward cache, or None for the driver to evaluate it; the
+    damping starts at 0 and is carried from one step to the next.  Every
+    evaluated iterate gets one RunRecord.  An iterate that cannot be
+    evaluated, or a step that is not ok (X is kept), ends the run as
+    NumericalFailure.  The loop runs under np.errstate(all="ignore"): an
+    out-of-range value is caught by its finiteness test, not by a numpy
+    warning.
     """
     if not 0.0 < eps < math.inf:
         raise ValueError("eps must be finite and positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     X = check_input(spec, X0).copy()
+    cache = None
     lam = 0.0
     records: list[RunRecord] = []
     status = MAX_ITER
-    for it in range(max_iter):
-        point = _evaluate(spec, X)
-        if point is None:
-            status = NUMERICAL_FAILURE
-            break
-        cache, cur, g, gn = point
-        if gn <= eps * (1.0 + abs(cur)):
-            status, step_norm, lam_used = CONVERGED, 0.0, lam
-        else:
-            X, step_norm, lam_used, lam, ok = step(X, cache, cur, g, lam)
-            if not ok:
+    with np.errstate(all="ignore"):
+        for it in range(max_iter):
+            point = _evaluate(spec, X, cache)
+            if point is None:
                 status = NUMERICAL_FAILURE
-        records.append(RunRecord(it, cur, gn, step_norm, lam_used))
-        if status != MAX_ITER:
-            break
+                break
+            cache, cur, g, gn = point
+            if gn <= eps * (1.0 + abs(cur)):
+                status, step_norm, lam_used = CONVERGED, 0.0, lam
+            else:
+                X, cache, step_norm, lam_used, lam, ok = step(X, cache, cur, g, lam)
+                if not ok:
+                    status = NUMERICAL_FAILURE
+            records.append(RunRecord(it, cur, gn, step_norm, lam_used))
+            if status != MAX_ITER:
+                break
     return X, records, status
 
 
@@ -141,12 +157,13 @@ def newton_solve(spec: ProblemSpec, X0, eps: float = 1e-8, max_iter: int = 100):
     MaxIter, NumericalFailure.  The damping starts at 0 (the gamma term
     regularizes), grows tenfold whenever the shifted system is not
     positive definite or the step fails the descent test, and shrinks
-    tenfold after every accepted step.
+    tenfold after every accepted step.  The accepted trial's forward cache
+    is the next iterate's.
     """
     check_dense_cap(spec.n * spec.d)
 
     def step(X, cache, cur, g, lam):
-        H = hessian_L(cache, spec, X)
+        H = _hessian_L(cache, spec)
         while lam <= _MAX_DAMPING:
             lam_used = lam
             delta = _try_solve(H, lam, g)
@@ -159,14 +176,16 @@ def newton_solve(spec: ProblemSpec, X0, eps: float = 1e-8, max_iter: int = 100):
             for _ in range(_MAX_BACKTRACKS):
                 trial = X + t * direction
                 try:
-                    trial_loss = _loss(spec, trial)
+                    trial_cache = _forward(spec, trial)
+                    trial_loss = _loss(spec, trial, trial_cache)
                 except NumericalRangeError:
                     trial_loss = np.inf
                 if np.isfinite(trial_loss) and trial_loss <= cur + _ARMIJO_C * t * slope:
-                    return trial, t * math.sqrt(delta.dot(delta)), lam, _relax(lam), True
+                    return (trial, trial_cache, t * math.sqrt(delta.dot(delta)),
+                            lam, _relax(lam), True)
                 t *= _BACKTRACK_BETA
             lam = _bump(lam)
-        return X, 0.0, lam_used, lam, False
+        return X, None, 0.0, lam_used, lam, False
 
     return _descend(spec, X0, eps, max_iter, step)
 
@@ -193,7 +212,7 @@ def gd_solve(spec: ProblemSpec, X0, eta: float, max_iter: int,
         step_norm = math.sqrt(s.dot(s))
         finite = math.isfinite(step_norm)
         if increases >= 10 or not finite:
-            return X, step_norm if finite else 0.0, 0.0, 0.0, False
-        return X - s.reshape(spec.n, spec.d).T, step_norm, 0.0, 0.0, True
+            return X, None, step_norm if finite else 0.0, 0.0, 0.0, False
+        return X - s.reshape(spec.n, spec.d).T, None, step_norm, 0.0, 0.0, True
 
     return _descend(spec, X0, eps, max_iter, step)

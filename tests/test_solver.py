@@ -1,10 +1,11 @@
 import math
+import warnings
 from functools import partial
 
 import numpy as np
 import pytest
 
-from attninv import gradient, model, solver
+from attninv import gradient, hessian, model, solver
 from attninv.analysis import choose_gamma, effective_bound_constant
 from attninv.generate import make_instance, perturbed_start
 from attninv.gradient import grad_L
@@ -169,16 +170,50 @@ def test_newton_equals_plain_reference_loop_bitwise(seed, n, d, regularized):
 def test_armijo_rejects_a_non_finite_trial(monkeypatch):
     # a step of infinite entries against the gradient's sign: the slope is
     # +inf, so the Armijo bound is +inf and only the finiteness test
-    # rejects the out-of-range trial (its loss reads +inf)
+    # rejects the out-of-range trial (its loss reads +inf); every trial's
+    # scores are NaN, and the solver, not its caller, keeps numpy quiet
     spec, x_true = make_instance(1804, 8, 4)
     X0 = perturbed_start(x_true, 0.01, 2804)
     monkeypatch.setattr(solver, "_try_solve",
                         lambda H, lam, g: np.where(g > 0, np.inf, -np.inf))
-    with np.errstate(invalid="ignore"):  # every trial's scores are NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         X, recs, status = newton_solve(spec, X0, eps=1e-10)
     assert status == NUMERICAL_FAILURE and len(recs) == 1
     assert all(math.isfinite(v) for r in recs for v in r)
     assert np.array_equal(X, X0)
+
+
+def test_gd_overflow_raises_no_numpy_warning():
+    # the step, about 2e305, is finite, but its squared norm overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        X, recs, status = gd_solve(scalar_spec(), [[0.4]], eta=1e306, max_iter=5)
+    assert status == NUMERICAL_FAILURE and len(recs) == 1
+    assert recs[0].step_norm == 0.0 and X[0, 0] == 0.4
+
+
+def test_newton_runs_one_forward_pass_per_iterate(monkeypatch):
+    # the accepted trial's cache is the next iterate's: one forward pass
+    # for the start and one per Armijo trial, none more per iteration
+    spec, x_true = make_instance(1804, 8, 4)
+    X0 = perturbed_start(x_true, 0.01, 2804)
+    calls = {"forward": 0, "loss": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    forward = counted("forward", model._forward)
+    monkeypatch.setattr(model, "_forward", forward)
+    monkeypatch.setattr(solver, "_forward", forward)
+    monkeypatch.setattr(solver, "_loss", counted("loss", model._loss))
+    _, recs, status = newton_solve(spec, X0)
+    trials = calls["loss"] - len(recs)  # one loss per iterate, one per trial
+    assert status == CONVERGED and len(recs) >= 3
+    assert trials >= len(recs) - 1 and calls["forward"] == 1 + trials
 
 
 def test_gd_validation():
@@ -241,24 +276,32 @@ def test_evaluate_equals_the_public_entry_points(n, d, gamma):
 
 
 def test_solvers_check_the_start_once(monkeypatch):
-    # every binding that forward_cache, loss, grad_L and evaluate check
-    # through; hessian_L keeps its own check as a public entry point
-    calls = []
+    # every binding that forward_cache, loss, grad_L, hessian_L and
+    # evaluate check through, and the dense cap newton_solve and
+    # hessian_L read
+    calls, caps = [], []
 
     def counted(spec, X):
         calls.append(1)
         return check_input(spec, X)
 
+    def counted_cap(nd):
+        caps.append(1)
+        return model.check_dense_cap(nd)
+
     spec, x_true = make_instance(5, 3, 2)
     X0 = perturbed_start(x_true, 0.5, 1)
-    for module in (model, gradient, solver):
+    for module in (model, gradient, hessian, solver):
         monkeypatch.setattr(module, "check_input", counted)
+    for module in (hessian, solver):
+        monkeypatch.setattr(module, "check_dense_cap", counted_cap)
     _, recs, _ = gd_solve(spec, X0, eta=0.1, max_iter=50)
     assert len(recs) == 50 and len(calls) == 1
     calls.clear()
     # from this start the Armijo search backtracks (20 probes, 17 steps)
     _, recs, status = newton_solve(spec, X0, eps=1e-12, max_iter=60)
     assert status == CONVERGED and len(recs) > 3 and len(calls) == 1
+    assert len(caps) == 1
 
 
 def test_out_of_range_iterates_end_as_numerical_failure():
@@ -287,11 +330,12 @@ def dampings(low):
     return [-low * (1 + 1e-3), -low * (1 - 1e-3), 0.0, 1e-4, 1e-2, abs(low) + 1.0]
 
 
-@pytest.mark.parametrize("n,d", [(12, 6), (16, 8), (8, 16), (20, 10)])
+@pytest.mark.parametrize("n,d", [(1, 1), (2, 1), (12, 6), (16, 8), (8, 16), (20, 10)])
 def test_panel_step_is_backward_stable_and_refuses_non_pd(n, d):
-    # nd = 72 and 128: two panels, so off-diagonal panels are exercised;
-    # nd = 200: four, so a middle panel has off-diagonal products in both
-    # substitutions
+    # nd = 1 and 2: the smallest bordered matrices, 2x2 and 3x3; nd = 72
+    # and 128: two back-substitution panels, so an off-diagonal panel is
+    # exercised; nd = 200: four, so middle panels take products from more
+    # than one panel after them
     H, g, low = newton_system(n, d)
     outcomes = set()
     for lam in dampings(low):
@@ -311,15 +355,39 @@ def test_panel_step_is_backward_stable_and_refuses_non_pd(n, d):
 
 
 @pytest.mark.parametrize("n,d", [(3, 2), (8, 4), (8, 8)])
-def test_one_panel_step_equals_two_full_solves_bitwise(n, d):
-    # nd <= 64 is one panel: the same two np.linalg.solve calls as before
+def test_one_panel_step_equals_a_dense_solve(n, d):
+    # nd <= 64 is one panel: the step agrees with a dense LU solve, and it
+    # is refused exactly when a plain Cholesky factorization is
     H, g, low = newton_system(n, d)
     for lam in dampings(low):
+        A = H + lam * np.eye(len(g))
         delta = solver._try_solve(H, lam, g)
-        if delta is None:
+        try:
+            np.linalg.cholesky(A)
+        except np.linalg.LinAlgError:
+            assert delta is None, lam
             continue
-        cf = np.linalg.cholesky(H + lam * np.eye(len(g)))
-        assert np.array_equal(delta, np.linalg.solve(cf.T, np.linalg.solve(cf, -g)))
+        ref = np.linalg.solve(A, -g)
+        assert np.linalg.norm(delta - ref) <= 1e-10 * np.linalg.norm(ref), lam
+        err = np.linalg.norm(A @ delta + g) / (np.linalg.norm(A, 2) * np.linalg.norm(delta))
+        assert err <= 1e-14, (lam, err)
+
+
+def test_overflowing_corner_pivot_raises_no_numpy_warning():
+    # ||L^-1 g||^2 overflows, so the corner pivot is inf - inf: a LAPACK
+    # build may refuse that NaN pivot or keep it, and since the corner is
+    # never read, a kept factor still gives the right (finite) step
+    H, g, low = newton_system(8, 4)
+    lam = abs(low) + 1.0
+    A = H + lam * np.eye(len(g))
+    g = g / np.abs(g).max()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        delta = solver._try_solve(H, lam, 1e200 * g)
+    if delta is not None:
+        delta = delta / 1e200
+        err = np.linalg.norm(A @ delta + g) / (np.linalg.norm(A, 2) * np.linalg.norm(delta))
+        assert err <= 1e-14, err
 
 
 def test_newton_recovers_a_multi_panel_instance():

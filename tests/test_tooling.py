@@ -23,14 +23,14 @@ SCRIPT_ENV = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
 ARTIFACT_DIGESTS = """\
 generate     122bb61f12b4c5f82aaa661ff3425949e31acee025c5ea56924c4e39cb00dd57
 check        e52dc172dc0b0d2afed4da58d166a75714bc6b799e20456f26e61a98ca2d7b35
-solve newton 9f14c3abf83804ce9dcb877035e25cf3d8b8903e65ad9102e210cb5166e8dabc
+solve newton b3cfbc388a4553a69ee98c9eddca959442876094b0ddef960bd72cf675081fc5
 solve gd     a852e6dec7f55b123267d8f810fec6d578a0d0fcd4974ede33cf9cb05813c841
-report       7a0b2a11fe1d840309be1c2cecc05d277bf1421c8e74c5a877c8293fa4cab9bf
+report       474840f21e26f95ff7f90918cd2ce33653d0133f297fffa5a977fb54673d966f
 certify      8b30c1f8cd5c0bc5287e0a1bb845a9cfef88ac9edb678eceab509467d8abad7f
 lipschitz    47e37d4ab0e77ceffc66d967835956451c6faa4f814c08bdda77f32695e77b3b
-panels       affc57d66d399a4ca3579ecb754ee3da337359c3ca382dce80c8de744163eae4
+panels       54e3d9bf9ec81dced9db0ebf798696e56427a78994eab2052cefc7f3d2479620
 audit        f30834131fbb3f3898807dc59d7930779825d11d76198b79e7daf1d04bd74cef
-b6d183b66a14deddfd3f74f3dfaf9c0cc858aeb4c46b9ac87e3b3a9c254b43d7
+edc1b22c3eb4ea2c9d5498a6df595541192e53f92a57adec7f68ec865d9c7209
 """
 # the package's exports; a change that adds or drops one edits this list
 PUBLIC_NAMES = [
