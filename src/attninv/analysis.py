@@ -178,13 +178,17 @@ def bound_suite(cache: ForwardCache, spec: ProblemSpec, norms: _PointNorms) -> B
     checks.append(_mk("softmax_score_abs", np.abs(cache.Zsc).max(), R**2))
     checks.append(_mk("output_abs", np.abs(cache.S).max(), R**2))
 
-    # one softmax derivative per (i0, i1, j1); each norm as a vector-vector
-    # matmul and each Frobenius square summed left to right, as a loop would
-    G = gradient.softmax_jacobian(cache, spec)
-    dir_norms = np.sqrt((G[..., None, :] @ G[..., None])[..., 0, 0]).reshape(n, n * d)
+    # d F[:, i0] / d x[i1, j1] = Wsc[i0, j1] F[i1, i0] (e_i1 - F[:, i0]), plus
+    # F[:, i0] o (XW[:, j1] - Zsc[i0, j1]) at the probe token i1 = i0
+    F, tok = cache.F, np.arange(n)
+    E = np.eye(n) - F.T[:, None, :]  # E[i0, i1] = e_i1 - F[:, i0]
+    dn = np.abs(cache.Wsc)[:, None] * (F.T * np.linalg.norm(E, axis=-1))[..., None]
+    probe = (cache.Wsc * F[tok, tok, None])[..., None] * E[tok, tok, None]
+    probe += F.T[:, None] * (cache.XW.T - cache.Zsc[..., None])
+    dn[tok, tok] = np.linalg.norm(probe, axis=-1)
+    dir_norms = dn.reshape(n, n * d)
     checks.append(_mk("softmax_grad_direction_norm", dir_norms.max(), 4.0 * R**2))
-    checks.append(_mk("softmax_grad_frobenius",
-                      np.sqrt(np.cumsum(dir_norms * dir_norms, axis=1)[:, -1]).max(),
+    checks.append(_mk("softmax_grad_frobenius", np.linalg.norm(dir_norms, axis=1).max(),
                       4.0 * sqrt_nd * R**2))
 
     # one gradient row per residual; row norms as vector-vector matmuls, the

@@ -94,19 +94,6 @@ def grad_c(cache: ForwardCache, spec: ProblemSpec, i0: int, j0: int) -> np.ndarr
     return jacobian_c(cache, spec)[i0 * spec.d + j0]
 
 
-def softmax_jacobian(cache: ForwardCache, spec: ProblemSpec) -> np.ndarray:
-    """d F[:, i0] / d x[i1, j1] at [i0, i1, j1] of an (n, n, d, n) array:
-    f o p - f (f . p) with f = F[:, i0] and p the score derivative, Wsc[i0, j1]
-    at token i1 plus XW[:, j1] when i1 == i0.  Each sums to zero in theory."""
-    n = spec.n
-    P = np.zeros((n, n, spec.d, n))
-    probe = np.arange(n)
-    P[:, probe, :, probe] = cache.Wsc
-    P[probe, probe] += cache.XW.T
-    f = cache.F.T[:, None, None, :]
-    return f * P - f * (P[..., None, :] @ f[..., None])[..., 0]
-
-
 def grad_L(cache: ForwardCache, spec: ProblemSpec, X) -> np.ndarray:
     """Loss gradient 2 * J^T vec(C) + 2*gamma*vec(X) by reverse mode:
     G_F = H C^T, G_A = F o (G_F - 1^T (F o G_F)), and

@@ -61,8 +61,10 @@ def bounded_x(seed: int, n: int, d: int, r_target: float = 1.2) -> np.ndarray:
 
 
 def softmax_direction(cache, spec, i0: int, i1: int, j1: int) -> np.ndarray:
-    """Reference for one derivative d F[:, i0] / d x[i1, j1] of
-    gradient.softmax_jacobian, built one direction at a time."""
+    """Reference for one softmax derivative d F[:, i0] / d x[i1, j1], the
+    vectors whose norms bound_suite takes in closed form: f o p - f (f . p)
+    with f = F[:, i0] and p the score derivative, Wsc[i0, j1] at token i1
+    plus XW[:, j1] when i1 == i0."""
     f = cache.F[:, i0]
     p = np.zeros(spec.n)
     p[i1] = cache.Wsc[i0, j1]

@@ -22,15 +22,15 @@ SCRIPT_ENV = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
 # CHANGES.md
 ARTIFACT_DIGESTS = """\
 generate     122bb61f12b4c5f82aaa661ff3425949e31acee025c5ea56924c4e39cb00dd57
-check        e52dc172dc0b0d2afed4da58d166a75714bc6b799e20456f26e61a98ca2d7b35
+check        ab8b6da6017629d09904658b937551ff79de950b49da4a4c5a58769e70d61567
 solve newton b3cfbc388a4553a69ee98c9eddca959442876094b0ddef960bd72cf675081fc5
 solve gd     a852e6dec7f55b123267d8f810fec6d578a0d0fcd4974ede33cf9cb05813c841
 report       474840f21e26f95ff7f90918cd2ce33653d0133f297fffa5a977fb54673d966f
-certify      8b30c1f8cd5c0bc5287e0a1bb845a9cfef88ac9edb678eceab509467d8abad7f
+certify      72dcfe6c453428b1d059ae9e5cb9d9aa36b1d17c1ed67a88e5016bfc7972c97c
 lipschitz    47e37d4ab0e77ceffc66d967835956451c6faa4f814c08bdda77f32695e77b3b
 panels       54e3d9bf9ec81dced9db0ebf798696e56427a78994eab2052cefc7f3d2479620
 audit        f30834131fbb3f3898807dc59d7930779825d11d76198b79e7daf1d04bd74cef
-edc1b22c3eb4ea2c9d5498a6df595541192e53f92a57adec7f68ec865d9c7209
+0b9b1f4ef7a679598f7caa167d5ba7e13469a96b89dc55438e0e8dbb2a5000bf
 """
 # the package's exports; a change that adds or drops one edits this list
 PUBLIC_NAMES = [
