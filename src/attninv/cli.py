@@ -111,11 +111,6 @@ def _sample_x(spec: ProblemSpec, seed: int) -> np.ndarray:
     return rescale_spectral(random_matrix(gen, spec.d, spec.n), 1.2)
 
 
-# Hessian entries per hessian_block_entry_equiv comparison (the FD oracle's
-# budget): chunks of consecutive residuals, one chunk at the certify shapes.
-_SWEEP_ENTRIES = 2**16
-
-
 def _check_entries(spec: ProblemSpec, X, level: str, seed: int):
     """Run the selected certification checks and return their result dicts."""
     cache = forward_cache(spec, X)
@@ -155,17 +150,16 @@ def _check_entries(spec: ProblemSpec, X, level: str, seed: int):
         add("hessian_L_symmetry", asym <= tol, {"asymmetry": asym, "tol": tol})
         worst, passed = 0.0, True
         nd = spec.n * spec.d
-        step = max(1, _SWEEP_ENTRIES // nd**2)
+        # chunks of consecutive residuals within the FD oracle's entry budget
+        step = max(1, oracle._STACK_ENTRIES // nd**2)
         for r in np.split(np.arange(nd), range(step, nd, step)):
             i0, j0 = np.divmod(r, spec.d)
             T = hessian.d2c_table(cache, spec, i0, j0)
             Hc = hessian.hessian_c(cache, spec, i0, j0)
             err = np.abs(T - Hc)
             worst = max(worst, float(err.max()))
-            # oracle.check's |a - o| <= tol + tol * max(|a|, |o|) at tol 1e-10,
-            # which |a - o| <= 1e-10 implies
-            passed &= bool((err <= 1e-10).all() or (
-                err <= 1e-10 + 1e-10 * np.maximum(np.abs(T), np.abs(Hc))).all())
+            # |a - o| <= 1e-10 implies oracle.check's bound at tol 1e-10
+            passed &= bool((err <= 1e-10).all() or oracle.check(T, Hc, 1e-10).passed)
         add("hessian_block_entry_equiv", passed, {"max_abs_diff": worst})
     if level in ("bounds", "psd", "all"):
         # one residual-Hessian sweep and one ||X||_2 for both checks, each

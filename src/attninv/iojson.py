@@ -1,7 +1,10 @@
 """File formats: JSON matrices, problem specs, and JSONL run logs.
 
-Floats are written with 17 significant decimal digits, which round-trips
-every finite double bit-exactly and keeps artifacts byte-reproducible.
+Matrices, problems and records write floats with 17 significant digits,
+and a matrix writes negative zero as -0.0 (-0 would parse as the integer
+0); the meta line goes through json.dumps. Both read every finite double
+back bit-exactly, but for the sign of a zero gamma, and keep artifacts
+byte-reproducible.
 Run logs persist every RunRecord field; records carry no timings, which
 would break byte-identity of repeated runs.
 """
@@ -26,7 +29,7 @@ def matrix_to_json(M: np.ndarray) -> str:
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
         raise ValueError("expected a 2-d matrix")
-    data = ", ".join(format_float(v) for v in M.reshape(-1))
+    data = ", ".join("-0.0" if s == "-0" else s for s in map(format_float, M.reshape(-1)))
     return f'{{"rows": {M.shape[0]}, "cols": {M.shape[1]}, "data": [{data}]}}'
 
 

@@ -526,6 +526,14 @@ def test_check_sweeps_residuals_in_consecutive_chunks(monkeypatch, n, d, chunks)
         for name in ("d2c_table", "hessian_c")]
 
 
+def test_check_sweep_chunks_follow_the_fd_oracle_budget(monkeypatch):
+    # the sweep reads the FD oracle's entry budget at call time: a quarter
+    # of it splits the 8 x 4 sweep into four chunks of 8 residuals
+    monkeypatch.setattr(cli.oracle, "_STACK_ENTRIES", 2**13)
+    calls = [r for name, r in _sweep_calls(monkeypatch, 8, 4) if name == "hessian_c"]
+    assert calls == [tuple(range(lo, lo + 8)) for lo in range(0, 32, 8)]
+
+
 # the benchmark's certify instances, the acceptance family and two shapes
 # whose sweep takes several chunks (two tokens each at 12 x 6)
 @pytest.mark.parametrize("seed,n,d", [(403, 4, 3), (604, 6, 4), (804, 8, 4)] + [

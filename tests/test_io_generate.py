@@ -99,6 +99,13 @@ def test_matrix_roundtrip_bit_exact(seed):
     assert np.array_equal(matrix_from_obj(obj), M)
 
 
+def test_matrix_file_roundtrip_keeps_signed_zero_and_extremes(tmp_path):
+    M = np.array([[-0.0, 0.0], [5e-324, -1.7976931348623157e308]])
+    path = tmp_path / "m.json"
+    write_matrix(M, path)
+    assert read_matrix(path).tobytes() == M.tobytes()
+
+
 def test_problem_file_roundtrip(tmp_path):
     spec, x = make_instance(0, 3, 2)
     spec = spec.with_gamma(0.25)

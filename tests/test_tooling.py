@@ -1,7 +1,7 @@
 """Checks on the repository's tooling: the benchmark's trace targets and
 unit tests, the artifact digests under one and two BLAS threads, the
-recovery sweep's command line, the package's public names and the modules
-the command line imports."""
+recovery sweep's command line and run logs, the package's public names
+and the modules the command line imports."""
 import importlib
 import importlib.util
 import os
@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 import attninv
+from attninv import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH_RUN = ROOT / "bench" / "run.py"
@@ -80,6 +81,20 @@ def test_recovery_sweep_help_runs():
                           "--help"],
                          env=SCRIPT_ENV, capture_output=True, text=True, timeout=60, check=True)
     assert out.stdout.startswith("usage: recovery_sweep.py")
+
+
+def test_recovery_sweep_runs_and_its_logs_report(tmp_path, capsys):
+    out = subprocess.run([sys.executable, str(ROOT / "scripts" / "recovery_sweep.py"),
+                          "--seeds", "3", "--out", str(tmp_path)],
+                         env=SCRIPT_ENV, capture_output=True, text=True, timeout=60, check=True)
+    rows = [line.split() for line in out.stdout.splitlines()[2:]]
+    assert [row[:2] for row in rows] == [["3", "3x2"]]
+    assert float(rows[0][3]) < 1e-20
+    logs = sorted(str(p) for p in tmp_path.glob("*.jsonl"))
+    assert [Path(p).name for p in logs] == ["gd_seed3.jsonl", "newton_seed3.jsonl"]
+    assert cli.main(["report", *logs]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(",")[1] for line in lines[1:]] == ["gd", "newton"]
 
 
 def test_public_names_are_pinned():
