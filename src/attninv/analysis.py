@@ -16,7 +16,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import gradient, hessian
-from .model import ForwardCache, NumericalRangeError, ProblemSpec, check_input, forward_cache
+from .model import (ForwardCache, NumericalRangeError, ProblemSpec, check_dense_cap, check_input,
+                    forward_cache)
 
 BIG_O_CONSTANT = 200.0
 PSD_FLOOR_CONSTANT = 72.0
@@ -261,42 +262,68 @@ def choose_gamma(n: int, d: int, r_eff: float) -> float:
     return PSD_FLOOR_CONSTANT * n * d * float(r_eff) ** 8
 
 
+def _point(cache: ForwardCache, i: int) -> ForwardCache:
+    """The forward cache of point i of a stacked one, as views."""
+    return ForwardCache(cache.F[i], cache.H[i], cache.S[i], cache.C[i], cache.Wsc[i], cache.XW[i])
+
+
 def lipschitz_probe(spec: ProblemSpec, pairs) -> BoundReport:
     """Lipschitz ratio checks on concrete pairs (X, Y).
 
     Explicit-constant ratios (softmax, residual, value, score, averaged
     score) are theorem checks; the derivative and Hessian ratios carry the
     generous big-O constant and are labeled smoke.
+
+    Every point is checked first.  The 2k points of the k pairs then take
+    one stacked forward pass, residual Jacobian and loss Hessian (X and Y
+    of each pair in turn, each matrix bit for bit its own point's call),
+    and each ratio's k gaps are one reduction.  The Jacobian and Hessian
+    stacks are reduced and dropped before the residual Hessians are swept,
+    one pair and one token chunk at a time.
     """
+    points = [check_input(spec, P) for X, Y in pairs for P in (X, Y)]
+    if not points:
+        return BoundReport(r_eff=1.0, checks=())
     n, d = spec.n, spec.d
+    check_dense_cap(n * d)
     sqrt_nd = float(np.sqrt(n * d))
-    checks: list[BoundCheck] = []
-    r_eff = 1.0
+    r_points = [effective_bound_constant(spec, P) for P in points]
     base = spec.with_gamma(0.0)
-    for idx, (X, Y) in enumerate(pairs):
-        X, Y = check_input(spec, X), check_input(spec, Y)
+    cache = forward_cache(base, np.stack(points))
+
+    def diff(M):
+        """Each pair's X value of the stacked quantity M less its Y value."""
+        return M[0::2] - M[1::2]
+
+    def col_norm_max(M):
+        return np.linalg.norm(diff(M), axis=-2).max(axis=-1)
+
+    def abs_max(M):
+        return np.abs(diff(M)).max(axis=(-2, -1))
+
+    # the Jacobian and Hessian stacks are reduced, and freed, before the
+    # residual Hessians are swept
+    grad_gap = abs_max(gradient.jacobian_c(cache, base))
+    # a pairwise sum: the flat norm's BLAS ddot varies with the threads
+    hess_gap = np.linalg.norm(diff(hessian._hessian_L(cache, base)), axis=(-2, -1))
+    # the first five are the theorem checks
+    gaps = [("softmax", col_norm_max(cache.F)), ("residual", abs_max(cache.C)),
+            ("value", col_norm_max(cache.H)), ("score_coeff", abs_max(cache.Wsc)),
+            ("softmax_score", abs_max(cache.Zsc)), ("residual_grad", grad_gap),
+            ("residual_hess", [max(_residual_hessian_gaps(_point(cache, i),
+                                                          _point(cache, i + 1), base))
+                               for i in range(0, len(points), 2)]),
+            ("loss_hessian", hess_gap)]
+    checks: list[BoundCheck] = []
+    for idx in range(len(points) // 2):
+        X, Y = points[2 * idx:2 * idx + 2]
         # identical points: every ratio is zero by convention
         dist = float(np.linalg.norm(X - Y)) or 1.0
-        R = max(effective_bound_constant(spec, X), effective_bound_constant(spec, Y))
-        r_eff = max(r_eff, R)
-        cx, cy = forward_cache(base, X), forward_cache(base, Y)
-        theorem = (
-            ("softmax", np.linalg.norm(cx.F - cy.F, axis=0).max(), 4.0 * sqrt_nd * R**2),
-            ("residual", np.abs(cx.C - cy.C).max(), 5.0 * sqrt_nd * R**4),
-            ("value", np.linalg.norm(cx.H - cy.H, axis=0).max(), R),
-            ("score_coeff", np.abs(cx.Wsc - cy.Wsc).max(), R),
-            ("softmax_score", np.abs(cx.Zsc - cy.Zsc).max(), 5.0 * sqrt_nd * R**4))
-        smoke = (
-            ("residual_grad", float(np.abs(gradient.jacobian_c(cx, base)
-                                           - gradient.jacobian_c(cy, base)).max()),
-             BIG_O_CONSTANT * sqrt_nd * R**6),
-            ("residual_hess", float(max(_residual_hessian_gaps(cx, cy, base))),
-             BIG_O_CONSTANT * sqrt_nd * R**8),
-            # a pairwise sum: the flat norm's BLAS ddot varies with the threads
-            ("loss_hessian", np.linalg.norm(hessian.hessian_L(cx, base, X)
-                                            - hessian.hessian_L(cy, base, Y), axis=(0, 1)),
-             BIG_O_CONSTANT * float(n)**3.5 * float(d)**3.5 * R**10))
-        for kind, rows in (("theorem", theorem), ("smoke", smoke)):
-            checks += [_mk(f"pair{idx}_{name}_ratio", gap / dist, bound, kind)
-                       for name, gap, bound in rows]
-    return BoundReport(r_eff=r_eff, checks=tuple(checks))
+        R = max(r_points[2 * idx:2 * idx + 2])
+        bounds = (4.0 * sqrt_nd * R**2, 5.0 * sqrt_nd * R**4, R, R, 5.0 * sqrt_nd * R**4,
+                  BIG_O_CONSTANT * sqrt_nd * R**6, BIG_O_CONSTANT * sqrt_nd * R**8,
+                  BIG_O_CONSTANT * float(n)**3.5 * float(d)**3.5 * R**10)
+        checks += [_mk(f"pair{idx}_{name}_ratio", gap[idx] / dist, bound,
+                       "theorem" if row < 5 else "smoke")
+                   for row, ((name, gap), bound) in enumerate(zip(gaps, bounds))]
+    return BoundReport(r_eff=max(1.0, *r_points), checks=tuple(checks))

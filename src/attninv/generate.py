@@ -10,6 +10,7 @@ import numpy as np
 from .model import ProblemSpec, synthesize_target
 
 _MASK = (1 << 64) - 1
+_INCREMENT = 0x9E3779B97F4A7C15
 
 
 class SplitMix64:
@@ -28,7 +29,7 @@ class SplitMix64:
         self.state = int(seed) & _MASK
 
     def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK
+        self.state = (self.state + _INCREMENT) & _MASK
         z = self.state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
@@ -43,9 +44,20 @@ class SplitMix64:
 
 def random_matrix(gen: SplitMix64, rows: int, cols: int,
                   lo: float = -0.5, hi: float = 0.5) -> np.ndarray:
-    """Fill row-major: entry (0,0), (0,1), ... , (rows-1, cols-1)."""
-    data = [gen.uniform(lo, hi) for _ in range(rows * cols)]
-    return np.array(data, dtype=float).reshape(rows, cols)
+    """Fill row-major: entry (0,0), (0,1), ... , (rows-1, cols-1).
+
+    The k = rows*cols draws are gen.uniform's, bit for bit, taken at once:
+    draw i mixes state + (i + 1) * increment on uint64 arrays, whose
+    arithmetic wraps mod 2^64 silently, and gen advances k steps.
+    """
+    k = rows * cols
+    z = (np.arange(1, k + 1, dtype=np.uint64) * np.uint64(_INCREMENT)
+         + np.uint64(gen.state))
+    gen.state = (gen.state + k * _INCREMENT) & _MASK
+    z = (z ^ (z >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> 27)) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> 31
+    return (lo + (hi - lo) * ((z >> 11).astype(float) * 2.0**-53)).reshape(rows, cols)
 
 
 def rescale_spectral(M: np.ndarray, limit: float) -> np.ndarray:

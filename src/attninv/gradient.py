@@ -5,10 +5,12 @@ differentiated with respect to a single input coordinate x[i1, j1]
 (token i1, feature j1).  The production path is closed form: jacobian_c
 broadcasts that derivative over every residual (grad_c is one row), and
 grad_L is the reverse-mode loss gradient, which never forms the Jacobian.
-dc_entry keeps the derivative as a term table (five scalar terms when i1
-is the probe token i0, three otherwise); together with the
-finite-difference oracle it is the certification realization the closed
-forms are pinned against.
+jacobian_c also takes the forward cache of a stack of p points, whose
+fields carry a leading axis, and returns the (p, nd, nd) stack through the
+same body, each Jacobian bit for bit its own point's.  dc_entry keeps the
+derivative as a term table (five scalar terms when i1 is the probe token
+i0, three otherwise); together with the finite-difference oracle it is
+the certification realization the closed forms are pinned against.
 """
 from __future__ import annotations
 
@@ -73,18 +75,22 @@ def dc_entry(cache: ForwardCache, spec: ProblemSpec,
 
 def jacobian_c(cache: ForwardCache, spec: ProblemSpec) -> np.ndarray:
     """nd x nd residual Jacobian: row i0*d + j0 is the gradient of
-    c[i0, j0], entry i1*d + j1 equals dc_entry(..., i1, j1)."""
+    c[i0, j0], entry i1*d + j1 equals dc_entry(..., i1, j1).  A cache of
+    p points (fields with a leading stack axis, as forward_cache returns
+    for a stack) gives the (p, nd, nd) stack, each bit for bit its own
+    point's call."""
     n, d = spec.n, spec.d
     F, H, S = cache.F, cache.H, cache.S
-    # M[i0, j0, i1, j1]: the off-diagonal shape holds at every token; the
-    # probe token i1 == i0 adds the softmax-coupling terms C2 and C4.
-    M = F.T[:, None, :, None] * ((H.T[None, :, :, None] - S[:, :, None, None])
-                                 * cache.Wsc[:, None, None, :]
-                                 + spec.V.T[None, :, None, :])
-    probe = np.arange(n)
-    M[probe, :, probe, :] += (-S[:, :, None] * cache.Zsc[:, None, :]
-                              + np.einsum("ai,ak,aj->ikj", F, H, cache.XW))
-    return M.reshape(n * d, n * d)
+    # M[..., i0, j0, i1, j1]: the off-diagonal shape holds at every token;
+    # the probe token i1 == i0 adds the softmax-coupling terms C2 and C4.
+    # Built in place, one (nd)^2 allocation (see hessian._hessian_L).
+    M = (H.mT[..., None, :, :, None] - S[..., None, None]) * cache.Wsc[..., None, None, :]
+    M += spec.V.T[:, None, :]
+    M *= F.mT[..., None, :, None]
+    probe = np.einsum("...ijik->...ijk", M)     # the blocks i1 == i0, as a view
+    probe += (-S[..., None] * cache.Zsc[..., None, :]
+              + np.einsum("...ai,...ak,...aj->...ikj", F, H, cache.XW))
+    return M.reshape(*F.shape[:-2], n * d, n * d)
 
 
 def grad_c(cache: ForwardCache, spec: ProblemSpec, i0: int, j0: int) -> np.ndarray:

@@ -4,9 +4,12 @@ The production paths are closed forms.  hessian_L: the Gauss-Newton part
 J^T J comes from gradient.jacobian_c, and the residual-weighted part
 K = sum c * hess_c is one closed form (no token loop) of three pieces:
 softmax curvature, bilinear scores and the softmax-value cross term, in
-O(n^3 d^2) time with O((nd)^2) temporaries.  residual_hessians, which the
-analysis checks use: the Hessians of the d residuals of a probe token, the
-same three pieces for each residual, in one batched product.
+O(n^3 d^2) time with O((nd)^2) temporaries.  Its body, _hessian_L, also
+takes the forward cache of a stack of p points and returns the
+(p, nd, nd) stack, each Hessian bit for bit its own point's; the public
+hessian_L checks one point.  residual_hessians, which the analysis checks
+use: the Hessians of the d residuals of a probe token, the same three
+pieces for each residual, in one batched product.
 
 The per-residual mixed partial d^2 c[i0, j0] / dx[i1, j1] dx[i2, j2]
 splits into five index cases, with two independent realizations kept to
@@ -443,32 +446,56 @@ def hessian_L(cache: ForwardCache, spec: ProblemSpec, X) -> np.ndarray:
 
 
 def _hessian_L(cache: ForwardCache, spec: ProblemSpec) -> np.ndarray:
-    """hessian_L for a caller that has checked X and the dense cap."""
+    """hessian_L for a caller that has checked X and the dense cap.  A
+    cache of p points (fields with a leading stack axis) gives the
+    (p, nd, nd) stack through the same body, each bit for bit its own
+    point's call."""
     n, d, nd = spec.n, spec.d, spec.n * spec.d
     F, W, w, XW, Z = cache.F, spec.W, cache.Wsc, cache.XW, cache.Zsc
-    G_F = cache.H @ cache.C.T
-    G = F * (G_F - (F * G_F).sum(axis=0, keepdims=True))
+    lead = F.shape[:-2]
+    G_F = cache.H @ cache.C.mT
+    G = F * (G_F - np.add.reduce(F * G_F, axis=-2, keepdims=True))
     v = cache.C @ spec.V.T
-    Y = G.T @ XW                   # Y[s] = XW^T G_s
-    # A[t, k, s, l]; the rank-one sums over score columns s are one GEMM
-    A = (-(F[:, None] * w.T).reshape(nd, n)
-         @ (G[:, None] * w.T + F[:, None] * v.T).reshape(nd, n).T).reshape(n, d, n, d)
+    Y = G.mT @ XW                  # Y[s] = XW^T G_s
+    # factors with a unit axis before their last two, which broadcast
+    # against a token axis under any leading axes
+    w1, XW1, F1, G1 = w[..., None, :, :], XW[..., None, :, :], F[..., None, :], G[..., None, :]
+    wT1 = w1.mT
+    # A[..., t, k, s, l]; the rank-one sums over score columns s are one GEMM
+    A = (-(F1 * wT1).reshape(*lead, nd, n)
+         @ (G1 * wT1 + F1 * v.mT[..., None, :, :]).reshape(*lead, nd, n).mT
+         ).reshape(*lead, n, d, n, d)
+    # the broadcast pieces land in one scratch array T, which then holds
+    # A + A^T, and H is summed in place: four (nd)^2 allocations a call.
+    # At nd = 128 a fresh one is 128 KiB, which malloc may hand back as new
+    # pages, and the page faults cost more than the arithmetic.
+    T = np.empty_like(A)
     # key (token t) x query (token s) of column s
-    A += w.T[:, :, None] * (G[:, :, None] * (XW[:, None] - Z) - F[:, :, None] * Y)[:, None]
+    A += np.multiply(wT1[..., None], (G[..., None] * (XW[..., None, :] - Z[..., None, :, :])
+                                      - F[..., None] * Y[..., None, :, :])[..., None, :, :],
+                     out=T)
     # query (token s) x value (token t) of column s
-    A += (F.T[:, None] * (XW.T - Z[:, :, None]))[..., None] * v[:, None, None]
-    A += G[:, None, :, None] * W[:, None]                    # bilinear scores
-    tok = np.arange(n)             # d x d token-diagonal blocks; A^T adds
-                                   # the symmetric ones again, so half here
-    A[tok, :, tok] += (w.T @ (0.5 * G[:, :, None] * w + F[:, :, None] * v)
-                       + XW.T @ (0.5 * G.T[:, :, None] * XW) - Z[:, :, None] * Y[:, None])
-    A = A.reshape(nd, nd)
+    A += np.multiply((F.mT[..., None, :] * (XW1.mT - Z[..., None]))[..., None],
+                     v[..., None, None, :], out=T)
+    A += np.multiply(G1[..., None], W[:, None], out=T)       # bilinear scores
+    # d x d token-diagonal blocks, through einsum's writable view of them;
+    # A^T adds the symmetric ones again, so half here
+    blocks = np.einsum("...tktl->...tkl", A)
+    blocks += (
+        wT1 @ (0.5 * G[..., None] * w1 + F[..., None] * v[..., None, :, :])
+        + XW1.mT @ (0.5 * G.mT[..., None] * XW1) - Z[..., None] * Y[..., None, :])
+    A = A.reshape(*lead, nd, nd)
     J = jacobian_c(cache, spec)
-    return _shift_diagonal(2.0 * (J.T @ J + (A + A.T)), 2.0 * spec.gamma)
+    H = J.mT @ J
+    H += np.add(A, A.mT, out=T.reshape(A.shape))
+    H *= 2.0
+    return _shift_diagonal(H, 2.0 * spec.gamma)
 
 
 def _shift_diagonal(H: np.ndarray, c: float) -> np.ndarray:
-    """H + c I in place, one addition per diagonal entry: the regularizer
-    of hessian_L, check's loss Hessian at gamma and the Newton damping."""
-    H[np.diag_indices(len(H))] += c
+    """H + c I in place, one addition per diagonal entry, of H or of each
+    matrix of a stack: the regularizer of hessian_L, check's loss Hessian
+    at gamma and the Newton damping."""
+    diagonal = np.einsum("...ii->...i", H)     # a view
+    diagonal += c
     return H

@@ -1,10 +1,9 @@
 """File formats: JSON matrices, problem specs, and JSONL run logs.
 
 Matrices, problems and records write floats with 17 significant digits,
-and a matrix writes negative zero as -0.0 (-0 would parse as the integer
-0); the meta line goes through json.dumps. Both read every finite double
-back bit-exactly, but for the sign of a zero gamma, and keep artifacts
-byte-reproducible.
+and a matrix or a problem's gamma writes negative zero as -0.0 (-0 would
+parse as the integer 0); the meta line goes through json.dumps. Both read
+every finite double back bit-exactly and keep artifacts byte-reproducible.
 Run logs persist every RunRecord field; records carry no timings, which
 would break byte-identity of repeated runs.
 """
@@ -25,11 +24,20 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _signed(s: str) -> str:
+    """A %.17g form with negative zero spelled -0.0."""
+    return "-0.0" if s == "-0" else s
+
+
 def matrix_to_json(M: np.ndarray) -> str:
+    """Each entry as format_float writes it, negative zero as -0.0: one
+    finiteness test for the matrix, then %.17g over its entries."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
         raise ValueError("expected a 2-d matrix")
-    data = ", ".join("-0.0" if s == "-0" else s for s in map(format_float, M.reshape(-1)))
+    if not np.isfinite(M).all():
+        raise ValueError("artifacts may only contain finite numbers")
+    data = ", ".join([_signed("%.17g" % x) for x in M.reshape(-1).tolist()])
     return f'{{"rows": {M.shape[0]}, "cols": {M.shape[1]}, "data": [{data}]}}'
 
 
@@ -44,10 +52,13 @@ def _json(value, what: str, *types):
 
 def matrix_from_obj(obj) -> np.ndarray:
     rows, cols = _json(obj["rows"], "rows", int), _json(obj["cols"], "cols", int)
+    data = _json(obj["data"], "data", list)
+    if not set(map(type, data)) <= {int, float}:
+        for v in data:     # _json's message for the first bad entry
+            _json(v, "a data entry", int, float)
     # a float array of JSON numbers; an integer beyond the float range
     # raises OverflowError
-    data = np.array([_json(v, "a data entry", int, float)
-                     for v in _json(obj["data"], "data", list)], dtype=float)
+    data = np.array(data, dtype=float)
     if data.size != rows * cols:
         raise ValueError(f"matrix data length {data.size} != {rows}*{cols}")
     return data.reshape(rows, cols)
@@ -70,7 +81,7 @@ def problem_to_json(spec: ProblemSpec) -> str:
         f'"W": {matrix_to_json(spec.W)}',
         f'"V": {matrix_to_json(spec.V)}',
         f'"B": {matrix_to_json(spec.B)}',
-        f'"gamma": {format_float(spec.gamma)}',
+        f'"gamma": {_signed(format_float(spec.gamma))}',
     ]
     return "{" + ", ".join(parts) + "}"
 

@@ -35,7 +35,8 @@ ACCEPTANCE_SHAPES = [(1, 1), (2, 2), (3, 2), (2, 3), (4, 2),
 
 def per_point(fn):
     """A stack target for the FD oracles from a function of one (d, n)
-    matrix, for functions that accept only one matrix (grad_L, jacobian_c)."""
+    matrix: grad_L, which accepts only one, and jacobian_c on each
+    point's own forward cache."""
     return lambda Ys: np.stack([fn(Y) for Y in Ys])
 
 

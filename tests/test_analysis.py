@@ -266,6 +266,37 @@ def test_lipschitz_identical_pair_reports_zero():
     assert all(c.lhs == 0.0 for c in rep.checks)
 
 
+def test_lipschitz_probe_without_pairs_reports_nothing():
+    spec, _ = bounded_instance(2, 3, 2)
+    rep = lipschitz_probe(spec, [])
+    assert rep.r_eff == 1.0 and rep.checks == () and rep.passed
+
+
+def test_lipschitz_probe_gaps_equal_per_pair_calls():
+    # the ratios from the stacked forward pass, Jacobian and loss Hessian
+    # equal those of each pair's own 2-D calls float for float, an
+    # identical pair among them
+    spec, X = bounded_instance(11, 4, 3)
+    Y = bounded_x(12, 4, 3)
+    pairs = [(X, Y), (Y, Y), (bounded_x(13, 4, 3), X)]
+    lhs = {c.name: c.lhs for c in lipschitz_probe(spec, pairs).checks}
+    base = spec.with_gamma(0.0)
+    for idx, (A, B) in enumerate(pairs):
+        ca, cb = forward_cache(base, A), forward_cache(base, B)
+        dist = float(np.linalg.norm(A - B)) or 1.0
+        want = {
+            "softmax": np.linalg.norm(ca.F - cb.F, axis=0).max(),
+            "residual": np.abs(ca.C - cb.C).max(),
+            "value": np.linalg.norm(ca.H - cb.H, axis=0).max(),
+            "score_coeff": np.abs(ca.Wsc - cb.Wsc).max(),
+            "softmax_score": np.abs(ca.Zsc - cb.Zsc).max(),
+            "residual_grad": np.abs(jacobian_c(ca, base) - jacobian_c(cb, base)).max(),
+            "loss_hessian": np.linalg.norm(hessian_L(ca, base, A) - hessian_L(cb, base, B),
+                                           axis=(0, 1))}
+        for name, gap in want.items():
+            assert lhs[f"pair{idx}_{name}_ratio"] == float(gap / dist), (idx, name)
+
+
 def test_lipschitz_value_ratio_never_exceeds_value_norm():
     spec, X = bounded_instance(3, 3, 2)
     for s in range(5):

@@ -642,23 +642,24 @@ def test_loss_hessian_at_gamma_is_the_gamma_zero_one_plus_its_diagonal(n, d, gam
         [False, True], [True, False]]
 
 
-def test_check_all_builds_seven_loss_hessians(tmp_path, capsys, monkeypatch):
-    # one hessian_L at gamma = 0 for the hessian, psd_floor and
-    # psd_with_auto_gamma records, and two per Lipschitz pair
+def test_check_all_builds_one_loss_hessian_and_one_stack(tmp_path, capsys, monkeypatch):
+    # one loss Hessian at X and gamma = 0 for the hessian, psd_floor and
+    # psd_with_auto_gamma records, then one stack of six for the three
+    # Lipschitz pairs
     out = tmp_path / "inst"
     run_cli("generate", "--seed", "804", "--n", "8", "--d", "4", "--gamma", "0.37",
             "--out", str(out))
-    real = cli.hessian.hessian_L
-    gammas = []
+    real = cli.hessian._hessian_L
+    calls = []
 
-    def counted(cache, spec, X):
-        gammas.append(spec.gamma)
-        return real(cache, spec, X)
+    def counted(cache, spec):
+        calls.append((cache.F.shape[:-2], spec.gamma))
+        return real(cache, spec)
 
-    monkeypatch.setattr(cli.hessian, "hessian_L", counted)
+    monkeypatch.setattr(cli.hessian, "_hessian_L", counted)
     capsys.readouterr()
     assert run_cli("check", "--problem", str(out / "problem.json"), "--level", "all") == 0
-    assert gammas == [0.0] * 7
+    assert calls == [((), 0.0), ((6,), 0.0)]
 
 
 @pytest.mark.parametrize("level", ["grad", "hessian"])

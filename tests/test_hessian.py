@@ -20,8 +20,8 @@ from attninv.hessian import (
 )
 from attninv.model import ProblemSpec, forward_cache, loss, synthesize_target
 from attninv.oracle import fd_hessian, fd_jacobian
-from conftest import (ACCEPTANCE_SHAPES, block_loop_hessian_c, bounded_instance, per_point,
-                      token_loop_hessian_L)
+from conftest import (ACCEPTANCE_SHAPES, block_loop_hessian_c, bounded_instance, bounded_x,
+                      per_point, token_loop_hessian_L)
 
 
 def test_case_classification_is_total_and_matches_layout():
@@ -389,6 +389,26 @@ def test_token_stack_index_error(i0):
     spec, X = bounded_instance(0, 3, 2)
     with pytest.raises(IndexError):
         residual_hessians(forward_cache(spec, X), spec, i0)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.37])
+@pytest.mark.parametrize("seed,shape", list(enumerate(
+    [(1, 3), (2, 3), (4, 3), (6, 4), (8, 4), (12, 6), (16, 8), (8, 16)])))
+def test_stacked_cache_equals_per_point_calls_bitwise(seed, shape, gamma):
+    # a forward cache of p points runs jacobian_c and _hessian_L through
+    # their one body with a leading axis: every point's matrix is its own
+    # 2-D call's, byte for byte, a repeated point included
+    n, d = shape
+    spec, X = bounded_instance(9900 + seed, n, d)
+    spec = spec.with_gamma(gamma)
+    points = np.stack([X, X + 0.3 * np.sin(X), bounded_x(9950 + seed, n, d), X])
+    cache = forward_cache(spec, points)
+    J, H = jacobian_c(cache, spec), hessian._hessian_L(cache, spec)
+    assert J.shape == H.shape == (4, n * d, n * d)
+    for P, Jp, Hp in zip(points, J, H):
+        one = forward_cache(spec, P)
+        assert Jp.tobytes() == jacobian_c(one, spec).tobytes()
+        assert Hp.tobytes() == hessian_L(one, spec, P).tobytes()
 
 
 TABLE_SHAPES = RESIDUAL_SHAPES + [(8, 4)]

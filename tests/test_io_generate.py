@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -43,6 +44,23 @@ def test_random_matrix_row_major_order():
     gen = SplitMix64(7)
     flat = [gen.uniform(-0.5, 0.5) for _ in range(6)]
     assert np.array_equal(a, np.array(flat).reshape(2, 3))
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**32 + 5, 2**63, 2**64 - 1, 2**64 - 2,
+                                  2**64 - 0x9E3779B97F4A7C15])
+def test_random_matrix_is_the_scalar_stream(seed):
+    # the array draws equal gen.uniform's entry for entry and leave gen in
+    # the state the scalar loop does, across the 2^64 wrap as well
+    for rows, cols, lo, hi in ((1, 1, -0.5, 0.5), (2, 3, -0.5, 0.5), (8, 16, -1.44, 1.44),
+                               (0, 4, -0.5, 0.5), (17, 3, 2.0, 3.0)):
+        gen, ref = SplitMix64(seed), SplitMix64(seed)
+        for _ in range(2):
+            M = random_matrix(gen, rows, cols, lo, hi)
+            flat = [ref.uniform(lo, hi) for _ in range(rows * cols)]
+            assert M.shape == (rows, cols)
+            assert M.tobytes() == np.array(flat, dtype=float).reshape(rows, cols).tobytes()
+            assert gen.state == ref.state
+        assert gen.next_u64() == ref.next_u64()
 
 
 def test_make_instance_determinism_and_bounds():
@@ -104,6 +122,36 @@ def test_matrix_file_roundtrip_keeps_signed_zero_and_extremes(tmp_path):
     path = tmp_path / "m.json"
     write_matrix(M, path)
     assert read_matrix(path).tobytes() == M.tobytes()
+
+
+def test_matrix_json_writes_each_entry_as_format_float():
+    rng = np.random.default_rng(3)
+    M = np.concatenate([[-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                         -1.7976931348623157e308, 1e-5, 0.1],
+                        rng.normal(scale=1e3, size=8)]).reshape(4, 4)
+    data = ", ".join("-0.0" if s == "-0" else s for s in map(format_float, M.reshape(-1)))
+    assert matrix_to_json(M) == f'{{"rows": 4, "cols": 4, "data": [{data}]}}'
+    assert matrix_from_obj(json.loads(matrix_to_json(M))).tobytes() == M.tobytes()
+    for bad in (np.inf, -np.inf, np.nan):
+        M[2, 1] = bad
+        with pytest.raises(ValueError, match="artifacts may only contain finite numbers"):
+            matrix_to_json(M)
+
+
+def test_matrix_reader_names_the_first_bad_entry():
+    for data, kind in (([1.0, "2", True], "str"), ([1, 2.5, None, "x"], "NoneType"),
+                       ([0.5, False], "bool")):
+        with pytest.raises(ValueError, match=f"a data entry is of type {kind}, not int or float"):
+            matrix_from_obj({"rows": 1, "cols": len(data), "data": data})
+    assert matrix_from_obj({"rows": 1, "cols": 0, "data": []}).shape == (1, 0)
+
+
+def test_problem_file_roundtrip_keeps_the_sign_of_a_zero_gamma(tmp_path):
+    spec, _ = make_instance(0, 3, 2)
+    for gamma, sign in ((-0.0, -1.0), (0.0, 1.0)):
+        p = tmp_path / "problem.json"
+        write_problem(spec.with_gamma(gamma), p)
+        assert math.copysign(1.0, read_problem(p).gamma) == sign
 
 
 def test_problem_file_roundtrip(tmp_path):
