@@ -111,6 +111,27 @@ def _sample_x(spec: ProblemSpec, seed: int) -> np.ndarray:
     return rescale_spectral(random_matrix(gen, spec.d, spec.n), 1.2)
 
 
+def _residual_hessians_vs_blocks(cache, spec: ProblemSpec):
+    """The pass flag and fields of residual_hessians against hessian_c at
+    every residual, in calls of whole probe tokens and of consecutive
+    residuals r = i0 * d + j0 within the FD oracle's entry budget."""
+    n, d, nd = spec.n, spec.d, spec.n * spec.d
+    tokens = max(1, oracle._STACK_ENTRIES // (d * nd**2))
+    step = max(1, oracle._STACK_ENTRIES // nd**2)
+    worst, passed = 0.0, True
+    for i in np.split(np.arange(n), range(tokens, n, tokens)):
+        T = hessian.residual_hessians(cache, spec, i).reshape(-1, nd, nd)
+        r = i[0] * d + np.arange(len(T))   # the tokens' residuals, in order
+        for lo in range(0, len(r), step):
+            a = T[lo:lo + step]
+            o = hessian.hessian_c(cache, spec, *np.divmod(r[lo:lo + step], d))
+            err = np.abs(a - o)
+            worst = max(worst, float(err.max()))
+            # |a - o| <= 1e-10 implies oracle.check's bound at tol 1e-10
+            passed &= bool((err <= 1e-10).all() or oracle.check(a, o, 1e-10).passed)
+    return passed, {"max_abs_diff": worst}
+
+
 def _check_entries(spec: ProblemSpec, X, level: str, seed: int):
     """Run the selected certification checks and return their result dicts."""
     cache = forward_cache(spec, X)
@@ -148,19 +169,7 @@ def _check_entries(spec: ProblemSpec, X, level: str, seed: int):
         asym = float(np.abs(H - H.T).max())
         tol = 1e-8 * (1.0 + float(np.abs(H).max()))
         add("hessian_L_symmetry", asym <= tol, {"asymmetry": asym, "tol": tol})
-        worst, passed = 0.0, True
-        nd = spec.n * spec.d
-        # chunks of consecutive residuals within the FD oracle's entry budget
-        step = max(1, oracle._STACK_ENTRIES // nd**2)
-        for r in np.split(np.arange(nd), range(step, nd, step)):
-            i0, j0 = np.divmod(r, spec.d)
-            T = hessian.d2c_table(cache, spec, i0, j0)
-            Hc = hessian.hessian_c(cache, spec, i0, j0)
-            err = np.abs(T - Hc)
-            worst = max(worst, float(err.max()))
-            # |a - o| <= 1e-10 implies oracle.check's bound at tol 1e-10
-            passed &= bool((err <= 1e-10).all() or oracle.check(T, Hc, 1e-10).passed)
-        add("hessian_block_entry_equiv", passed, {"max_abs_diff": worst})
+        add("residual_hessians_vs_blocks", *_residual_hessians_vs_blocks(cache, spec))
     if level in ("bounds", "psd", "all"):
         # one residual-Hessian sweep and one ||X||_2 for both checks, each
         # level taking only the norms its checks report

@@ -15,23 +15,23 @@ The per-residual mixed partial d^2 c[i0, j0] / dx[i1, j1] dx[i2, j2]
 splits into five index cases, with two independent realizations kept to
 certify the closed forms:
 
-  * the scalar term tables (D terms for case 1, E for case 2, F for
-    case 4, G for case 5; case 3 is case 2 with the derivative pair
-    swapped), shared by d2c_entry (one entry) and d2c_table (each table
-    evaluated once on a broadcast index grid);
+  * the scalar term tables of d2c_entry (D terms for case 1, E for case
+    2, F for case 4, G for case 5; case 3 is case 2 with the derivative
+    pair swapped), one entry a call;
   * block_case1..block_case5 build the same d x d blocks from outer
     products of cached vectors; hessian_c evaluates each case block once
     on the (i1, i2) token grid and places it in the classify_case layout.
 
 A stack broadcasts the same arithmetic over a leading axis, with no loop,
-and each of its Hessians is bit for bit its own call's: d2c_table and
-hessian_c take ints or 1-D index arrays i0 and j0 naming k residuals
-(i0[r], j0[r]) and return (k, nd, nd); residual_hessians takes b probe
-tokens i0 and returns (b, d, nd, nd).  Tests pin the realizations against
-each other at 1e-10 (check's block/entry record compares d2c_table with
-hessian_c once per chunk of consecutive residuals, so once in all at the
-benchmark's certify shapes), all of them against finite differences, and
-hessian_L and residual_hessians against the case blocks.
+and each of its Hessians is bit for bit its own call's: hessian_c takes
+ints or 1-D index arrays i0 and j0 naming k residuals (i0[r], j0[r]) and
+returns (k, nd, nd); residual_hessians takes b probe tokens i0 and
+returns (b, d, nd, nd).  Tests pin the two realizations against each
+other at 1e-10, both against finite differences, and hessian_L and
+residual_hessians against the case blocks; check's
+residual_hessians_vs_blocks record compares residual_hessians with
+hessian_c at every residual of the user's X (one call of each at the
+benchmark's certify shapes).
 
 A handful of terms carry factors that are easy to mistranscribe (softmax
 entries at the probe token versus the derivative token, paired
@@ -187,26 +187,6 @@ def d2c_entry(cache: ForwardCache, spec: ProblemSpec, i0: int, j0: int,
     else:
         value = _d2c_case5(cache, spec, i0, j0, i1, j1, i2, j2)
     return float(value)
-
-
-def d2c_table(cache: ForwardCache, spec: ProblemSpec, i0, j0) -> np.ndarray:
-    """nd x nd Hessian of c[i0, j0] from the term tables, entry for entry
-    d2c_entry: the case 1, 2, 4 and 5 tables are evaluated once each on a
-    broadcast (i1, j1, i2, j2) grid and placed in the classify_case
-    layout, case 3 as the transpose of case 2.  Index arrays i0 and j0 (or
-    an int and an array) name k residuals and return the (k, nd, nd) stack."""
-    i, j = _check_index(spec, stack=True, i0=i0, j0=j0)
-    shape, i, j = i.shape, i.reshape(-1), j.reshape(-1)
-    n, d, r = spec.n, spec.d, np.arange(len(i))
-    i1, j1, i2, j2 = np.ix_(range(n), range(d), range(n), range(d))
-    ig, jg = (a[:, None, None, None, None] for a in (i, j))  # the stack leads the grid
-    T = _d2c_case5(cache, spec, ig, jg, i1, j1, i2, j2)     # every index varies
-    T[..., i1, j1, i1, j2] = _d2c_case4(cache, spec, ig, jg, i1, j1, j2)
-    E = _d2c_case2(cache, spec, ig, jg, j1, i2, j2)[:, 0]
-    T[r, i] = E
-    T[r, :, :, i] = np.moveaxis(E, -3, -1)                  # case 3
-    T[r, i, :, i] = _d2c_case1(cache, spec, ig, jg, j1, j2)[:, 0, :, 0]
-    return T.reshape(*shape, n * d, n * d)
 
 
 def _outer(a, b):

@@ -147,21 +147,18 @@ def block_loop_hessian_c(cache, spec, i0: int, j0: int) -> np.ndarray:
     return np.block(grid)
 
 
-def token_loop_block_entry_equiv(cache, spec) -> tuple[float, bool]:
-    """Reference for check's hessian_block_entry_equiv record: its
-    max_abs_diff and pass from one d2c_table and one hessian_c call per
-    probe token and chunk of its features, each chunk holding at most 2**16
-    Hessian entries."""
+def token_loop_residual_hessians_vs_blocks(cache, spec) -> tuple[float, bool]:
+    """Reference for check's residual_hessians_vs_blocks record: its
+    max_abs_diff and pass from one residual_hessians call per probe token
+    against one hessian_c call per residual."""
     worst, passed = 0.0, True
-    step = max(1, 2**16 // (spec.n * spec.d) ** 2)
     for i0 in range(spec.n):
-        for j0 in np.split(np.arange(spec.d), range(step, spec.d, step)):
-            T = hessian.d2c_table(cache, spec, i0, j0)
+        T = hessian.residual_hessians(cache, spec, i0)
+        for j0 in range(spec.d):
             Hc = hessian.hessian_c(cache, spec, i0, j0)
-            err = np.abs(T - Hc)
+            err = np.abs(T[j0] - Hc)
             worst = max(worst, float(err.max()))
-            passed &= bool((err <= 1e-10).all() or (
-                err <= 1e-10 + 1e-10 * np.maximum(np.abs(T), np.abs(Hc))).all())
+            passed &= bool((err <= 1e-10 + 1e-10 * np.maximum(np.abs(T[j0]), np.abs(Hc))).all())
     return worst, passed
 
 

@@ -17,7 +17,7 @@ from attninv.hessian import _shift_diagonal, hessian_L
 from attninv.iojson import read_matrix, read_problem
 from attninv.generate import make_instance
 from attninv.model import EXP_MAX, forward_cache, loss
-from conftest import ACCEPTANCE_SHAPES, token_loop_block_entry_equiv
+from conftest import ACCEPTANCE_SHAPES, token_loop_residual_hessians_vs_blocks
 
 
 def run_cli(*argv):
@@ -488,64 +488,79 @@ def test_check_with_infinite_auto_gamma_is_a_failing_record(tmp_path, capsys, le
 
 
 def _sweep_calls(monkeypatch, n, d):
-    """The (name, residuals) of each term-table and case-block call that
-    check's hessian_block_entry_equiv record makes on an n x d instance,
-    residual (i0, j0) as i0 * d + j0, with stand-ins for the dense Hessian
-    and its FD oracle."""
+    """The (name, indices) of each residual_hessians call (its probe
+    tokens) and hessian_c call (its residuals, (i0, j0) as i0 * d + j0)
+    that check's residual_hessians_vs_blocks record makes on an n x d
+    instance, with stand-ins for the dense Hessian and its FD oracle."""
     spec, X = make_instance(0, n, d)
     nd = n * d
     calls = []
 
-    def record(name):
-        def fn(cache, spec, i0, j0):
-            calls.append((name, tuple(int(r) for r in i0 * d + j0)))
-            return np.zeros((len(j0), nd, nd))
-        return fn
+    def residual_hessians(cache, spec, i0):
+        calls.append(("residual_hessians", tuple(int(t) for t in i0)))
+        return np.zeros((len(i0), d, nd, nd))
 
-    monkeypatch.setattr(cli.hessian, "d2c_table", record("d2c_table"))
-    monkeypatch.setattr(cli.hessian, "hessian_c", record("hessian_c"))
+    def hessian_c(cache, spec, i0, j0):
+        calls.append(("hessian_c", tuple(int(r) for r in i0 * d + j0)))
+        return np.zeros((len(j0), nd, nd))
+
+    monkeypatch.setattr(cli.hessian, "residual_hessians", residual_hessians)
+    monkeypatch.setattr(cli.hessian, "hessian_c", hessian_c)
     monkeypatch.setattr(cli.hessian, "hessian_L", lambda cache, spec, X: np.zeros((nd, nd)))
     monkeypatch.setattr(cli.oracle, "fd_hessian", lambda fn, X: np.zeros((nd, nd)))
     records = cli._check_entries(spec, X + 0.05, "hessian", 0)
-    assert records[-1] == {"check": "hessian_block_entry_equiv", "pass": True,
+    assert records[-1] == {"check": "residual_hessians_vs_blocks", "pass": True,
                            "max_abs_diff": 0.0}
     return calls
 
 
-@pytest.mark.parametrize("n,d,chunks", [
-    (4, 3, [12]), (8, 4, [32]), (16, 8, [4] * 32), (32, 16, [1] * 512), (9, 5, [32, 13])],
+def _token_sweep(n, d, tokens, step):
+    """The calls of a sweep of `tokens` consecutive probe tokens per
+    residual_hessians call, each followed by hessian_c calls on `step`
+    consecutive residuals of those tokens at a time."""
+    calls = []
+    for lo in range(0, n, tokens):
+        group = range(lo, min(lo + tokens, n))
+        calls.append(("residual_hessians", tuple(group)))
+        r = range(group[0] * d, (group[-1] + 1) * d)
+        calls += [("hessian_c", tuple(r[k:k + step])) for k in range(0, len(r), step)]
+    return calls
+
+
+@pytest.mark.parametrize("n,d,tokens,step", [
+    (4, 3, 4, 12), (8, 4, 8, 32), (16, 8, 1, 4), (32, 16, 1, 1), (9, 5, 6, 32)],
     ids=["4x3", "8x4", "16x8", "32x16", "9x5"])
-def test_check_sweeps_residuals_in_consecutive_chunks(monkeypatch, n, d, chunks):
-    # one d2c_table and one hessian_c call per chunk of consecutive
-    # residuals r = i0 * d + j0, of max(1, 2**16 // (nd)^2) each: all of
-    # them at once on the certify shapes, chunks that cross tokens at
-    # 9 x 5, one residual at a time at 32 x 16
-    ends = np.cumsum([0] + chunks)
-    assert _sweep_calls(monkeypatch, n, d) == [
-        (name, tuple(range(lo, hi))) for lo, hi in zip(ends[:-1], ends[1:])
-        for name in ("d2c_table", "hessian_c")]
+def test_check_sweeps_residuals_in_consecutive_chunks(monkeypatch, n, d, tokens, step):
+    # max(1, 2**16 // (d (nd)^2)) probe tokens per residual_hessians call
+    # and max(1, 2**16 // (nd)^2) residuals r = i0 * d + j0 per hessian_c
+    # call: one call of each on the certify shapes, calls of 6 and 3
+    # tokens at 9 x 5, one token and two hessian_c calls per token at
+    # 16 x 8, one token and one residual at a time at 32 x 16
+    assert _sweep_calls(monkeypatch, n, d) == _token_sweep(n, d, tokens, step)
 
 
 def test_check_sweep_chunks_follow_the_fd_oracle_budget(monkeypatch):
     # the sweep reads the FD oracle's entry budget at call time: a quarter
-    # of it splits the 8 x 4 sweep into four chunks of 8 residuals
+    # of it splits the 8 x 4 sweep into four calls of 2 tokens, each
+    # checked by one hessian_c call on its 8 residuals
     monkeypatch.setattr(cli.oracle, "_STACK_ENTRIES", 2**13)
-    calls = [r for name, r in _sweep_calls(monkeypatch, 8, 4) if name == "hessian_c"]
-    assert calls == [tuple(range(lo, lo + 8)) for lo in range(0, 32, 8)]
+    assert _sweep_calls(monkeypatch, 8, 4) == [
+        call for lo in range(0, 8, 2) for call in (
+            ("residual_hessians", (lo, lo + 1)), ("hessian_c", tuple(range(4 * lo, 4 * lo + 8))))]
 
 
 # the benchmark's certify instances, the acceptance family and two shapes
-# whose sweep takes several chunks (two tokens each at 12 x 6)
+# whose sweep takes several calls (two tokens each at 12 x 6)
 @pytest.mark.parametrize("seed,n,d", [(403, 4, 3), (604, 6, 4), (804, 8, 4)] + [
     (100 * n + d, n, d) for n, d in ACCEPTANCE_SHAPES + [(9, 5), (12, 6)]])
 def test_check_block_entry_equiv_equals_the_token_loop(seed, n, d):
-    # the record of the residual-chunk sweep, field for field the one of
-    # one call pair per probe token and feature chunk
+    # the record of the token sweep, field for field the one of one
+    # residual_hessians call per probe token and one hessian_c per residual
     spec, _ = make_instance(seed, n, d)
     X = cli._sample_x(spec, seed)
-    worst, passed = token_loop_block_entry_equiv(forward_cache(spec, X), spec)
+    worst, passed = token_loop_residual_hessians_vs_blocks(forward_cache(spec, X), spec)
     record = cli._check_entries(spec, X, "hessian", seed)[-1]
-    assert record == {"check": "hessian_block_entry_equiv", "pass": passed,
+    assert record == {"check": "residual_hessians_vs_blocks", "pass": passed,
                       "max_abs_diff": worst}
 
 
@@ -581,7 +596,7 @@ def test_check_hessian_records_exact_symmetry(tmp_path, capsys):
 
 
 def test_check_block_entry_equiv_bound_is_mixed(tmp_path, capsys):
-    # V scaled by 1e39: the term tables and the case blocks differ by
+    # V scaled by 1e39: the residual Hessians and the case blocks differ by
     # rounding alone, about 1e21 in absolute terms at entries near 1e32;
     # the record passes on 1e-10 + 1e-10 * max(|a|, |o|), as hessian_L_vs_fd
     # does on its own mixed bound, and keeps its one absolute field
@@ -589,14 +604,35 @@ def test_check_block_entry_equiv_bound_is_mixed(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("check", "--problem", problem, "--level", "hessian") == 0
     records = {r["check"]: r for r in json.loads(capsys.readouterr().out)["results"]}
-    record = records["hessian_block_entry_equiv"]
+    record = records["residual_hessians_vs_blocks"]
     assert record["pass"] is True and record["max_abs_diff"] > 1e20
     assert sorted(record) == ["check", "max_abs_diff", "pass"]
 
 
-@pytest.mark.parametrize("factor,bump", [(1e39, lambda x: x * (1.0 + 1e-8)),
-                                         (1.0, lambda x: x + 1e-9)],
-                         ids=["relative_1e-8_at_V_1e39", "absolute_1e-9_at_V_1"])
+def _bump_token_1(stack, tokens, bump):
+    """stack with its largest entry among probe token 1's rows (row r is
+    token tokens[r]) moved by bump, in place."""
+    rows = np.flatnonzero(tokens == 1)
+    if rows.size:
+        top = np.unravel_index(np.abs(stack[rows]).argmax(), stack[rows].shape)
+        top = (rows[top[0]],) + top[1:]
+        stack[top] = bump(stack[top])
+    return stack
+
+
+def _failing_records(capsys, problem, level):
+    capsys.readouterr()
+    assert run_cli("check", "--problem", problem, "--level", level) == 1
+    records = json.loads(capsys.readouterr().out)["results"]
+    return {r["check"] for r in records if not r["pass"]}
+
+
+PERTURBATIONS = pytest.mark.parametrize(
+    "factor,bump", [(1e39, lambda x: x * (1.0 + 1e-8)), (1.0, lambda x: x + 1e-9)],
+    ids=["relative_1e-8_at_V_1e39", "absolute_1e-9_at_V_1"])
+
+
+@PERTURBATIONS
 def test_check_block_entry_equiv_flags_a_perturbed_entry(tmp_path, capsys, monkeypatch,
                                                          factor, bump):
     # the largest hessian_c entry among probe token 1's rows of the
@@ -605,22 +641,25 @@ def test_check_block_entry_equiv_flags_a_perturbed_entry(tmp_path, capsys, monke
     # either way, and the only failure
     problem = _v_scaled_problem(tmp_path, factor)
     real = cli.hessian.hessian_c
+    monkeypatch.setattr(cli.hessian, "hessian_c", lambda cache, spec, i0, j0: _bump_token_1(
+        real(cache, spec, i0, j0), i0, bump))
+    assert _failing_records(capsys, problem, "hessian") == {"residual_hessians_vs_blocks"}
 
-    def perturbed(cache, spec, i0, j0):
-        H = real(cache, spec, i0, j0)
-        rows = np.flatnonzero(i0 == 1)
-        if rows.size:
-            top = np.unravel_index(np.abs(H[rows]).argmax(), H[rows].shape)
-            top = (rows[top[0]],) + top[1:]
-            H[top] = bump(H[top])
-        return H
 
-    monkeypatch.setattr(cli.hessian, "hessian_c", perturbed)
-    capsys.readouterr()
-    assert run_cli("check", "--problem", problem, "--level", "hessian") == 1
-    records = {r["check"]: r for r in json.loads(capsys.readouterr().out)["results"]}
-    assert {name for name, r in records.items() if not r["pass"]} == {
-        "hessian_block_entry_equiv"}
+@PERTURBATIONS
+def test_check_block_entry_equiv_flags_a_perturbed_residual_hessian(
+        tmp_path, capsys, monkeypatch, factor, bump):
+    # the same move on the production side: the largest residual_hessians
+    # entry of probe token 1 fails this record and no other, at unit
+    # scale also under --level all, whose bound_suite and psd_floor take
+    # their norms from the same (patched) function
+    problem = _v_scaled_problem(tmp_path, factor)
+    real = cli.hessian.residual_hessians
+    monkeypatch.setattr(cli.hessian, "residual_hessians", lambda cache, spec, i0: _bump_token_1(
+        real(cache, spec, i0), i0, bump))
+    levels = ["hessian"] if factor > 1.0 else ["hessian", "all"]
+    for level in levels:
+        assert _failing_records(capsys, problem, level) == {"residual_hessians_vs_blocks"}
 
 
 @pytest.mark.parametrize("gamma", [0.0, 0.37, 1234.5, 7.1e9])

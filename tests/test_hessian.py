@@ -13,7 +13,6 @@ from attninv.hessian import (
     block_case5,
     classify_case,
     d2c_entry,
-    d2c_table,
     hessian_L,
     hessian_c,
     residual_hessians,
@@ -411,58 +410,6 @@ def test_stacked_cache_equals_per_point_calls_bitwise(seed, shape, gamma):
         assert Hp.tobytes() == hessian_L(one, spec, P).tobytes()
 
 
-TABLE_SHAPES = RESIDUAL_SHAPES + [(8, 4)]
-
-
-def _entry_table(cache, spec, i0, j0):
-    nd, d = spec.n * spec.d, spec.d
-    return np.array([[d2c_entry(cache, spec, i0, j0, a // d, a % d, b // d, b % d)
-                      for b in range(nd)] for a in range(nd)])
-
-
-@pytest.mark.parametrize("seed,shape", list(enumerate(TABLE_SHAPES)))
-def test_d2c_table_equals_d2c_entry_bitwise(seed, shape):
-    # same term tables on an index grid: every entry is the same float
-    n, d = shape
-    for spec, Y in _three_points(8000 + seed, n, d)[:2]:
-        cache = forward_cache(spec, Y)
-        for i0 in range(n):
-            for j0 in range(d):
-                T = d2c_table(cache, spec, i0, j0)
-                assert T.shape == (n * d, n * d)
-                assert np.array_equal(T, _entry_table(cache, spec, i0, j0))
-
-
-@pytest.mark.parametrize("seed,shape", list(enumerate(TABLE_SHAPES)))
-def test_d2c_table_matches_hessian_c(seed, shape):
-    n, d = shape
-    for spec, Y in _three_points(8000 + seed, n, d)[:2]:
-        cache = forward_cache(spec, Y)
-        for i0 in range(n):
-            for j0 in range(d):
-                ref = hessian_c(cache, spec, i0, j0)
-                # n == 1: c is linear in x, both sides are rounding-level zeros
-                tol = 1e-12 * np.abs(ref).max() if n > 1 else 1e-15
-                assert np.abs(d2c_table(cache, spec, i0, j0) - ref).max() <= tol
-
-
-def test_d2c_table_matches_fd():
-    spec, X = bounded_instance(17, 3, 2)
-    cache = forward_cache(spec, X)
-    for i0 in range(3):
-        for j0 in range(2):
-            fd = fd_hessian(lambda Ys: forward_cache(spec, Ys).C[:, i0, j0], X)
-            T = d2c_table(cache, spec, i0, j0)
-            assert np.abs(T - fd).max() <= 1e-4 * (1 + np.abs(fd).max())
-
-
-@pytest.mark.parametrize("i0,j0", [(3, 0), (0, 2), (-1, 0), (0, -1)])
-def test_d2c_table_index_error(i0, j0):
-    spec, X = bounded_instance(0, 3, 2)
-    with pytest.raises(IndexError):
-        d2c_table(forward_cache(spec, X), spec, i0, j0)
-
-
 BLOCK_GRID_SHAPES = ACCEPTANCE_SHAPES + [(1, 3), (2, 1), (2, 4), (8, 4), (16, 8)]
 
 
@@ -501,25 +448,6 @@ def test_hessian_c_makes_one_call_per_case(monkeypatch):
             assert counts == dict.fromkeys(names, 1), (n, i0, j0)
 
 
-def test_d2c_table_makes_one_call_per_case(monkeypatch):
-    # one term-table evaluation per index case, also for a feature stack
-    # and a stack of every residual: case 3 is placed as the transpose of
-    # the case-2 evaluation, not evaluated again
-    names = ("_d2c_case1", "_d2c_case2", "_d2c_case4", "_d2c_case5")
-    counts = dict.fromkeys(names, 0)
-    for name in names:
-        def counted(*args, _fn=getattr(hessian, name), _name=name):
-            counts[_name] += 1
-            return _fn(*args)
-        monkeypatch.setattr(hessian, name, counted)
-    for n in (3, 8):
-        spec, X = bounded_instance(1, n, 2)
-        for i0, j0 in ((1, 1), (1, np.arange(2)), np.divmod(np.arange(2 * n), 2)):
-            counts.update(dict.fromkeys(names, 0))
-            d2c_table(forward_cache(spec, X), spec, i0, j0)
-            assert counts == dict.fromkeys(names, 1), (n, i0, j0)
-
-
 @pytest.mark.parametrize("i0,j0", [(3, 0), (-1, 0), (0, 2), (0, -1)])
 def test_hessian_c_index_error(i0, j0):
     spec, X = bounded_instance(0, 3, 2)
@@ -536,29 +464,23 @@ STACK_SHAPES = ACCEPTANCE_SHAPES + [(4, 3), (6, 4), (8, 4), (12, 6), (16, 8)]
 def test_feature_stacks_equal_per_feature_calls_bitwise(seed, shape, gamma):
     # a stack over j0 is the same arithmetic broadcast over a leading
     # feature axis: every Hessian is its own call's, float for float, and
-    # the per-feature calls are the term-table entries and the block tiling
+    # the per-feature calls are the block tiling
     n, d = shape
     nd = n * d
     # 12 x 6 and 16 x 8: the first, a middle and the last probe token
     probes = range(n) if n <= 8 else (0, n // 2, n - 1)
-    for point, (spec, Y) in enumerate(_three_points(9500 + seed, n, d, gamma)):
+    for spec, Y in _three_points(9500 + seed, n, d, gamma):
         cache = forward_cache(spec, Y)
         for i0 in probes:
-            T = d2c_table(cache, spec, i0, np.arange(d))
             H = hessian_c(cache, spec, i0, np.arange(d))
-            assert T.shape == H.shape == (d, nd, nd)
+            assert H.shape == (d, nd, nd)
             for j0 in range(d):
-                assert np.array_equal(T[j0], d2c_table(cache, spec, i0, j0))
                 assert np.array_equal(H[j0], hessian_c(cache, spec, i0, j0))
-        # one residual against the per-residual references (the tests above
-        # cover every residual at gamma 0); d2c_entry makes (nd)^2 calls,
-        # so beyond nd = 32 at the first point only
+        # one residual against the block tiling (the tests above cover every
+        # residual at gamma 0)
         i0, j0 = n // 2, d - 1
         H = hessian_c(cache, spec, i0, np.array([j0]))[0]
         assert np.array_equal(H, block_loop_hessian_c(cache, spec, i0, j0))
-        if nd <= 32 or point == 0:
-            T = d2c_table(cache, spec, i0, np.array([j0]))[0]
-            assert np.array_equal(T, _entry_table(cache, spec, i0, j0))
 
 
 def test_feature_stacks_take_any_feature_order():
@@ -566,11 +488,10 @@ def test_feature_stacks_take_any_feature_order():
     spec, X = bounded_instance(5, 4, 3)
     cache = forward_cache(spec, X)
     for j0 in ([2, 0], [1, 1, 2], [1], np.arange(3)[::-1]):
-        for fn in (d2c_table, hessian_c):
-            stack = fn(cache, spec, 2, np.asarray(j0))
-            assert stack.shape == (len(j0), 12, 12)
-            for row, j in zip(stack, j0):
-                assert np.array_equal(row, fn(cache, spec, 2, int(j)))
+        stack = hessian_c(cache, spec, 2, np.asarray(j0))
+        assert stack.shape == (len(j0), 12, 12)
+        for row, j in zip(stack, j0):
+            assert np.array_equal(row, hessian_c(cache, spec, 2, int(j)))
 
 
 @pytest.mark.parametrize("j0", [np.array([0, 2]), np.array([-1]), np.zeros((1, 1), int),
@@ -578,9 +499,8 @@ def test_feature_stacks_take_any_feature_order():
 def test_feature_stack_index_error(j0):
     spec, X = bounded_instance(0, 3, 2)
     cache = forward_cache(spec, X)
-    for fn in (d2c_table, hessian_c):
-        with pytest.raises(IndexError):
-            fn(cache, spec, 0, j0)
+    with pytest.raises(IndexError):
+        hessian_c(cache, spec, 0, j0)
 
 
 @pytest.mark.parametrize("gamma", [0.0, 0.3])
@@ -596,13 +516,12 @@ def test_residual_stacks_equal_per_residual_calls_bitwise(seed, shape, gamma):
     cross = slice(max(d - 2, 0), d + 2)
     for spec, Y in _three_points(9800 + seed, n, d, gamma):
         cache = forward_cache(spec, Y)
-        for fn in (d2c_table, hessian_c):
-            stack = fn(cache, spec, i0, j0)
-            assert stack.shape == (nd, nd, nd)
-            for r in range(nd):
-                assert np.array_equal(stack[r], fn(cache, spec, int(i0[r]), int(j0[r])))
-            chunk = fn(cache, spec, i0[cross], j0[cross])
-            assert np.array_equal(chunk, stack[cross])
+        stack = hessian_c(cache, spec, i0, j0)
+        assert stack.shape == (nd, nd, nd)
+        for r in range(nd):
+            assert np.array_equal(stack[r], hessian_c(cache, spec, int(i0[r]), int(j0[r])))
+        chunk = hessian_c(cache, spec, i0[cross], j0[cross])
+        assert np.array_equal(chunk, stack[cross])
 
 
 def test_residual_stacks_take_any_order():
@@ -617,11 +536,10 @@ def test_residual_stacks_take_any_order():
     for i0, j0 in pairs:
         k = max(np.size(i0), np.size(j0))
         rows = np.broadcast_arrays(i0, j0)
-        for fn in (d2c_table, hessian_c):
-            stack = fn(cache, spec, np.asarray(i0), np.asarray(j0))
-            assert stack.shape == (k, 12, 12)
-            for row, i, j in zip(stack, *rows):
-                assert np.array_equal(row, fn(cache, spec, int(i), int(j)))
+        stack = hessian_c(cache, spec, np.asarray(i0), np.asarray(j0))
+        assert stack.shape == (k, 12, 12)
+        for row, i, j in zip(stack, *rows):
+            assert np.array_equal(row, hessian_c(cache, spec, int(i), int(j)))
 
 
 # what a residual stack's token slot refuses (an int or a 1-D array of
@@ -635,6 +553,5 @@ def test_residual_stacks_take_any_order():
 def test_residual_stack_index_error(i0, j0):
     spec, X = bounded_instance(0, 3, 2)
     cache = forward_cache(spec, X)
-    for fn in (d2c_table, hessian_c):
-        with pytest.raises(IndexError):
-            fn(cache, spec, i0, j0)
+    with pytest.raises(IndexError):
+        hessian_c(cache, spec, i0, j0)

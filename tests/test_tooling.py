@@ -23,15 +23,15 @@ SCRIPT_ENV = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
 # CHANGES.md
 ARTIFACT_DIGESTS = """\
 generate     122bb61f12b4c5f82aaa661ff3425949e31acee025c5ea56924c4e39cb00dd57
-check        ab8b6da6017629d09904658b937551ff79de950b49da4a4c5a58769e70d61567
+check        915a071f8559843e4950e5a32d37bd568bbf718240a69c7a19a0a0a23295df4b
 solve newton b3cfbc388a4553a69ee98c9eddca959442876094b0ddef960bd72cf675081fc5
 solve gd     a852e6dec7f55b123267d8f810fec6d578a0d0fcd4974ede33cf9cb05813c841
 report       474840f21e26f95ff7f90918cd2ce33653d0133f297fffa5a977fb54673d966f
-certify      72dcfe6c453428b1d059ae9e5cb9d9aa36b1d17c1ed67a88e5016bfc7972c97c
+certify      91ba0fcd7f64baa220c5be26c68d64271b89b738b565ace047947db7f7210920
 lipschitz    47e37d4ab0e77ceffc66d967835956451c6faa4f814c08bdda77f32695e77b3b
 panels       54e3d9bf9ec81dced9db0ebf798696e56427a78994eab2052cefc7f3d2479620
 audit        f30834131fbb3f3898807dc59d7930779825d11d76198b79e7daf1d04bd74cef
-0b9b1f4ef7a679598f7caa167d5ba7e13469a96b89dc55438e0e8dbb2a5000bf
+c126491a393669e2f7759e00c56ce53de4b1f66f7a13d9059a303380f006cbc8
 """
 # the package's exports; a change that adds or drops one edits this list
 PUBLIC_NAMES = [
